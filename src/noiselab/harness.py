@@ -1,8 +1,11 @@
 """Experiment orchestration: bundled studies, multi-seed aggregation, file output.
 
-Every experiment is pure given its config, so reruns are byte-identical and
-seeds could in principle be fanned out to workers; the bundled budgets finish
-quickly enough sequentially that no pool is used.
+Every experiment is pure given its config, so reruns are byte-identical. The
+runs of a DLN study are integrated together as the rows of one ensemble (all
+cells of a discrete study at once, one sigma's seeds of the limit pipeline at
+a time), each row bitwise what it would be alone; results are then read back
+in (kind, sigma, seed) order, so the first failing run in that order is the
+one reported.
 """
 
 from __future__ import annotations
@@ -16,12 +19,15 @@ import numpy as np
 
 from .core_math import RngStream, Trajectory
 from .dln_dynamics import (
+    DiscreteRun,
     DivergenceError,
     NoiseSchedule,
     dln_init,
     effective_alpha,
-    run_dln_discrete,
-    simulate_dln_sde,
+    run_dln_discrete,  # noqa: F401 -- perfbench/tracer.py wraps this name here
+    run_dln_discrete_ensemble,
+    simulate_dln_sde,  # noqa: F401 -- perfbench/tracer.py wraps this name here
+    simulate_dln_sde_ensemble,
 )
 from .lsq_dynamics import (
     KINDS,
@@ -86,7 +92,8 @@ class ExperimentConfig:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         self.kinds = tuple(self.kinds)
-        self.sigmas = tuple(float(v) for v in self.sigmas)
+        # + 0.0 turns -0.0 into 0.0, whose label "sigma0" the checks look up
+        self.sigmas = tuple(float(v) + 0.0 for v in self.sigmas)
         for k in self.kinds:
             if k not in KINDS:
                 raise ValueError(f"unknown optimizer kind {k!r}")
@@ -102,6 +109,12 @@ class ExperimentConfig:
             raise ValueError("burn_in must be nonnegative and smaller than steps")
         if np.any(np.asarray(self.alpha0, dtype=float) <= 0):
             raise ValueError("alpha0 must be positive")
+        # the study checks read fixed cells of the grid
+        if self.experiment == "bias_order" and (
+                not {"GD", "SGD", "NoisySGD"} <= set(self.kinds) or len(self.sigmas) != 1):
+            raise ValueError("bias_order compares GD, SGD and NoisySGD at one sigma")
+        if self.experiment == "alpha_sweep" and len(self.kinds) != 1:
+            raise ValueError("alpha_sweep grades one optimizer kind over its sigma grid")
 
     def outdir(self) -> str:
         return self.out or os.environ.get(OUTDIR_ENV, "") or "noiselab-out"
@@ -303,11 +316,12 @@ def _grid_steps(steps: int, stride: int) -> list:
     return grid
 
 
-def _align(traj: Trajectory, column: str, h: float, steps: int, stride: int) -> np.ndarray:
+def _align(traj: Trajectory, column: str, steps: int, stride: int) -> np.ndarray:
     """Resample a recorded curve onto the common step grid, holding the final
-    value past an early stop."""
+    value past an early stop; rows are placed by their integer step indices
+    (meta["steps"])."""
     vals = traj.column(column)
-    rec_steps = [int(round(t / h)) for t in traj.column("t")]
+    rec_steps = traj.meta["steps"]
     grid = _grid_steps(steps, stride)
     out = np.empty(len(grid))
     vi = 0
@@ -341,31 +355,31 @@ def _run_discrete(cfg: ExperimentConfig, record: RunRecord, ds: Dataset) -> None
     times = [g * gamma for g in _grid_steps(cfg.steps, cfg.stride)]
     multi_kind = len(cfg.kinds) > 1
     multi_sigma = len(cfg.sigmas) > 1
+    cells, runs = [], []
     for kind in cfg.kinds:
         for sigma in cfg.sigmas:
-            label = _cell_label(kind, sigma, multi_kind, multi_sigma)
+            cells.append(_cell_label(kind, sigma, multi_kind, multi_sigma))
             sig = sigma if kind in ("NoisySGD", "DPSGD") else 0.0
             opt = OptimizerConfig(kind=kind, gamma=gamma, sigma=sig, batch=cfg.batch)
             sched = NoiseSchedule(sigma=sig)
-            dist_curves, loss_curves, cell_finals = [], [], []
-            for i in range(cfg.seeds):
-                rng = RngStream(cfg.seed_base + i)
-                try:
-                    _, traj = run_dln_discrete(ds, dln_init(cfg.alpha0, ds.d), opt,
-                                               sched, cfg.steps, rng,
-                                               record_stride=cfg.stride)
-                except DivergenceError as exc:
-                    raise DivergenceError(
-                        exc.step, f"{label} seed {cfg.seed_base + i}") from exc
-                dist_curves.append(_align(traj, "dist_to_beta_l0_sq", gamma,
-                                          cfg.steps, cfg.stride))
-                loss_curves.append(_align(traj, "loss", gamma, cfg.steps, cfg.stride))
-                cell_finals.append(float(dist_curves[-1][-1]))
-            record.aggregates[f"dist_{label}"] = _agg_trajectory(times, dist_curves)
-            record.aggregates[f"loss_{label}"] = _agg_trajectory(times, loss_curves)
-            record.per_seed[label] = cell_finals
-            record.scalars[f"final_dist_sq_mean_{label}"] = float(np.mean(cell_finals))
-            record.scalars[f"final_dist_sq_std_{label}"] = float(np.std(cell_finals))
+            runs += [DiscreteRun(dln_init(cfg.alpha0, ds.d), opt, sched,
+                                 RngStream(cfg.seed_base + i)) for i in range(cfg.seeds)]
+    trajs = run_dln_discrete_ensemble(ds, runs, cfg.steps, record_stride=cfg.stride)
+    for c, label in enumerate(cells):
+        dist_curves, loss_curves, cell_finals = [], [], []
+        for i in range(cfg.seeds):
+            traj = trajs[c * cfg.seeds + i]
+            if isinstance(traj, DivergenceError):
+                raise DivergenceError(
+                    traj.step, f"{label} seed {cfg.seed_base + i}") from traj
+            dist_curves.append(_align(traj, "dist_to_beta_l0_sq", cfg.steps, cfg.stride))
+            loss_curves.append(_align(traj, "loss", cfg.steps, cfg.stride))
+            cell_finals.append(float(dist_curves[-1][-1]))
+        record.aggregates[f"dist_{label}"] = _agg_trajectory(times, dist_curves)
+        record.aggregates[f"loss_{label}"] = _agg_trajectory(times, loss_curves)
+        record.per_seed[label] = cell_finals
+        record.scalars[f"final_dist_sq_mean_{label}"] = float(np.mean(cell_finals))
+        record.scalars[f"final_dist_sq_std_{label}"] = float(np.std(cell_finals))
 
     if cfg.experiment == "bias_order":
         m = {k: record.scalars[f"final_dist_sq_mean_{k}"]
@@ -378,8 +392,8 @@ def _run_discrete(cfg: ExperimentConfig, record: RunRecord, ds: Dataset) -> None
         record.checks["order_sgd_below_gd"] = m["SGD"] < m["GD"]
         record.checks["gap_exceeds_pooled_std"] = m["SGD"] - m["NoisySGD"] > pooled
     elif cfg.experiment == "alpha_sweep":
-        means = [record.scalars[f"final_dist_sq_mean_sigma{s:g}"] for s in cfg.sigmas]
-        stds = [record.scalars[f"final_dist_sq_std_sigma{s:g}"] for s in cfg.sigmas]
+        means = [record.scalars[f"final_dist_sq_mean_{label}"] for label in cells]
+        stds = [record.scalars[f"final_dist_sq_std_{label}"] for label in cells]
         ok, inv = trend_check(means, stds, direction=-1)
         record.scalars["trend_inversions"] = inv
         record.checks["distance_non_increasing_in_sigma"] = ok
@@ -395,11 +409,13 @@ def _run_sde_pipeline(cfg: ExperimentConfig, record: RunRecord, ds: Dataset) -> 
     for sigma in cfg.sigmas:
         tag = f"sigma{sigma:g}"
         dists, lhss, r_norms, mus = [], [], [], []
-        for i in range(cfg.seeds):
-            rng = RngStream(cfg.seed_base + i)
-            traj = simulate_dln_sde(ds, cfg.alpha0, NoiseSchedule(sigma=sigma),
-                                    gamma, gamma, cfg.steps, rng,
-                                    record_stride=cfg.stride)
+        trajs = simulate_dln_sde_ensemble(
+            ds, cfg.alpha0, NoiseSchedule(sigma=sigma), gamma, gamma, cfg.steps,
+            [RngStream(cfg.seed_base + i) for i in range(cfg.seeds)],
+            record_stride=cfg.stride)
+        for i, traj in enumerate(trajs):
+            if isinstance(traj, DivergenceError):
+                raise traj
             if not traj.meta["converged"]:
                 raise RuntimeError(f"{tag} seed {cfg.seed_base + i}: no "
                                    f"convergence within {cfg.steps} steps")

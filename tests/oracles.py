@@ -129,3 +129,119 @@ def fd_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
         e[i] = h
         g[i] = (f(x + e) - f(x - e)) / (2.0 * h)
     return g
+
+
+class Diverged(Exception):
+    """Raised by sde_reference when the loss leaves the finite range."""
+
+    def __init__(self, step):
+        super().__init__(f"non-finite loss at step {step}")
+        self.step = step
+
+
+def sde_reference(Xbar, Ybar, ref, P, alpha, sigma, gamma, h, steps, rng,
+                  record_stride=100, early_stop=True, matrices=None):
+    """One run of the mirrored weight SDE, stepped one seed at a time.
+
+    This is the single-run geometric Euler-Maruyama loop that the package
+    integrated before its ensemble integrator existed, kept as the sequential
+    reference: noise is drawn from rng.normal in blocks of 4096 steps of
+    N(0, I_{n+d}) (followed, for a general schedule `matrices` of shape (p, d)
+    or (T, p, d), by a block of its own normals), and the run stops once the
+    loss stays at or below 1e-12 for 100 straight steps. Returns a dict with
+    the trajectory rows (t, loss, squared distance to ref, loss integral,
+    ||r_acc||), their step indices, the checkpoints and the final state.
+    """
+    n, d = Xbar.shape
+    w_p = np.full(d, float(alpha))
+    w_m = np.full(d, float(alpha))
+    if matrices is not None:
+        sigma = 0.0
+    sqh = np.sqrt(h)
+    var_fac = 4.0 * gamma * h * (np.sum(Xbar * Xbar, axis=0) + sigma * sigma)
+    eta = np.zeros(d)
+    delta = np.zeros(d)
+    r_acc = np.zeros(d)
+    loss_integral = 0.0
+    noise_sq_integral = 0.0
+    streak = 0
+    last_recorded = -1
+    rows, rec_steps, checkpoints = [], [], []
+
+    def record(k, beta, loss):
+        nonlocal last_recorded
+        diff = beta - ref
+        rows.append(tuple(float(v) for v in (k * h, loss, float(diff @ diff),
+                                             loss_integral,
+                                             float(np.linalg.norm(r_acc)))))
+        rec_steps.append(k)
+        checkpoints.append({"step": k, "time": k * h, "beta": beta.copy(),
+                            "eta": eta.copy(), "delta": delta.copy(),
+                            "loss_integral": loss_integral})
+        last_recorded = k
+
+    def matrix_at(k):
+        if matrices.ndim == 2:
+            return matrices
+        return matrices[min(k, matrices.shape[0] - 1)]
+
+    block = 4096
+    k = 0
+    stopped = False
+    while k < steps and not stopped:
+        count = min(block, steps - k)
+        xi_all = rng.normal((count, n + d))
+        if matrices is not None:
+            z_gen = rng.normal((count, matrices.shape[-2]))
+        for j in range(count):
+            beta = w_p * w_p - w_m * w_m
+            rbar = Xbar @ beta - Ybar
+            loss = 0.5 * float(rbar @ rbar)
+            if not np.isfinite(loss):
+                raise Diverged(k)
+            if k % record_stride == 0:
+                record(k, beta, loss)
+            if early_stop:
+                streak = streak + 1 if loss <= 1e-12 else 0
+                if streak >= 100:
+                    stopped = True
+                    break
+
+            g = 2.0 * h * (Xbar.T @ rbar)
+            amp = 2.0 * np.sqrt(gamma * loss) * sqh
+            xi = xi_all[j]
+            m_x = amp * (Xbar.T @ xi[:n])
+            c = g - m_x
+            v = var_fac * loss
+            eta = eta - g + m_x
+            if sigma > 0:
+                m_i = (amp * sigma) * xi[n:]
+                inc = sqh * xi[n:]
+                r_acc = r_acc + sigma * np.sqrt(gamma * loss) * (inc - P @ inc)
+                c = c - m_i
+                delta = delta + m_i
+            if matrices is not None:
+                mat = matrix_at(k)
+                m_g = 2.0 * sqh * (mat.T @ z_gen[j])
+                c = c - m_g
+                delta = delta + m_g
+                r_acc = r_acc + 0.5 * (m_g - P @ m_g)
+                v = v + 4.0 * h * np.sum(mat * mat, axis=0)
+                noise_sq_integral += h * float(np.sum(mat * mat))
+            fade = np.exp(-0.5 * v)
+            grow = np.exp(-c)
+            w_p = w_p * (fade * grow)
+            w_m = w_m * (fade / grow)
+            loss_integral += h * loss
+            noise_sq_integral += h * 4.0 * sigma * sigma * loss
+            k += 1
+
+    beta = w_p * w_p - w_m * w_m
+    rbar = Xbar @ beta - Ybar
+    if last_recorded != k:
+        record(k, beta, 0.5 * float(rbar @ rbar))
+    return {"rows": rows, "steps": rec_steps, "checkpoints": checkpoints,
+            "w_plus": w_p, "w_minus": w_m, "eta": eta, "delta": delta,
+            "r_acc": r_acc, "loss_integral": loss_integral,
+            "noise_sq_integral": noise_sq_integral, "converged": stopped,
+            "steps_run": k}

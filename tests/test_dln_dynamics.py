@@ -7,6 +7,7 @@ import pytest
 
 from noiselab import (
     Dataset,
+    DiscreteRun,
     DivergenceError,
     DlnState,
     NoiseSchedule,
@@ -21,9 +22,11 @@ from noiselab import (
     gen_sparse_regression,
     row_space_projector,
     run_dln_discrete,
+    run_dln_discrete_ensemble,
     simulate_dln_sde,
+    simulate_dln_sde_ensemble,
 )
-from oracles import QUARTER_ASINH_ONE
+from oracles import QUARTER_ASINH_ONE, Diverged, sde_reference
 
 
 def tiny_instance(seed=3):
@@ -309,6 +312,234 @@ class TestDriver:
         st, traj = run_dln_discrete(ds, dln_init(0.2, ds.d), cfg, NoiseSchedule(),
                                     2000, RngStream(3), P=P, early_stop=False)
         assert np.array_equal(st.r_acc, np.zeros(ds.d))
+
+
+def sequential_discrete(ds, run, steps, record_stride, P=None, early_stop=True):
+    """The discrete loop's contract, built by iterating dln_discrete_step.
+
+    A twin of the run's stream replays each step's draws, which recovers the
+    step's normals for the r_acc sum. Returns (rows, step indices, final
+    state, converged, steps run); a diverging step raises its DivergenceError.
+    """
+    state, cfg, sched, rng = run
+    twin = RngStream(rng.seed, rng.path)
+    r_acc = state.r_acc.copy()
+    rows, rec = [], []
+
+    def record(st):
+        beta = st.beta()
+        diff = beta - ds.beta_star
+        rows.append(tuple(float(v) for v in (st.time, dln_loss(beta, ds), diff @ diff,
+                                             st.loss_integral, np.linalg.norm(r_acc))))
+        rec.append(st.step)
+
+    streak, done, stopped = 0, 0, False
+    for k in range(steps):
+        prev = state
+        loss = dln_loss(prev.beta(), ds)
+        state = dln_discrete_step(prev, ds, cfg, sched, rng)
+        if k % record_stride == 0:
+            record(prev)
+        if cfg.kind != "GD" and cfg.batch < ds.n:
+            twin.indices(ds.n, cfg.batch)
+        if cfg.kind == "NoisySGD" and sched.kind == "general":
+            twin.normal(sched.matrices.shape[-2])
+            twin.normal(sched.matrices.shape[-2])
+        elif cfg.kind == "NoisySGD" and sched.sigma > 0:
+            z_p, z_m = twin.normal(ds.d), twin.normal(ds.d)
+            if P is not None:
+                inc = math.sqrt(cfg.gamma) * 0.5 * (z_p + z_m)
+                r_acc = r_acc + sched.sigma * math.sqrt(cfg.gamma * loss) * (inc - P @ inc)
+        done = k + 1
+        if early_stop:
+            streak = streak + 1 if loss <= 1e-12 else 0
+            if streak >= 100:
+                stopped = True
+                break
+    state.r_acc = r_acc
+    record(state)
+    return rows, rec, state, stopped, done
+
+
+def assert_same_discrete(traj, ref):
+    rows, rec, state, stopped, done = ref
+    assert traj.rows == rows
+    assert traj.meta["steps"] == rec
+    st = traj.meta["final_state"]
+    assert np.array_equal(st.w_plus, state.w_plus)
+    assert np.array_equal(st.w_minus, state.w_minus)
+    assert np.array_equal(st.r_acc, state.r_acc)
+    assert (st.step, st.time, st.loss_integral, st.noise_sq_integral) == (
+        state.step, state.time, state.loss_integral, state.noise_sq_integral)
+    assert traj.meta["converged"] == stopped
+    assert traj.meta["steps_run"] == done
+
+
+def grid_runs(ds, batch, kinds=("GD", "SGD", "NoisySGD"), sigmas=(0.0, 0.3),
+              seeds=(1, 2)):
+    g = default_step_size(ds)
+    return [DiscreteRun(dln_init(0.2, ds.d),
+                        OptimizerConfig(kind=kind, gamma=g, sigma=sigma, batch=batch),
+                        NoiseSchedule(sigma=sigma), RngStream(seed))
+            for kind in kinds for sigma in sigmas for seed in seeds]
+
+
+class TestDiscreteEnsemble:
+    # budgets chosen so that rows stop early at several different steps
+    # while at least one row runs out of steps
+    @pytest.mark.parametrize("batch,steps", [(1, 5500), (4, 3160)])
+    @pytest.mark.parametrize("with_projector", [False, True])
+    def test_rows_match_sequential_steps(self, batch, steps, with_projector):
+        ds = tiny_instance()
+        P = row_space_projector(ds.X) if with_projector else None
+        out = run_dln_discrete_ensemble(ds, grid_runs(ds, batch), steps,
+                                        record_stride=50, P=P)
+        assert len(out) == 12
+        for traj, run in zip(out, grid_runs(ds, batch)):
+            assert_same_discrete(traj, sequential_discrete(ds, run, steps, 50, P))
+        stops = {t.meta["steps_run"] for t in out if t.meta["converged"]}
+        assert len(stops) >= 3
+        assert not all(t.meta["converged"] for t in out)
+        if with_projector:
+            assert np.linalg.norm(out[-1].meta["final_state"].r_acc) > 0
+
+    def test_general_schedule_rows(self):
+        ds = tiny_instance()
+        g = default_step_size(ds)
+        M = 0.05 * np.stack([np.ones((2, ds.d)), np.full((2, ds.d), 0.5)])
+        cfg = OptimizerConfig(kind="NoisySGD", gamma=g, batch=1)
+
+        def runs():
+            return [DiscreteRun(dln_init(0.2, ds.d), cfg,
+                                NoiseSchedule(kind="general", matrices=M), RngStream(4)),
+                    grid_runs(ds, 1, kinds=("NoisySGD",), sigmas=(0.3,), seeds=(5,))[0],
+                    DiscreteRun(dln_init(0.2, ds.d), cfg,
+                                NoiseSchedule(kind="general", matrices=M), RngStream(6))]
+
+        out = run_dln_discrete_ensemble(ds, runs(), 300, record_stride=40,
+                                        early_stop=False)
+        for traj, run in zip(out, runs()):
+            assert_same_discrete(traj, sequential_discrete(ds, run, 300, 40,
+                                                           early_stop=False))
+        assert out[0].meta["final_state"].noise_sq_integral > 0
+
+    def test_first_failing_row_in_order_is_reported(self):
+        # row 1 diverges at step 72, row 2 already at step 11: a sequential
+        # loop over the rows raises for row 1, and so must the ensemble
+        ds = tiny_instance()
+
+        def runs():
+            return (grid_runs(ds, 1, kinds=("SGD",), sigmas=(0.0,), seeds=(1,))
+                    + grid_runs(ds, 1, kinds=("NoisySGD",), sigmas=(3.0,), seeds=(1, 0))
+                    + grid_runs(ds, 1, kinds=("SGD",), sigmas=(0.0,), seeds=(2,)))
+
+        steps = []
+        for run in runs()[1:3]:
+            with pytest.raises(DivergenceError) as exc:
+                sequential_discrete(ds, run, 300, 50)
+            steps.append(exc.value.step)
+        assert steps[1] < steps[0]
+        out = run_dln_discrete_ensemble(ds, runs(), 300, record_stride=50)
+        assert len(out) == 2
+        assert_same_discrete(out[0], sequential_discrete(ds, runs()[0], 300, 50))
+        assert isinstance(out[1], DivergenceError)
+        assert out[1].step == steps[0]
+        run = runs()[1]
+        with pytest.raises(DivergenceError) as exc:
+            run_dln_discrete(ds, *run[:3], 300, run.rng)
+        assert exc.value.step == steps[0]
+
+    def test_rows_must_share_gamma_and_batch(self):
+        ds = tiny_instance()
+        runs = grid_runs(ds, 1, kinds=("SGD",), sigmas=(0.0,)) + grid_runs(ds, 4)
+        with pytest.raises(ValueError):
+            run_dln_discrete_ensemble(ds, runs, 10)
+
+
+def sde_oracle(ds, alpha, sigma, gamma, h, steps, seed, stride, early_stop=True,
+               matrices=None):
+    return sde_reference(ds.Xbar, ds.Ybar, ds.beta_star, row_space_projector(ds.X),
+                         alpha, sigma, gamma, h, steps, RngStream(seed), stride,
+                         early_stop, matrices)
+
+
+def assert_same_sde(traj, ref):
+    assert traj.rows == ref["rows"]
+    assert traj.meta["steps"] == ref["steps"]
+    assert len(traj.meta["checkpoints"]) == len(ref["checkpoints"])
+    for got, want in zip(traj.meta["checkpoints"], ref["checkpoints"]):
+        assert got.keys() == want.keys()
+        for key in want:
+            assert np.array_equal(got[key], want[key]), key
+    st = traj.meta["final_state"]
+    for key in ("w_plus", "w_minus", "r_acc"):
+        assert np.array_equal(getattr(st, key), ref[key]), key
+    assert np.array_equal(traj.meta["eta"], ref["eta"])
+    assert np.array_equal(traj.meta["delta"], ref["delta"])
+    assert st.loss_integral == ref["loss_integral"]
+    assert st.noise_sq_integral == ref["noise_sq_integral"]
+    assert traj.meta["converged"] == ref["converged"]
+    assert traj.meta["steps_run"] == ref["steps_run"] == st.step
+
+
+class TestSdeEnsemble:
+    # four rows draw their noise in chunks of 256 steps, where a single run
+    # drew blocks of 4096; the runs converge after about 3300 to 3700 steps
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    @pytest.mark.parametrize("early_stop", [True, False])
+    def test_rows_match_sequential_loop(self, sigma, early_stop):
+        ds = tiny_instance()
+        g = default_step_size(ds)
+        seeds = (0, 1, 2, 3)
+        out = simulate_dln_sde_ensemble(ds, 0.2, NoiseSchedule(sigma=sigma), g, g, 4000,
+                                        [RngStream(s) for s in seeds], record_stride=70,
+                                        early_stop=early_stop)
+        assert len(out) == len(seeds)
+        for traj, seed in zip(out, seeds):
+            assert_same_sde(traj, sde_oracle(ds, 0.2, sigma, g, g, 4000, seed, 70,
+                                             early_stop))
+        if early_stop:
+            assert len({t.meta["steps_run"] for t in out}) == len(seeds)
+            assert all(t.meta["converged"] for t in out)
+        if sigma > 0:
+            assert np.linalg.norm(out[0].meta["final_state"].r_acc) > 0
+
+    def test_general_schedule_keeps_block_interleave(self):
+        # the general schedule draws xi and its own normals in alternating
+        # blocks of 4096 steps; 5000 steps cross one block boundary
+        ds = tiny_instance()
+        g = default_step_size(ds)
+        M = 0.004 * np.ones((2, ds.d))
+        out = simulate_dln_sde_ensemble(ds, 0.2, NoiseSchedule(kind="general", matrices=M),
+                                        g, 0.01, 5000, [RngStream(2), RngStream(3)],
+                                        record_stride=500, early_stop=False)
+        for traj, seed in zip(out, (2, 3)):
+            assert_same_sde(traj, sde_oracle(ds, 0.2, 0.0, g, 0.01, 5000, seed, 500,
+                                             False, M))
+
+    def test_first_failing_row_in_order_is_reported(self):
+        # at h = 10 gamma seed 7 diverges at step 1443 and seed 1 at step 2;
+        # in the order (0, 7, 1) the sequential loop raises for seed 7
+        ds = tiny_instance()
+        g = default_step_size(ds)
+        seeds = (0, 7, 1)
+        refs = []
+        for seed in seeds:
+            try:
+                refs.append(sde_oracle(ds, 0.2, 0.5, g, 10 * g, 2000, seed, 100))
+            except Diverged as exc:
+                refs.append(exc.step)
+        assert isinstance(refs[0], dict) and refs[2] < refs[1]
+        out = simulate_dln_sde_ensemble(ds, 0.2, NoiseSchedule(sigma=0.5), g, 10 * g,
+                                        2000, [RngStream(s) for s in seeds])
+        assert len(out) == 2
+        assert_same_sde(out[0], refs[0])
+        assert isinstance(out[1], DivergenceError)
+        assert out[1].step == refs[1]
+        with pytest.raises(DivergenceError) as exc:
+            simulate_dln_sde(ds, 0.2, NoiseSchedule(sigma=0.5), g, 10 * g, 2000,
+                             RngStream(7))
+        assert exc.value.step == refs[1]
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 """Orchestration layer: aggregation, config parsing, determinism, CLI."""
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -8,18 +9,26 @@ import numpy as np
 import pytest
 
 from noiselab import (
+    DivergenceError,
     ExperimentConfig,
+    NoiseSchedule,
+    OptimizerConfig,
+    RngStream,
     aggregate,
     apply_overrides,
     bundled_config,
     config_text,
+    default_step_size,
+    dln_init,
     parse_config,
+    run_dln_discrete,
     run_experiment,
     trend_check,
 )
+from noiselab import harness
 from noiselab.cli import main
 from noiselab.core_math import Trajectory
-from noiselab.harness import OUTDIR_ENV, _align
+from noiselab.harness import OUTDIR_ENV, _align, _dataset_for
 from noiselab.problems import load_dataset
 
 
@@ -107,10 +116,19 @@ class TestConfig:
         dict(n_traj=0),
         dict(alpha0=0.0),
         dict(mode="ou", burn_in=1000, steps=1000),
+        dict(experiment="bias_order", kinds=("SGD", "NoisySGD")),
+        dict(experiment="bias_order", kinds=("GD", "SGD", "NoisySGD"),
+             sigmas=(0.25, 0.5)),
+        dict(experiment="alpha_sweep", kinds=("SGD", "NoisySGD")),
     ])
     def test_bad_values_rejected(self, kw):
         with pytest.raises(ValueError):
             ExperimentConfig(**kw)
+
+    def test_negative_zero_sigma_is_zero(self):
+        cfg = parse_config("experiment = limit_distance\nmode = sde\nsigmas = -0, 0.5\n")
+        assert [math.copysign(1.0, v) for v in cfg.sigmas] == [1.0, 1.0]
+        assert "sigmas = 0,0.5" in config_text(cfg)
 
     def test_burn_in_ignored_outside_ou(self):
         cfg = ExperimentConfig(mode="coupling", burn_in=10_000, steps=400)
@@ -146,6 +164,10 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="key = value"):
             parse_config("steps 10\n")
 
+    def test_bias_order_without_gd_rejected_before_any_step(self):
+        with pytest.raises(ValueError, match="bias_order"):
+            parse_config("experiment = bias_order\nkinds = SGD,NoisySGD\n")
+
     def test_kinds_list(self):
         cfg = parse_config("kinds = GD, SGD,NoisySGD\n")
         assert cfg.kinds == ("GD", "SGD", "NoisySGD")
@@ -167,11 +189,63 @@ class TestOverrides:
 
 class TestAlign:
     def test_holds_final_value_past_early_stop(self):
+        # rows are placed by their recorded step index, not by t
         traj = Trajectory(("t", "v"))
+        traj.meta["steps"] = []
         for step, v in [(0, 1.0), (100, 2.0), (200, 3.0), (350, 4.0)]:
             traj.append(step * 0.1, v)
-        out = _align(traj, "v", 0.1, steps=600, stride=100)
+            traj.meta["steps"].append(step)
+        out = _align(traj, "v", steps=600, stride=100)
         assert np.array_equal(out, [1.0, 2.0, 3.0, 3.0, 4.0, 4.0, 4.0])
+
+
+class TestFailureOrder:
+    """A study reports the failure a run-by-run loop in (kind, sigma, seed)
+    order would have hit first, though its rows are integrated together."""
+
+    def test_discrete_divergence_of_first_failing_run(self, tmp_path):
+        cfg = ExperimentConfig(experiment="custom", n=6, d=10, s=2, dataset_seed=3,
+                               kinds=("NoisySGD",), sigmas=(0.5, 1.0), alpha0=0.1,
+                               batch=1, seeds=4, seed_base=0, steps=400,
+                               out=str(tmp_path))
+        ds = _dataset_for(cfg)
+        gamma = default_step_size(ds)
+        failures = []
+        for label, sigma in (("sigma0.5", 0.5), ("sigma1", 1.0)):
+            for i in range(cfg.seeds):
+                opt = OptimizerConfig(kind="NoisySGD", gamma=gamma, sigma=sigma, batch=1)
+                try:
+                    run_dln_discrete(ds, dln_init(0.1, ds.d), opt, NoiseSchedule(sigma=sigma),
+                                     cfg.steps, RngStream(i))
+                except DivergenceError as exc:
+                    failures.append((exc.step, f"{label} seed {i}"))
+        step, where = failures[0]
+        assert min(failures)[0] < step  # a later run diverges sooner
+        with pytest.raises(DivergenceError) as exc:
+            run_experiment(cfg)
+        assert exc.value.step == step
+        assert str(exc.value) == f"non-finite iterate at step {step}: {where}"
+
+    def test_sde_non_convergence_before_later_divergence(self, tmp_path, monkeypatch):
+        stalled = Trajectory(("t",))
+        stalled.meta["converged"] = False
+
+        def integrate(*args, **kwargs):
+            return [stalled, DivergenceError(3)]
+
+        monkeypatch.setattr(harness, "simulate_dln_sde_ensemble", integrate)
+        cfg = ExperimentConfig(experiment="limit_distance", mode="sde", n=6, d=10, s=2,
+                               sigmas=(0.5,), seeds=2, seed_base=40, steps=50,
+                               out=str(tmp_path))
+        with pytest.raises(RuntimeError, match="sigma0.5 seed 40: no convergence"):
+            run_experiment(cfg)
+
+    def test_sde_budget_too_small_names_first_seed(self, tmp_path):
+        cfg = ExperimentConfig(experiment="limit_distance", mode="sde", n=6, d=10, s=2,
+                               sigmas=(0.0,), seeds=3, seed_base=40, steps=50,
+                               out=str(tmp_path))
+        with pytest.raises(RuntimeError, match="sigma0 seed 40: no convergence within 50"):
+            run_experiment(cfg)
 
 
 @pytest.fixture(scope="module")
@@ -271,6 +345,18 @@ class TestCli:
                      "--steps", "200", "--sigma", "0.5"]) == 0
         rows = (tmp_path / "eta_sigma0.5.csv").read_text().splitlines()
         assert len(rows) == 202  # header plus steps 0..200
+
+    def test_reproduce_alpha_sweep_single_sigma(self, tmp_path, capsys):
+        # one sigma leaves one cell per scale, labelled by its kind; the
+        # trend check grades that cell instead of looking up a sigma label
+        assert main(["reproduce", "alpha-sweep", "--out", str(tmp_path),
+                     "--sigma", "0.1", "--steps", "200"]) == 0
+        for alpha in ("0.1", "0.01"):
+            summary = json.loads((tmp_path / f"alpha{alpha}" / "summary.json").read_text())
+            assert summary["config"]["sigmas"] == [0.1]
+            assert summary["checks"] == {"distance_non_increasing_in_sigma": True}
+            assert "final_dist_sq_mean_NoisySGD" in summary["scalars"]
+        assert "[ok  ] distance_non_increasing_in_sigma" in capsys.readouterr().out
 
     def test_analyze_roundtrip(self, tmp_path, capsys):
         main(["reproduce", "coupling", "--out", str(tmp_path), "--steps", "100"])
