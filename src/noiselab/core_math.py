@@ -111,6 +111,32 @@ def row_space_projector(X: Mat) -> Mat:
     return 0.5 * (P + P.T)
 
 
+# Ensemble kernels. Each row of a (rows, d) operand gets its own BLAS call:
+# matmul over a stack of (n, d) @ (d, 1) items runs one gemv per item, and a
+# stack of (1, n) @ (n, 1) items one dot per item, the same kernels a single
+# row's `Xbar @ beta` and `r @ r` call. A (rows, d) @ (d, n) product would run
+# one gemm, whose summation order differs from gemv in the last bits.
+
+def matvecs(M: np.ndarray, V: Mat) -> Mat:
+    """Row i is M @ V[i], or M[i] @ V[i] for a stack of matrices M."""
+    return np.matmul(M, V[:, :, None])[:, :, 0]
+
+
+def dots(V: Mat) -> Vec:
+    """Entry i is V[i] @ V[i]."""
+    return np.matmul(V[:, None, :], V[:, :, None])[:, 0, 0]
+
+
+class Rows:
+    """Per-row arrays of the rows still in an ensemble; keep() drops the others."""
+
+    def __init__(self, **arrays):
+        self.__dict__.update(arrays)
+
+    def keep(self, mask) -> None:
+        self.__dict__.update({k: v[mask] for k, v in vars(self).items() if v is not None})
+
+
 def spectral_norm(M: Mat) -> float:
     """Largest singular value of M."""
     M = np.asarray(M, dtype=float)

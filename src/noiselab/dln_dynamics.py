@@ -16,7 +16,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core_math import Mat, RngStream, Trajectory, Vec, min_norm_solve, row_space_projector
+from .core_math import (
+    Mat, RngStream, Rows, Trajectory, Vec, dots, matvecs, min_norm_solve, row_space_projector,
+)
 from .lsq_dynamics import OptimizerConfig
 from .problems import Dataset
 
@@ -227,32 +229,6 @@ def _dist_reference(ds: Dataset) -> Vec:
     return ds.beta_star if ds.beta_star is not None else min_norm_solve(ds.X, ds.Y)
 
 
-# Ensemble kernels. Each row of a (rows, d) operand gets its own BLAS call:
-# matmul over a stack of (n, d) @ (d, 1) items runs one gemv per item, and a
-# stack of (1, n) @ (n, 1) items one dot per item, the same kernels a single
-# row's `Xbar @ beta` and `r @ r` call. A (rows, d) @ (d, n) product would run
-# one gemm, whose summation order differs from gemv in the last bits.
-
-def _matvecs(M: np.ndarray, V: Mat) -> Mat:
-    """Row i is M @ V[i], or M[i] @ V[i] for a stack of matrices M."""
-    return np.matmul(M, V[:, :, None])[:, :, 0]
-
-
-def _dots(V: Mat) -> Vec:
-    """Entry i is V[i] @ V[i]."""
-    return np.matmul(V[:, None, :], V[:, :, None])[:, 0, 0]
-
-
-class _Rows:
-    """Per-row arrays of the rows still integrating; keep() drops the others."""
-
-    def __init__(self, **arrays):
-        self.__dict__.update(arrays)
-
-    def keep(self, mask) -> None:
-        self.__dict__.update({k: v[mask] for k, v in vars(self).items() if v is not None})
-
-
 def _objects(items) -> np.ndarray:
     arr = np.empty(len(items), dtype=object)
     arr[:] = items
@@ -332,7 +308,7 @@ def run_dln_discrete_ensemble(ds: Dataset, runs, steps: int, record_stride: int 
     # rows unless every row is full-batch. s.row maps back to the caller's order.
     order = sorted(range(len(runs)), key=lambda r: (not full[r], noise[r]))
     runs_in = [runs[r] for r in order]
-    s = _Rows(
+    s = Rows(
         row=np.array(order),
         run=_objects(runs_in),
         full=np.array([full[r] for r in order]),
@@ -383,8 +359,8 @@ def run_dln_discrete_ensemble(ds: Dataset, runs, steps: int, record_stride: int 
     with np.errstate(over="ignore", invalid="ignore"):
         while k < steps and s.row.size:
             beta = s.w_p * s.w_p - s.w_m * s.w_m
-            rbar = _matvecs(Xbar, beta) - Ybar
-            loss = 0.5 * _dots(rbar)
+            rbar = matvecs(Xbar, beta) - Ybar
+            loss = 0.5 * dots(rbar)
             if k % record_stride == 0:
                 for j, row in enumerate(s.row):
                     _record(trajs[row], s.step0[j] + k, s.time[j], beta[j], loss[j],
@@ -406,12 +382,12 @@ def run_dln_discrete_ensemble(ds: Dataset, runs, steps: int, record_stride: int 
                     a = X[i] * (sqrt_n * rbar[mini][mini_rows, i])[:, None]
                 else:
                     rows = X[idx]
-                    a = _matvecs(rows.transpose(0, 2, 1),
-                                 _matvecs(rows, beta[mini]) - Y[idx]) / batch
+                    a = matvecs(rows.transpose(0, 2, 1),
+                                matvecs(rows, beta[mini]) - Y[idx]) / batch
                 if full.stop:
-                    a = np.concatenate((_matvecs(XbarT, rbar[full]), a))
+                    a = np.concatenate((matvecs(XbarT, rbar[full]), a))
             else:
-                a = _matvecs(XbarT, rbar)
+                a = matvecs(XbarT, rbar)
             drift = 2.0 * gamma * a
             mult_p = 1.0 - drift
             mult_m = 1.0 + drift
@@ -424,7 +400,7 @@ def run_dln_discrete_ensemble(ds: Dataset, runs, steps: int, record_stride: int 
                 if P is not None:
                     inc = inc_scale * (z_p[ls] + z_m[ls])
                     s.r_acc[ls] += (s.sigma[ls] * np.sqrt(gamma * loss[ls]))[:, None] * (
-                        inc - _matvecs(P, inc))
+                        inc - matvecs(P, inc))
             for j in gen:
                 run = s.run[j]
                 mat = run.sched.matrix_at(int(s.step0[j]) + k)
@@ -535,7 +511,7 @@ def simulate_dln_sde_ensemble(ds: Dataset, alpha, sched: NoiseSchedule, gamma: f
     var_fac = 4.0 * gamma * h * (np.sum(Xbar * Xbar, axis=0) + sigma * sigma)
     nsq_fac = h * 4.0 * sigma * sigma
     R = len(rngs)
-    s = _Rows(
+    s = Rows(
         row=np.arange(R),
         rng=_objects(rngs),
         w_p=np.tile(init.w_plus, (R, 1)),
@@ -599,8 +575,8 @@ def simulate_dln_sde_ensemble(ds: Dataset, alpha, sched: NoiseSchedule, gamma: f
                     s.z[i] = rng.normal((count, sched.matrices.shape[-2]))
 
         beta = s.w_p * s.w_p - s.w_m * s.w_m
-        rbar = _matvecs(Xbar, beta) - Ybar
-        loss = 0.5 * _dots(rbar)
+        rbar = matvecs(Xbar, beta) - Ybar
+        loss = 0.5 * dots(rbar)
         keep = np.isfinite(loss)
         drop = not keep.all()
         if drop:
@@ -626,26 +602,26 @@ def simulate_dln_sde_ensemble(ds: Dataset, alpha, sched: NoiseSchedule, gamma: f
             if not s.row.size:
                 break
 
-        g = 2.0 * h * _matvecs(XbarT, rbar)
+        g = 2.0 * h * matvecs(XbarT, rbar)
         root = np.sqrt(gamma * loss)
         amp = 2.0 * root * sqh
         xi = s.xi[:, j]
-        m_x = amp[:, None] * _matvecs(XbarT, xi[:, :n])
+        m_x = amp[:, None] * matvecs(XbarT, xi[:, :n])
         c = g - m_x
         v = var_fac * loss[:, None]
         s.eta = s.eta - g + m_x
         if sigma > 0:
             m_i = (amp * sigma)[:, None] * xi[:, n:]
             inc = sqh * xi[:, n:]
-            s.r_acc = s.r_acc + (sigma * root)[:, None] * (inc - _matvecs(P, inc))
+            s.r_acc = s.r_acc + (sigma * root)[:, None] * (inc - matvecs(P, inc))
             c = c - m_i
             s.delta = s.delta + m_i
         if general:
             mat = sched.matrix_at(k)
-            m_g = 2.0 * sqh * _matvecs(mat.T, s.z[:, j])
+            m_g = 2.0 * sqh * matvecs(mat.T, s.z[:, j])
             c = c - m_g
             s.delta = s.delta + m_g
-            s.r_acc = s.r_acc + 0.5 * (m_g - _matvecs(P, m_g))
+            s.r_acc = s.r_acc + 0.5 * (m_g - matvecs(P, m_g))
             v = v + 4.0 * h * np.sum(mat * mat, axis=0)
             s.nsq = s.nsq + h * float(np.sum(mat * mat))
         fade = np.exp(-0.5 * v)

@@ -1,11 +1,12 @@
 """Experiment orchestration: bundled studies, multi-seed aggregation, file output.
 
 Every experiment is pure given its config, so reruns are byte-identical. The
-runs of a DLN study are integrated together as the rows of one ensemble (all
-cells of a discrete study at once, one sigma's seeds of the limit pipeline at
-a time), each row bitwise what it would be alone; results are then read back
-in (kind, sigma, seed) order, so the first failing run in that order is the
-one reported.
+runs of a DLN study are integrated together as the rows of one ensemble: all
+cells of a discrete study at once; in the limit pipeline one sigma's seeds at
+a time, after which the limit problems of all its runs are solved as one
+solver ensemble. Each row is bitwise what it would be alone. Results are read
+back in (kind, sigma, seed) order, so the first failing run in that order is
+the one reported.
 """
 
 from __future__ import annotations
@@ -36,7 +37,14 @@ from .lsq_dynamics import (
     simulate_ou_under,
     stationary_law_theory,
 )
-from .mirror import PotentialParams, TiltedProblem, mu_bound, prop3_check, solve_tilted
+from .mirror import (
+    ConvergenceError,
+    PotentialParams,
+    mu_bound,
+    prop3_check,
+    solve_tilted,  # noqa: F401 -- perfbench/tracer.py wraps this name here
+    solve_tilted_ensemble,
+)
 from .problems import (
     Dataset,
     default_step_size,
@@ -401,29 +409,50 @@ def _run_discrete(cfg: ExperimentConfig, record: RunRecord, ds: Dataset) -> None
 
 def _run_sde_pipeline(cfg: ExperimentConfig, record: RunRecord, ds: Dataset) -> None:
     """Limit pipeline, per run: integrate to convergence, read off the decayed
-    scale and the accumulated tilt, solve the limit problem, compare."""
+    scale and the accumulated tilt, solve the limit problem, compare.
+
+    Each sigma's seeds integrate as one SDE ensemble, and the limit problems
+    of all runs are then solved as one solver ensemble. Failures are raised in
+    (sigma, seed) order: the first run that diverges, does not converge, or
+    whose limit problem fails is the one reported.
+    """
     gamma = default_step_size(ds)
     record.scalars["gamma"] = gamma
-    dist_rows = []
-    all_ok = True
+    states, pots = [], []  # per run, in (sigma, seed) order
+    failed = None  # (label, trajectory or DivergenceError) of the first failing run
     for sigma in cfg.sigmas:
-        tag = f"sigma{sigma:g}"
-        dists, lhss, r_norms, mus = [], [], [], []
         trajs = simulate_dln_sde_ensemble(
             ds, cfg.alpha0, NoiseSchedule(sigma=sigma), gamma, gamma, cfg.steps,
             [RngStream(cfg.seed_base + i) for i in range(cfg.seeds)],
             record_stride=cfg.stride)
         for i, traj in enumerate(trajs):
-            if isinstance(traj, DivergenceError):
-                raise traj
-            if not traj.meta["converged"]:
-                raise RuntimeError(f"{tag} seed {cfg.seed_base + i}: no "
-                                   f"convergence within {cfg.steps} steps")
+            if isinstance(traj, DivergenceError) or not traj.meta["converged"]:
+                failed = (f"sigma{sigma:g} seed {cfg.seed_base + i}", traj)
+                break
             st = traj.meta["final_state"]
+            states.append(st)
+            pots.append(PotentialParams(
+                effective_alpha(cfg.alpha0, ds, gamma, sigma, st.loss_integral)))
+        if failed:
+            break
+    preds = solve_tilted_ensemble(ds, pots, [None] * len(pots))
+    for pred in preds:
+        if isinstance(pred, ConvergenceError):
+            raise pred
+    if failed:
+        label, traj = failed
+        if isinstance(traj, DivergenceError):
+            raise DivergenceError(traj.step, label) from traj
+        raise RuntimeError(f"{label}: no convergence within {cfg.steps} steps")
+
+    dist_rows = []
+    all_ok = True
+    for c, sigma in enumerate(cfg.sigmas):
+        tag = f"sigma{sigma:g}"
+        dists, lhss, r_norms, mus = [], [], [], []
+        for j in range(c * cfg.seeds, (c + 1) * cfg.seeds):
+            st, pp, beta_pred = states[j], pots[j], preds[j]
             beta_inf = st.w_plus * st.w_plus - st.w_minus * st.w_minus
-            a_inf = effective_alpha(cfg.alpha0, ds, gamma, sigma, st.loss_integral)
-            pp = PotentialParams(a_inf)
-            beta_pred = solve_tilted(TiltedProblem(ds=ds, alpha=pp))
             radius = max(float(np.linalg.norm(beta_inf)),
                          float(np.linalg.norm(beta_pred)))
             mu = mu_bound(pp, radius)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_math import Vec, row_space_projector
+from .core_math import Mat, Rows, Vec, dots, matvecs, row_space_projector
 from .problems import Dataset, default_step_size
 
 
@@ -105,7 +105,10 @@ def prop3_check(beta_inf: Vec, beta_star: Vec, r_inf: Vec, mu: float):
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when the dual iteration exhausts its budget; carries diagnostics."""
+    """A limit problem the dual iteration could not solve; carries diagnostics.
+
+    solve_tilted raises it; solve_tilted_ensemble returns it in the row's place.
+    """
 
     def __init__(self, message, beta, loss, kkt_residual):
         super().__init__(message)
@@ -114,73 +117,159 @@ class ConvergenceError(RuntimeError):
         self.kkt_residual = kkt_residual
 
 
-def _loss_and_grad(ds: Dataset, beta: Vec):
-    r = ds.Xbar @ beta - ds.Ybar
-    return 0.5 * float(r @ r), ds.Xbar.T @ r
+def _loss_and_grad(Xbar: Mat, XbarT: Mat, Ybar: Vec, beta: Mat):
+    """Loss and gradient of every row of beta, one gemv or dot call per row."""
+    r = matvecs(Xbar, beta) - Ybar
+    return 0.5 * dots(r), matvecs(XbarT, r)
+
+
+# a restart's floor loss that has not dropped for this many evaluations counts
+# as a stall
+STALL_WINDOW = 50_000
+
+
+def solve_tilted_ensemble(ds: Dataset, alphas, tilts, max_iters: int = 1_000_000,
+                          tol: float = 1e-12) -> list:
+    """Solve many tilted problems on one dataset as the rows of one (rows, d) dual iterate.
+
+    Row i minimizes phi_alphas[i](beta) - <tilts[i], beta> subject to
+    X beta = Y (a tilt of None is zero) by mirror descent in the dual:
+    u <- u - eta grad L(beta(u)), beta(u) = grad phi^{-1}(u), from u0 = tilt.
+    Then u - tilt stays in the row span of X and the KKT residual
+    ||(I - P)(grad phi(beta) - tilt)|| is zero up to roundoff at every iterate;
+    the iteration only has to drive the loss to tol. The step size is the
+    dataset default, shrunk when large alpha would make the dual map too steep
+    (beta changes by about 8 max(alpha)^2 per unit of dual motion), and halved
+    with a restart from the tilt whenever the loss grows 1e6-fold past the
+    restart's first loss or its floor stalls for STALL_WINDOW evaluations. A
+    point where beta(u) is not finite is not counted as an evaluation and
+    restarts the row; if it is the start point itself, which every restart
+    returns to, the row fails at once. For the bundled instances the
+    safeguards never trigger.
+
+    Each row keeps its own step size, restarts and best iterate, and its
+    products run one gemv or dot per row, so it is bitwise what solving the
+    problem alone gives; max_iters bounds every row's evaluations. Returns one
+    entry per row, in order: the limit point beta, or a ConvergenceError (with
+    the best iterate, its loss and KKT residual) for a row that ran out of
+    budget, cannot start, or converged with a KKT residual above 1e-6.
+    """
+    d = ds.d
+    probs = [TiltedProblem(ds, alpha, tilt) for alpha, tilt in zip(alphas, tilts, strict=True)]
+    if not probs:
+        return []
+    Xbar, XbarT, Ybar = ds.Xbar, ds.Xbar.T, ds.Ybar
+    gamma = default_step_size(ds)
+    kkt_map = np.eye(d) - row_space_projector(ds.X)
+    a = np.array([p.alpha.broadcast(d) for p in probs])
+    R = len(probs)
+    s = Rows(
+        row=np.arange(R),
+        two_a2=2.0 * a**2,
+        tilt=np.array([p.tilt for p in probs]),
+        eta=np.array([[gamma / max(1.0, 8.0 * float(np.max(ai) ** 2))] for ai in a]),
+        u=np.array([p.tilt for p in probs]),
+        fresh=np.ones(R, dtype=bool),  # no evaluation since the last (re)start
+        loss0=np.zeros(R),  # first loss of the current restart
+        floor=np.full(R, np.inf),  # lowest loss of the current restart
+        floor_at=np.zeros(R, dtype=int),  # evaluation count when it was set
+        best_loss=np.full(R, np.inf),
+        best_beta=np.zeros((R, d)),
+    )
+    out = [None] * R
+    spent = 0  # evaluations per row: every round evaluates all rows or none
+    any_fresh = True
+
+    def kkt_of(i: int, beta: Vec) -> float:
+        alpha = probs[s.row[i]].alpha
+        return float(np.linalg.norm(kkt_map @ (phi_grad(beta, alpha) - s.tilt[i])))
+
+    def give_up(i: int, message: str) -> None:
+        best_loss = float(s.best_loss[i])
+        if best_loss < np.inf:
+            beta = s.best_beta[i].copy()
+        else:
+            beta = phi_grad_inverse(s.tilt[i], probs[s.row[i]].alpha)
+        out[s.row[i]] = ConvergenceError(message, beta, best_loss, kkt_of(i, beta))
+
+    def restart(mask) -> None:
+        nonlocal any_fresh
+        s.eta = np.where(mask[:, None], 0.5 * s.eta, s.eta)
+        s.u = np.where(mask[:, None], s.tilt, s.u)
+        s.fresh = s.fresh | mask
+        s.floor = np.where(mask, np.inf, s.floor)
+        s.floor_at = np.where(mask, spent, s.floor_at)
+        any_fresh = True
+
+    # rows whose iterate overflows compute with non-finite values until restarted
+    with np.errstate(over="ignore", invalid="ignore"):
+        while s.row.size:
+            if spent >= max_iters:
+                for i in range(s.row.size):
+                    give_up(i, f"no iterate reached loss {tol:.1e} within {max_iters} "
+                               f"evaluations (best {s.best_loss[i]:.3e})")
+                break
+            beta = s.two_a2 * np.sinh(4.0 * s.u)
+            loss, grad = _loss_and_grad(Xbar, XbarT, Ybar, beta)
+            # A row below its best loss is finite, not diverging (its restart's
+            # first loss is at least its best) and, above tol, not converged.
+            calm = ((loss > tol) & (loss < s.best_loss)).all()
+            if not calm:
+                bad = ~np.isfinite(beta).all(axis=1)
+                if bad.any():
+                    # This round counts for no row: the bad rows restart, or
+                    # fail when already at their start point, and the others
+                    # evaluate the same iterate again next round.
+                    stuck = bad & s.fresh
+                    for i in np.flatnonzero(stuck):
+                        give_up(i, "the start point grad phi^-1(tilt) is not finite")
+                    restart(bad & ~stuck)
+                    s.keep(~stuck)
+                    continue
+            spent += 1
+            if any_fresh:
+                s.loss0 = np.where(s.fresh, loss, s.loss0)
+                s.fresh = np.zeros(s.row.size, dtype=bool)
+                any_fresh = False
+            if calm:
+                # every row at its best is also below its restart's floor
+                s.best_loss, s.best_beta, s.floor = loss, beta, loss
+                s.floor_at.fill(spent)
+            else:
+                better = loss < s.best_loss
+                s.best_beta = np.where(better[:, None], beta, s.best_beta)
+                s.best_loss = np.where(better, loss, s.best_loss)
+                lower = loss < s.floor
+                s.floor = np.where(lower, loss, s.floor)
+                s.floor_at = np.where(lower, spent, s.floor_at)
+            s.u = s.u - s.eta * grad
+            if calm and spent < STALL_WINDOW:
+                continue
+            done = loss <= tol
+            for i in np.flatnonzero(done):
+                kkt = kkt_of(i, beta[i])
+                if kkt > 1e-6:
+                    out[s.row[i]] = ConvergenceError(
+                        f"loss converged but KKT residual {kkt:.3e} exceeds 1e-6",
+                        beta[i].copy(), float(loss[i]), kkt)
+                else:
+                    out[s.row[i]] = beta[i].copy()
+            diverged = loss > 1e6 * np.maximum(s.loss0, 1e-300)
+            stalled = s.floor_at <= spent - STALL_WINDOW
+            restart((diverged | stalled) & ~done)
+            if done.any():
+                s.keep(~done)
+    return out
 
 
 def solve_tilted(prob: TiltedProblem, max_iters: int = 1_000_000, tol: float = 1e-12) -> Vec:
-    """Mirror descent in the dual: u <- u - eta grad L(beta(u)), beta(u) = grad phi^{-1}(u).
+    """Solve one tilted problem as a one-row solve_tilted_ensemble.
 
-    Starts at u0 = tilt, so u - tilt stays in the row span of X and the KKT
-    residual ||(I - P)(grad phi(beta) - tilt)|| is zero up to roundoff at every
-    iterate; the loop only has to drive the loss below tol. The step size is
-    the dataset default, shrunk when large alpha would make the dual map too
-    steep (beta changes by about 8 max(alpha)^2 per unit of dual motion), and
-    halved with a restart whenever the iteration is caught diverging or
-    stalling. For the bundled instances the safeguards never trigger.
+    Returns the limit point; raises the row's ConvergenceError when the
+    iteration cannot start, runs out of budget, or converges with a KKT
+    residual above 1e-6.
     """
-    ds = prob.ds
-    a = prob.alpha.broadcast(ds.d)
-    alpha = PotentialParams(alpha=a)
-    eta = default_step_size(ds) / max(1.0, 8.0 * float(np.max(a) ** 2))
-    stall_window = 50_000
-
-    best_beta, best_loss = None, np.inf
-    spent = 0
-    while spent < max_iters:
-        u = prob.tilt.copy()
-        loss0 = None
-        floor, floor_age = np.inf, 0
-        while spent < max_iters:
-            with np.errstate(over="ignore", invalid="ignore"):
-                beta = phi_grad_inverse(u, alpha)
-            if not np.all(np.isfinite(beta)):
-                break
-            loss, grad = _loss_and_grad(ds, beta)
-            spent += 1
-            if loss0 is None:
-                loss0 = loss
-            if loss < best_loss:
-                best_loss, best_beta = loss, beta
-            if loss <= tol:
-                P = row_space_projector(ds.X)
-                kkt = float(
-                    np.linalg.norm((np.eye(ds.d) - P) @ (phi_grad(beta, alpha) - prob.tilt))
-                )
-                if kkt > 1e-6:
-                    raise ConvergenceError(
-                        f"loss converged but KKT residual {kkt:.3e} exceeds 1e-6",
-                        beta, loss, kkt,
-                    )
-                return beta
-            if loss < floor:
-                floor, floor_age = loss, 0
-            else:
-                floor_age += 1
-            # divergence or stall: geometric backoff, deterministic restart
-            if loss > 1e6 * max(loss0, 1e-300) or floor_age >= stall_window:
-                break
-            u = u - eta * grad
-        else:
-            break
-        eta *= 0.5
-
-    beta = best_beta if best_beta is not None else phi_grad_inverse(prob.tilt, alpha)
-    P = row_space_projector(ds.X)
-    kkt = float(np.linalg.norm((np.eye(ds.d) - P) @ (phi_grad(beta, alpha) - prob.tilt)))
-    raise ConvergenceError(
-        f"no iterate reached loss {tol:.1e} within {max_iters} evaluations "
-        f"(best {best_loss:.3e})",
-        beta, best_loss, kkt,
-    )
+    beta = solve_tilted_ensemble(prob.ds, [prob.alpha], [prob.tilt], max_iters, tol)[0]
+    if isinstance(beta, ConvergenceError):
+        raise beta
+    return beta

@@ -245,3 +245,95 @@ def sde_reference(Xbar, Ybar, ref, P, alpha, sigma, gamma, h, steps, rng,
             "r_acc": r_acc, "loss_integral": loss_integral,
             "noise_sq_integral": noise_sq_integral, "converged": stopped,
             "steps_run": k}
+
+
+class SolverFailed(Exception):
+    """Raised by tilted_reference when the dual iteration gives up."""
+
+    def __init__(self, message, beta, loss, kkt_residual):
+        super().__init__(message)
+        self.beta = beta
+        self.loss = loss
+        self.kkt_residual = kkt_residual
+
+
+def tilted_reference(Xbar, Ybar, P, gamma, a, tilt, max_iters=1_000_000, tol=1e-12,
+                     events=None):
+    """Dual mirror descent for one tilted limit problem, one iterate at a time.
+
+    This is the single-problem loop the package ran before its ensemble solver
+    existed, kept as the sequential reference: it starts at u = tilt, steps
+    u <- u - eta Xbar^T (Xbar beta(u) - Ybar) with beta(u) = 2 a^2 sinh(4u),
+    eta = gamma / max(1, 8 max(a)^2), and restarts from the tilt with half the
+    step when the loss grows 1e6-fold past its first value or its floor does
+    not drop for 50,000 evaluations. P is the row-space projector of the
+    design and gamma its default step size. Returns beta once the loss is at
+    or below tol with KKT residual ||(I - P)(phi'(beta) - tilt)|| <= 1e-6, and
+    raises SolverFailed otherwise. A start point 2 a^2 sinh(4 tilt) that is not
+    finite makes this loop spin forever; callers must not pass one. If events
+    is a list, each restart appends (evaluations spent, cause) to it, with
+    cause "nonfinite", "diverged" or "stalled", and the end appends
+    (evaluations spent, "converged") or (max_iters, "exhausted").
+    """
+    d = Xbar.shape[1]
+    a = np.asarray(a, dtype=float)
+    a2 = a * a
+    tilt = np.asarray(tilt, dtype=float)
+    eta = gamma / max(1.0, 8.0 * float(np.max(a) ** 2))
+
+    def kkt_of(beta):
+        g = 0.25 * np.arcsinh(beta / (2.0 * a2))
+        return float(np.linalg.norm((np.eye(d) - P) @ (g - tilt)))
+
+    best_beta, best_loss = None, np.inf
+    spent = 0
+    while spent < max_iters:
+        u = tilt.copy()
+        loss0 = None
+        floor, floor_age = np.inf, 0
+        while spent < max_iters:
+            with np.errstate(over="ignore", invalid="ignore"):
+                beta = 2.0 * a2 * np.sinh(4.0 * u)
+            if not np.all(np.isfinite(beta)):
+                cause = "nonfinite"
+                break
+            r = Xbar @ beta - Ybar
+            loss, grad = 0.5 * float(r @ r), Xbar.T @ r
+            spent += 1
+            if loss0 is None:
+                loss0 = loss
+            if loss < best_loss:
+                best_loss, best_beta = loss, beta
+            if loss <= tol:
+                kkt = kkt_of(beta)
+                if kkt > 1e-6:
+                    raise SolverFailed(
+                        f"loss converged but KKT residual {kkt:.3e} exceeds 1e-6",
+                        beta, loss, kkt)
+                if events is not None:
+                    events.append((spent, "converged"))
+                return beta
+            if loss < floor:
+                floor, floor_age = loss, 0
+            else:
+                floor_age += 1
+            if loss > 1e6 * max(loss0, 1e-300) or floor_age >= 50_000:
+                cause = "diverged" if floor_age < 50_000 else "stalled"
+                break
+            u = u - eta * grad
+        else:
+            break
+        eta *= 0.5
+        if events is not None:
+            events.append((spent, cause))
+
+    if events is not None:
+        events.append((max_iters, "exhausted"))
+    if best_beta is None:
+        beta = 2.0 * a2 * np.sinh(4.0 * tilt)
+    else:
+        beta = best_beta
+    raise SolverFailed(
+        f"no iterate reached loss {tol:.1e} within {max_iters} evaluations "
+        f"(best {best_loss:.3e})",
+        beta, best_loss, kkt_of(beta))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from noiselab import (
+    ConvergenceError,
     DivergenceError,
     ExperimentConfig,
     NoiseSchedule,
@@ -239,6 +240,59 @@ class TestFailureOrder:
                                out=str(tmp_path))
         with pytest.raises(RuntimeError, match="sigma0.5 seed 40: no convergence"):
             run_experiment(cfg)
+
+    @pytest.mark.parametrize("first, later", [
+        ("solver", "diverge"), ("solver", "stall"), ("diverge", "solver"),
+        ("diverge", "stall"), ("stall", "solver"), ("stall", "diverge")])
+    def test_limit_pipeline_reports_first_failing_cell(self, tmp_path, monkeypatch,
+                                                       first, later):
+        # Cells in (sigma, seed) order are (0, 40), (0, 41), (0.25, 40), (0.25, 41).
+        # Cell 1 fails first and cell 2 fails differently; a run-by-run loop
+        # would stop at cell 1. "solver": the limit problem cannot start (an
+        # a_inf of 1e200 overflows); "diverge": the SDE run leaves the finite
+        # range at step 7; "stall": it ends without converging.
+        faults = {1: first, 2: later}
+        sde_calls, alpha_calls = [], []
+        real_sde, real_alpha = harness.simulate_dln_sde_ensemble, harness.effective_alpha
+
+        def integrate(*args, **kwargs):
+            c = len(sde_calls)
+            sde_calls.append(c)
+            trajs = real_sde(*args, **kwargs)
+            for i, traj in enumerate(trajs):
+                fault = faults.get(2 * c + i)
+                if fault == "diverge":
+                    return trajs[:i] + [DivergenceError(7)]
+                if fault == "stall":
+                    traj.meta["converged"] = False
+            return trajs
+
+        def alpha(*args):
+            a = real_alpha(*args)
+            cell = len(alpha_calls)
+            alpha_calls.append(cell)
+            return np.full_like(a, 1e200) if faults.get(cell) == "solver" else a
+
+        monkeypatch.setattr(harness, "simulate_dln_sde_ensemble", integrate)
+        monkeypatch.setattr(harness, "effective_alpha", alpha)
+        cfg = ExperimentConfig(experiment="limit_distance", mode="sde", n=6, d=10, s=2,
+                               sigmas=(0.0, 0.25), seeds=2, seed_base=40, steps=50_000,
+                               out=str(tmp_path))
+        if first == "solver":
+            with pytest.raises(ConvergenceError, match="start point"):
+                run_experiment(cfg)
+        elif first == "diverge":
+            with pytest.raises(DivergenceError) as exc:
+                run_experiment(cfg)
+            assert str(exc.value) == "non-finite iterate at step 7: sigma0 seed 41"
+            assert exc.value.step == 7
+            assert isinstance(exc.value.__cause__, DivergenceError)
+        else:
+            with pytest.raises(RuntimeError,
+                               match="^sigma0 seed 41: no convergence within 50000 steps$"):
+                run_experiment(cfg)
+        # no SDE ensemble runs past the sigma of a failing SDE run
+        assert len(sde_calls) == (2 if first == "solver" else 1)
 
     def test_sde_budget_too_small_names_first_seed(self, tmp_path):
         cfg = ExperimentConfig(experiment="limit_distance", mode="sde", n=6, d=10, s=2,

@@ -5,6 +5,9 @@ and two frozen scalars; the solver checks are exact KKT statements on seeded
 instances rather than golden outputs.
 """
 
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,10 +15,14 @@ from hypothesis import strategies as st
 
 from noiselab import (
     ConvergenceError,
+    NoiseSchedule,
     PotentialParams,
     RngStream,
     TiltedProblem,
     bregman,
+    bundled_config,
+    default_step_size,
+    effective_alpha,
     gen_sparse_regression,
     min_norm_solve,
     mu_bound,
@@ -25,9 +32,12 @@ from noiselab import (
     phi_value,
     prop3_check,
     row_space_projector,
+    simulate_dln_sde_ensemble,
     solve_tilted,
+    solve_tilted_ensemble,
 )
-from oracles import QUARTER_ASINH_ONE, TWO_SINH_ONE, fd_grad
+from noiselab.harness import _dataset_for
+from oracles import QUARTER_ASINH_ONE, TWO_SINH_ONE, SolverFailed, fd_grad, tilted_reference
 
 
 UNIT = PotentialParams(alpha=np.array([1.0]))
@@ -163,3 +173,134 @@ class TestSolveTilted:
                          max_iters=3)
         assert err.value.loss > 0
         assert err.value.beta.shape == (self.ds.d,)
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail the enclosed block with TimeoutError once `seconds` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def solve_reference(ds, a, tilt, max_iters, tol, events=None):
+    """The sequential solver on one problem: beta, or the SolverFailed it raises."""
+    a = np.broadcast_to(np.asarray(a, dtype=float), (ds.d,))
+    tilt = np.zeros(ds.d) if tilt is None else tilt
+    try:
+        return tilted_reference(ds.Xbar, ds.Ybar, row_space_projector(ds.X),
+                                default_step_size(ds), a, tilt, max_iters, tol, events)
+    except SolverFailed as exc:
+        return exc
+
+
+def assert_same_solution(got, ref):
+    """Bitwise equality of a solver row and its sequential reference."""
+    if isinstance(ref, SolverFailed):
+        assert isinstance(got, ConvergenceError)
+        assert str(got) == str(ref)
+        assert got.beta.tobytes() == ref.beta.tobytes()
+        assert got.loss == ref.loss
+        assert got.kkt_residual == ref.kkt_residual
+    else:
+        assert not isinstance(got, ConvergenceError), str(got)
+        assert got.tobytes() == ref.tobytes()
+
+
+class TestSolveTiltedEnsemble:
+    """Every row of an ensemble is bitwise the sequential solver's answer on its
+    own problem: beta, or the failure's message, beta, loss and KKT residual."""
+
+    def test_bundled_limit_problems(self):
+        # decayed scales a_inf read off bundled limit_distance runs, as the
+        # limit pipeline builds them
+        cfg = bundled_config("limit_distance")
+        ds = _dataset_for(cfg)
+        gamma = default_step_size(ds)
+        alphas = []
+        for sigma in (0.0, 0.5):
+            trajs = simulate_dln_sde_ensemble(
+                ds, cfg.alpha0, NoiseSchedule(sigma=sigma), gamma, gamma, cfg.steps,
+                [RngStream(cfg.seed_base + i) for i in range(2)])
+            for traj in trajs:
+                li = traj.meta["final_state"].loss_integral
+                alphas.append(effective_alpha(cfg.alpha0, ds, gamma, sigma, li))
+        assert len({a.tobytes() for a in alphas}) == 4
+        out = solve_tilted_ensemble(ds, [PotentialParams(a) for a in alphas],
+                                    [None] * len(alphas))
+        for a, got in zip(alphas, out):
+            ref = solve_reference(ds, a, None, 1_000_000, 1e-12)
+            assert_same_solution(got, ref)
+            assert_same_solution(solve_tilted(TiltedProblem(ds, PotentialParams(a))), ref)
+
+    def test_mixed_rows(self):
+        # At tol 1e-30 the untilted and mildly tilted rows converge, each at
+        # its own evaluation count; the others run out of a 52,000-evaluation
+        # budget: one after restarts on a non-finite iterate, on divergence and
+        # on a stall, one after restarts on a non-finite iterate and on
+        # divergence, and one with no restart. A start point that overflows
+        # fails at once without holding the rest.
+        ds = gen_sparse_regression(10, 20, 3, RngStream(1))
+        wave = np.sin(np.arange(20.0))
+        overflow = np.zeros(20)
+        overflow[0] = 200.0
+        rows = [(0.1, None), (1.0, 1.0 * wave), (50.0, None), (0.1, overflow),
+                (0.2, 0.3 * wave), (0.1, 3.0 * wave), (0.3, None), (0.03, None)]
+        max_iters, tol = 52_000, 1e-30
+        with time_limit(60):
+            out = solve_tilted_ensemble(ds, [PotentialParams(a) for a, _ in rows],
+                                        [t for _, t in rows], max_iters=max_iters, tol=tol)
+        events = []
+        for (a, tilt), got in zip(rows, out):
+            if tilt is overflow:
+                assert isinstance(got, ConvergenceError)
+                assert "start point" in str(got) and got.loss == np.inf
+                assert not np.all(np.isfinite(got.beta))
+                events.append(None)
+                continue
+            ev = []
+            assert_same_solution(got, solve_reference(ds, a, tilt, max_iters, tol, ev))
+            events.append(ev)
+        causes = [{c for _, c in ev} if ev else None for ev in events]
+        assert causes[1] == {"nonfinite", "diverged", "stalled", "exhausted"}
+        assert causes[5] == {"nonfinite", "diverged", "exhausted"}
+        assert causes[7] == {"exhausted"}
+        converged = [ev[-1][0] for ev in events if ev and ev[-1][1] == "converged"]
+        assert len(converged) == 4 and len(set(converged)) == 4
+
+    def test_row_improving_past_the_stall_window_does_not_restart(self):
+        # alpha 0.03 lowers its loss at every evaluation and reaches 1e-21
+        # after 53,772 of them; counting its floor's age from the start instead
+        # of from its last drop would restart it at 50,000
+        ds = gen_sparse_regression(10, 20, 3, RngStream(1))
+        events = []
+        ref = solve_reference(ds, 0.03, None, 55_000, 1e-21, events)
+        assert events == [(53_772, "converged")]
+        got = solve_tilted_ensemble(ds, [PotentialParams(0.03)], [None],
+                                    max_iters=55_000, tol=1e-21)
+        assert_same_solution(got[0], ref)
+
+    def test_overflowing_start_fails_at_once(self):
+        # every restart returns to the start point, so a loop that skipped it
+        # without counting an evaluation would never end
+        ds = gen_sparse_regression(10, 20, 3, RngStream(1))
+        tilt = np.zeros(20)
+        tilt[0] = 200.0
+        with time_limit(10):
+            with pytest.raises(ConvergenceError, match="start point") as err:
+                solve_tilted(TiltedProblem(ds, PotentialParams(0.1), tilt=tilt),
+                             max_iters=1000)
+        assert err.value.loss == np.inf
+
+    def test_empty_and_zero_budget(self):
+        ds = gen_sparse_regression(10, 20, 3, RngStream(1))
+        assert solve_tilted_ensemble(ds, [], []) == []
+        got = solve_tilted_ensemble(ds, [PotentialParams(0.1)], [None], max_iters=0)[0]
+        assert_same_solution(got, solve_reference(ds, 0.1, None, 0, 1e-12))
