@@ -6,7 +6,9 @@ cells of a discrete study at once; in the limit pipeline one sigma's seeds at
 a time, after which the limit problems of all its runs are solved as one
 solver ensemble. Each row is bitwise what it would be alone. Results are read
 back in (kind, sigma, seed) order, so the first failing run in that order is
-the one reported.
+the one reported. The lsq studies integrate their whole sigma grid in one
+pass: an ou study as the rows of one OU ensemble, a coupling study with the
+clean path integrated once for every sigma's noisy copy.
 """
 
 from __future__ import annotations
@@ -109,6 +111,19 @@ class ExperimentConfig:
             raise ValueError("kinds and sigmas must be nonempty grids")
         if any(v < 0 for v in self.sigmas):
             raise ValueError("sigmas must be nonnegative")
+        # each cell writes files named after its kind and sigma
+        if (len(set(self.kinds)) < len(self.kinds)
+                or len(set(self.sigmas)) < len(self.sigmas)):
+            raise ValueError("kinds and sigmas must not repeat")
+        if self.eps < 0:
+            raise ValueError("eps must be nonnegative")
+        if self.mode == "ou" and self.n <= self.d:
+            raise ValueError("mode ou needs an underparametrized instance, n > d")
+        if self.mode == "coupling" and self.d < self.n:
+            raise ValueError("mode coupling needs an overparametrized instance, d >= n")
+        # without noise the stationary law is a point mass: nothing to grade
+        if self.mode == "ou" and self.eps == 0 and 0.0 in self.sigmas:
+            raise ValueError("mode ou with eps 0 has no noise in its sigma 0 cell")
         if self.seeds < 1 or self.stride < 1 or self.steps < 1:
             raise ValueError("seeds, stride, and steps must all be at least 1")
         if self.batch < 1 or self.n_traj < 1:
@@ -489,14 +504,15 @@ def _run_ou(cfg: ExperimentConfig, record: RunRecord, ds: Dataset) -> None:
     record.scalars["gamma"] = gamma
     A = ds.Xbar.T @ ds.Xbar
     lam, Q = np.linalg.eigh(A)
-    for sigma in cfg.sigmas:
+    # every sigma is one row of the same integration, and each row restarts
+    # the stream RngStream(seed_base)
+    opts = [OptimizerConfig(kind="SGD", gamma=gamma, sigma=sigma, eps_floor=cfg.eps,
+                            sde_step=gamma) for sigma in cfg.sigmas]
+    results = simulate_ou_under(ds, opts, steps=cfg.steps, burn_in=cfg.burn_in,
+                                rngs=[RngStream(cfg.seed_base) for _ in opts],
+                                record_stride=cfg.stride)
+    for sigma, (mean, cov, traj) in zip(cfg.sigmas, results):
         tag = f"sigma{sigma:g}"
-        opt = OptimizerConfig(kind="SGD", gamma=gamma, sigma=sigma,
-                              eps_floor=cfg.eps, sde_step=gamma)
-        mean, cov, traj = simulate_ou_under(ds, opt, steps=cfg.steps,
-                                            burn_in=cfg.burn_in,
-                                            rng=RngStream(cfg.seed_base),
-                                            record_stride=cfg.stride)
         dev = np.abs(mean - ds.theta_ls())
         se_units = float(np.max(dev / np.maximum(traj.meta["mean_se"], 1e-300)))
         # reference law this study is graded against; its isotropic part is
@@ -519,11 +535,11 @@ def _run_ou(cfg: ExperimentConfig, record: RunRecord, ds: Dataset) -> None:
 def _run_coupling(cfg: ExperimentConfig, record: RunRecord, ds: Dataset) -> None:
     gamma = 1.0 / float(np.trace(ds.Xbar.T @ ds.Xbar))
     record.scalars["gamma"] = gamma
-    for sigma in cfg.sigmas:
+    reps = simulate_coupled_over(ds, gamma=gamma, sigmas=cfg.sigmas, steps=cfg.steps,
+                                 n_traj=cfg.n_traj, rng=RngStream(cfg.seed_base),
+                                 record_stride=cfg.stride)
+    for sigma, rep in zip(cfg.sigmas, reps):
         tag = f"sigma{sigma:g}"
-        rep = simulate_coupled_over(ds, gamma=gamma, sigma=sigma, steps=cfg.steps,
-                                    n_traj=cfg.n_traj, rng=RngStream(cfg.seed_base),
-                                    record_stride=cfg.stride)
         eta = Trajectory(("t", "mean", "std"))
         bound = Trajectory(("t", "mean", "std"))
         for t, e, b in zip(rep.times, rep.eta_mean, rep.bound_rhs):

@@ -8,8 +8,10 @@ so gradients read Xbar^T (Xbar theta - Ybar) and the default step size
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -171,78 +173,118 @@ def stationary_law_theory(ds: Dataset, gamma: float, eps: float, sigma: float) -
     return StationaryLaw(mean=min_norm_solve(ds.X, ds.Y), cov=0.5 * (cov + cov.T))
 
 
-def simulate_ou_under(ds: Dataset, cfg: OptimizerConfig, steps: int, burn_in: int,
-                      rng: RngStream, record_stride: int = 100, thin: int = 10):
+def simulate_ou_under(ds: Dataset, cfgs, steps: int, burn_in: int, rngs,
+                      record_stride: int = 100, thin: int = 10) -> list:
     """Euler-Maruyama for d theta = -Xbar^T(Xbar theta - Ybar) dt
-    + sqrt(gamma) eps Xbar^T dW + sigma dW~.
+    + sqrt(gamma) eps Xbar^T dW + sigma dW~, one row per (cfg, rng) pair.
 
-    Returns (empirical mean, empirical covariance, trajectory). Mean and
-    covariance are time averages over post-burn-in iterates thinned by
-    `thin`; the trajectory meta carries batch-means standard errors of the
-    mean ("mean_se", 50 batches) and the sample count ("n_samples").
+    All rows step together as one (rows, d) state and must share sde_step.
+    Each row draws its noise from its own stream in blocks of 10,000 steps,
+    so every row is bitwise what it would be alone. Returns one (empirical
+    mean, empirical covariance, trajectory) per row. Mean and covariance are
+    time averages over post-burn-in iterates thinned by `thin`; the
+    trajectory meta carries batch-means standard errors of the mean
+    ("mean_se", 50 batches) and the sample count ("n_samples").
     """
     if ds.regime != "under":
         raise ValueError("needs an underparametrized instance")
     if burn_in >= steps:
         raise ValueError("burn_in must be smaller than steps")
+    if not cfgs or len(cfgs) != len(rngs):
+        raise ValueError("need one stream per config and at least one config")
+    h = cfgs[0].sde_step
+    if any(cfg.sde_step != h for cfg in cfgs):
+        raise ValueError("rows must share sde_step")
     A = ds.Xbar.T @ ds.Xbar
     b = ds.Xbar.T @ ds.Ybar
-    h = cfg.sde_step
     lam = np.linalg.eigvalsh(A)
     if lam[0] <= 0 or max(abs(1.0 - h * lam[0]), abs(1.0 - h * lam[-1])) >= 1.0:
         raise ValueError("unstable step size: spectral radius of I - h A is >= 1")
 
-    d, n = ds.d, ds.n
-    amp_x = math.sqrt(h) * math.sqrt(cfg.gamma) * cfg.eps_floor
-    amp_i = math.sqrt(h) * cfg.sigma
-    theta = np.zeros(d)
+    d = ds.d
+    # rows with noise first, so that each step adds one block to a leading
+    # slice; a noise-free row adds nothing (adding 0.0 would turn -0.0 into 0.0)
+    has_noise = [cfg.eps_floor > 0 or cfg.sigma > 0 for cfg in cfgs]
+    order = sorted(range(len(cfgs)), key=lambda i: not has_noise[i])
+    cfgs = [cfgs[i] for i in order]
+    rngs = [rngs[i] for i in order]
+    noisy = sum(has_noise)
+    rows = len(cfgs)
+    b = np.tile(b, (rows, 1))  # same values; a same-shape subtract is cheaper
+    theta = np.zeros((rows, d))
+    upd3 = np.empty((rows, d, 1))
+    upd = upd3[:, :, 0]
+    theta3 = theta[:, :, None]
+    theta_noisy = theta[:noisy]
+    block = 10_000
+    noise = np.empty((min(block, steps), noisy, d))
 
     n_samples = (steps - burn_in + thin - 1) // thin
-    samples = np.empty((n_samples, d))
-    traj = Trajectory(("t", "loss", "eta", "bound_rhs", "theta_norm"))
+    samples = np.empty((rows, n_samples, d))
+    trajs = [Trajectory(("t", "loss", "theta_norm")) for _ in cfgs]
 
-    block = 10_000
-    sample_at = burn_in  # next step index to sample (pre-update state at index k)
+    # the loop stops at every step where a block starts, or where the state
+    # before the update is sampled or recorded, and runs plain steps between
+    stops = heapq.merge(range(0, steps, block), range(burn_in, steps, thin),
+                        range(0, steps, record_stride), (steps,))
+    k = next(stops)
     si = 0
-    for start in range(0, steps, block):
-        count = min(block, steps - start)
+    # local names: the inner loop runs once per step
+    matmul, subtract, multiply, add = np.matmul, np.subtract, np.multiply, np.add
+    for k_next in stops:
+        if k_next == k:
+            continue
+        if k % block == 0:
+            _draw_ou_noise(ds, cfgs[:noisy], rngs[:noisy], noise[:steps - k])
+        if k >= burn_in and (k - burn_in) % thin == 0:
+            samples[:, si] = theta
+            si += 1
+        if k % record_stride == 0:
+            for i, traj in enumerate(trajs):
+                r = ds.Xbar @ theta[i] - ds.Ybar
+                traj.append(k * h, 0.5 * float(r @ r), float(np.linalg.norm(theta[i])))
+        j0 = k % block
+        for step_noise in noise[j0:j0 + k_next - k]:
+            # theta <- theta - h * (A theta - b) + noise, one gemv per row
+            matmul(A, theta3, out=upd3)
+            subtract(upd, b, out=upd)
+            multiply(upd, h, out=upd)
+            subtract(theta, upd, out=theta)
+            add(theta_noisy, step_noise, out=theta_noisy)
+        k = k_next
+
+    results = [None] * rows
+    for i, traj in enumerate(trajs):
+        rs = samples[i]
+        mean = rs.mean(axis=0)
+        centered = rs - mean
+        cov = (centered.T @ centered) / si
+        n_batches = min(50, si)
+        bounds = np.linspace(0, si, n_batches + 1).astype(int)
+        batch_means = np.array([rs[a:c].mean(axis=0)
+                                for a, c in zip(bounds[:-1], bounds[1:])])
+        traj.meta["mean_se"] = batch_means.std(axis=0, ddof=1) / math.sqrt(n_batches)
+        traj.meta["n_samples"] = si
+        traj.meta["final_theta"] = theta[i].copy()
+        results[order[i]] = (mean, cov, traj)
+    return results
+
+
+def _draw_ou_noise(ds: Dataset, cfgs, rngs, out: np.ndarray) -> None:
+    """Fill the (count, rows, d) block out with the noisy rows' increments,
+    each row drawn from its own stream: data noise first, then isotropic."""
+    count = out.shape[0]
+    for i, (cfg, rng) in enumerate(zip(cfgs, rngs)):
+        h = cfg.sde_step
+        amp_i = math.sqrt(h) * cfg.sigma
         if cfg.eps_floor > 0:
-            noise = amp_x * (rng.normal((count, n)) @ ds.Xbar)
+            noise = rng.normal((count, ds.n)) @ ds.Xbar
+            noise *= math.sqrt(h) * math.sqrt(cfg.gamma) * cfg.eps_floor
             if cfg.sigma > 0:
-                noise += amp_i * rng.normal((count, d))
-        elif cfg.sigma > 0:
-            noise = amp_i * rng.normal((count, d))
+                noise += amp_i * rng.normal((count, ds.d))
         else:
-            noise = None
-        for j in range(count):
-            k = start + j
-            if k >= burn_in and k == sample_at:
-                samples[si] = theta
-                si += 1
-                sample_at += thin
-            if k % record_stride == 0:
-                r = ds.Xbar @ theta - ds.Ybar
-                traj.append(k * h, 0.5 * float(r @ r), 0.0, 0.0,
-                            float(np.linalg.norm(theta)))
-            if noise is None:
-                theta = theta - h * (A @ theta - b)
-            else:
-                theta = theta - h * (A @ theta - b) + noise[j]
-
-    samples = samples[:si]
-    mean = samples.mean(axis=0)
-    centered = samples - mean
-    cov = (centered.T @ centered) / si
-
-    n_batches = min(50, si)
-    bounds = np.linspace(0, si, n_batches + 1).astype(int)
-    batch_means = np.array([samples[a:b].mean(axis=0) for a, b in zip(bounds[:-1], bounds[1:])])
-    mean_se = batch_means.std(axis=0, ddof=1) / math.sqrt(n_batches)
-
-    traj.meta["mean_se"] = mean_se
-    traj.meta["n_samples"] = si
-    traj.meta["final_theta"] = theta
-    return mean, cov, traj
+            noise = amp_i * rng.normal((count, ds.d))
+        out[:, i] = noise
 
 
 def eta_bound_rhs(gamma: float, d: int, sigma: float, loss_integral: float) -> float:
@@ -252,14 +294,17 @@ def eta_bound_rhs(gamma: float, d: int, sigma: float, loss_integral: float) -> f
     return gamma * d * sigma * sigma * loss_integral
 
 
-def simulate_coupled_over(ds: Dataset, gamma: float, sigma: float, steps: int,
-                          n_traj: int, rng: RngStream, record_stride: int = 1) -> EtaReport:
-    """Jointly integrate the clean and noisy overparametrized SDEs.
+def simulate_coupled_over(ds: Dataset, gamma: float, sigmas, steps: int,
+                          n_traj: int, rng: RngStream, record_stride: int = 1) -> list:
+    """Jointly integrate the clean SDE and one noisy copy per sigma.
 
-    Both share the Brownian increments of the data-noise term
-    sqrt(gamma L(.)) Xbar^T dB; the noisy copy adds sqrt(gamma L(beta)) sigma dB~
-    with independent increments. Trajectories start at zero and are averaged
-    pointwise; eta_t = ||theta_t - beta_t||^2. Step size is gamma.
+    Every copy shares the clean path's Brownian increments of the data-noise
+    term sqrt(gamma L(.)) Xbar^T dB, drawn from rng.child(2); a copy with
+    sigma > 0 adds sqrt(gamma L(beta)) sigma dB~ with independent increments
+    from its own rng.child(1). The clean path is integrated once for all
+    copies, and each returned report is bitwise what a run with that sigma
+    alone gives. Trajectories start at zero and are averaged pointwise;
+    eta_t = ||theta_t - beta_t||^2. Step size is gamma.
     """
     if ds.regime != "over":
         raise ValueError("needs an overparametrized instance")
@@ -268,50 +313,60 @@ def simulate_coupled_over(ds: Dataset, gamma: float, sigma: float, steps: int,
         raise ValueError("gamma exceeds 1 / Tr(Xbar^T Xbar)")
     if n_traj < 1 or steps < 1:
         raise ValueError("need at least one trajectory and one step")
+    if not sigmas or min(sigmas) < 0:
+        raise ValueError("need at least one sigma, all nonnegative")
 
     h = gamma
     d, n = ds.d, ds.n
     sq = math.sqrt(h * gamma)
-    theta = np.zeros((n_traj, d))
-    beta = np.zeros((n_traj, d))
-    loss_int = np.zeros(n_traj)
     shared = rng.child(2)
-    own = rng.child(1)
-
-    traj = Trajectory(("t", "loss", "eta", "bound_rhs", "theta_norm"))
-    times, eta_mean, li_mean, rhs = [0.0], [0.0], [0.0], [0.0]
-    traj.append(0.0, _mean_loss(ds, beta), 0.0, 0.0, 0.0)
+    theta = np.zeros((n_traj, d))
+    r_t, l_t = _residual_loss(ds, theta)
+    times = [0.0]
+    copies = []
+    for sigma in sigmas:
+        beta = np.zeros((n_traj, d))
+        r_b, l_b = _residual_loss(ds, beta)
+        traj = Trajectory(("t", "loss", "eta", "bound_rhs", "theta_norm"))
+        traj.append(0.0, float(np.mean(l_b)), 0.0, 0.0, 0.0)
+        copies.append(SimpleNamespace(
+            sigma=sigma, own=rng.child(1) if sigma > 0 else None, beta=beta, r_b=r_b,
+            l_b=l_b, loss_int=np.zeros(n_traj), traj=traj, eta=[0.0], li=[0.0], rhs=[0.0]))
 
     for k in range(steps):
-        r_t = theta @ ds.Xbar.T - ds.Ybar
-        r_b = beta @ ds.Xbar.T - ds.Ybar
-        l_t = 0.5 * np.einsum("ij,ij->i", r_t, r_t)
-        l_b = 0.5 * np.einsum("ij,ij->i", r_b, r_b)
-        loss_int += h * l_b
-
         xi = shared.normal((n_traj, n)) @ ds.Xbar
+        for c in copies:
+            c.loss_int += h * c.l_b
+            beta = c.beta - h * (c.r_b @ ds.Xbar) + sq * np.sqrt(c.l_b)[:, None] * xi
+            if c.sigma > 0:
+                beta = beta + ((sq * c.sigma) * np.sqrt(c.l_b)[:, None]
+                               * c.own.normal((n_traj, d)))
+            c.beta = beta
+            c.r_b, c.l_b = _residual_loss(ds, beta)
         theta = theta - h * (r_t @ ds.Xbar) + sq * np.sqrt(l_t)[:, None] * xi
-        beta = beta - h * (r_b @ ds.Xbar) + sq * np.sqrt(l_b)[:, None] * xi
-        if sigma > 0:
-            beta = beta + (sq * sigma) * np.sqrt(l_b)[:, None] * own.normal((n_traj, d))
+        r_t, l_t = _residual_loss(ds, theta)
 
         if (k + 1) % record_stride == 0 or k + 1 == steps:
-            diff = theta - beta
-            eta = float(np.mean(np.einsum("ij,ij->i", diff, diff)))
-            li = float(np.mean(loss_int))
             t = (k + 1) * h
             times.append(t)
-            eta_mean.append(eta)
-            li_mean.append(li)
-            rhs.append(eta_bound_rhs(gamma, d, sigma, li))
-            traj.append(t, _mean_loss(ds, beta), eta, rhs[-1],
-                        float(np.mean(np.linalg.norm(theta, axis=1))))
+            theta_norm = float(np.mean(np.linalg.norm(theta, axis=1)))
+            for c in copies:
+                diff = theta - c.beta
+                eta = float(np.mean(np.einsum("ij,ij->i", diff, diff)))
+                li = float(np.mean(c.loss_int))
+                rhs = eta_bound_rhs(gamma, d, c.sigma, li)
+                c.eta.append(eta)
+                c.li.append(li)
+                c.rhs.append(rhs)
+                # mean(0.5 * e) is 0.5 * mean(e) exactly: halving is exact
+                c.traj.append(t, float(np.mean(c.l_b)), eta, rhs, theta_norm)
 
-    return EtaReport(times=np.array(times), eta_mean=np.array(eta_mean),
-                     loss_integral_mean=np.array(li_mean), bound_rhs=np.array(rhs),
-                     n_traj=n_traj, traj=traj)
+    return [EtaReport(times=np.array(times), eta_mean=np.array(c.eta),
+                      loss_integral_mean=np.array(c.li), bound_rhs=np.array(c.rhs),
+                      n_traj=n_traj, traj=c.traj) for c in copies]
 
 
-def _mean_loss(ds: Dataset, batch: Mat) -> float:
+def _residual_loss(ds: Dataset, batch: Mat):
+    """Residuals Xbar b - Ybar of each row b of batch, and their losses."""
     r = batch @ ds.Xbar.T - ds.Ybar
-    return 0.5 * float(np.mean(np.einsum("ij,ij->i", r, r)))
+    return r, 0.5 * np.einsum("ij,ij->i", r, r)

@@ -337,3 +337,116 @@ def tilted_reference(Xbar, Ybar, P, gamma, a, tilt, max_iters=1_000_000, tol=1e-
         f"no iterate reached loss {tol:.1e} within {max_iters} evaluations "
         f"(best {best_loss:.3e})",
         beta, best_loss, kkt_of(beta))
+
+
+def ou_reference(Xbar, Ybar, gamma, eps, sigma, h, steps, burn_in, rng,
+                 record_stride=100, thin=10):
+    """One run of the underparametrized OU Euler-Maruyama chain, one row alone.
+
+    This is the single-run loop that the package integrated before its
+    ensemble integrator existed, kept as the sequential reference: noise is
+    drawn from rng.normal in blocks of 10,000 steps (data noise, then
+    isotropic noise; absent terms draw nothing), the pre-update state is
+    sampled every `thin` steps from `burn_in` on and recorded every
+    `record_stride` steps. Returns a dict with the mean, covariance,
+    batch-means standard errors, sample count, final state and the recorded
+    rows (t, loss, ||theta||).
+    """
+    n, d = Xbar.shape
+    A = Xbar.T @ Xbar
+    b = Xbar.T @ Ybar
+    amp_x = np.sqrt(h) * np.sqrt(gamma) * eps
+    amp_i = np.sqrt(h) * sigma
+    theta = np.zeros(d)
+    n_samples = (steps - burn_in + thin - 1) // thin
+    samples = np.empty((n_samples, d))
+    rows = []
+    block = 10_000
+    sample_at = burn_in
+    si = 0
+    for start in range(0, steps, block):
+        count = min(block, steps - start)
+        if eps > 0:
+            noise = amp_x * (rng.normal((count, n)) @ Xbar)
+            if sigma > 0:
+                noise += amp_i * rng.normal((count, d))
+        elif sigma > 0:
+            noise = amp_i * rng.normal((count, d))
+        else:
+            noise = None
+        for j in range(count):
+            k = start + j
+            if k >= burn_in and k == sample_at:
+                samples[si] = theta
+                si += 1
+                sample_at += thin
+            if k % record_stride == 0:
+                r = Xbar @ theta - Ybar
+                rows.append((k * h, 0.5 * float(r @ r), float(np.linalg.norm(theta))))
+            if noise is None:
+                theta = theta - h * (A @ theta - b)
+            else:
+                theta = theta - h * (A @ theta - b) + noise[j]
+    samples = samples[:si]
+    mean = samples.mean(axis=0)
+    centered = samples - mean
+    cov = (centered.T @ centered) / si
+    n_batches = min(50, si)
+    bounds = np.linspace(0, si, n_batches + 1).astype(int)
+    batch_means = np.array([samples[a:c].mean(axis=0)
+                            for a, c in zip(bounds[:-1], bounds[1:])])
+    mean_se = batch_means.std(axis=0, ddof=1) / np.sqrt(n_batches)
+    return {"mean": mean, "cov": cov, "mean_se": mean_se, "n_samples": si,
+            "final_theta": theta, "rows": rows}
+
+
+def coupled_reference(Xbar, Ybar, gamma, sigma, steps, n_traj, rng, record_stride=1):
+    """One clean/noisy coupled integration for a single sigma.
+
+    The per-sigma loop the package ran before it integrated a whole sigma
+    grid in one pass: clean and noisy copies share the increments drawn from
+    rng.child(2), the noisy copy adds its own from rng.child(1), and both
+    start at zero with step size gamma. Returns a dict with the recorded
+    times, mean deviations, mean loss integrals, bound values and rows
+    (t, mean loss of the noisy copy, eta, bound, mean ||theta||).
+    """
+    n, d = Xbar.shape
+    h = gamma
+    sq = np.sqrt(h * gamma)
+    theta = np.zeros((n_traj, d))
+    beta = np.zeros((n_traj, d))
+    loss_int = np.zeros(n_traj)
+    shared = rng.child(2)
+    own = rng.child(1)
+
+    def mean_loss(batch):
+        r = batch @ Xbar.T - Ybar
+        return 0.5 * float(np.mean(np.einsum("ij,ij->i", r, r)))
+
+    times, eta_mean, li_mean, rhs = [0.0], [0.0], [0.0], [0.0]
+    rows = [(0.0, mean_loss(beta), 0.0, 0.0, 0.0)]
+    for k in range(steps):
+        r_t = theta @ Xbar.T - Ybar
+        r_b = beta @ Xbar.T - Ybar
+        l_t = 0.5 * np.einsum("ij,ij->i", r_t, r_t)
+        l_b = 0.5 * np.einsum("ij,ij->i", r_b, r_b)
+        loss_int += h * l_b
+        xi = shared.normal((n_traj, n)) @ Xbar
+        theta = theta - h * (r_t @ Xbar) + sq * np.sqrt(l_t)[:, None] * xi
+        beta = beta - h * (r_b @ Xbar) + sq * np.sqrt(l_b)[:, None] * xi
+        if sigma > 0:
+            beta = beta + (sq * sigma) * np.sqrt(l_b)[:, None] * own.normal((n_traj, d))
+        if (k + 1) % record_stride == 0 or k + 1 == steps:
+            diff = theta - beta
+            eta = float(np.mean(np.einsum("ij,ij->i", diff, diff)))
+            li = float(np.mean(loss_int))
+            t = (k + 1) * h
+            times.append(t)
+            eta_mean.append(eta)
+            li_mean.append(li)
+            rhs.append(gamma * d * sigma * sigma * li)
+            rows.append((t, mean_loss(beta), eta, rhs[-1],
+                         float(np.mean(np.linalg.norm(theta, axis=1)))))
+    return {"times": np.array(times), "eta_mean": np.array(eta_mean),
+            "loss_integral_mean": np.array(li_mean), "bound_rhs": np.array(rhs),
+            "rows": rows}

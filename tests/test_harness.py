@@ -126,6 +126,31 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(**kw)
 
+    @pytest.mark.parametrize("text, match", [
+        pytest.param("mode = coupling\nn = 10\nd = 20\nsigmas = 0.5, 0.5\n",
+                     "must not repeat", id="duplicate-sigma"),
+        pytest.param("sigmas = -0, 0\n", "must not repeat", id="duplicate-zero-sigma"),
+        pytest.param("kinds = SGD, NoisySGD, SGD\n", "must not repeat",
+                     id="duplicate-kind"),
+        pytest.param("mode = ou\nn = 50\nd = 5\neps = -0.5\n", "eps",
+                     id="negative-eps"),
+        pytest.param("mode = ou\nn = 5\nd = 5\n", "n > d", id="ou-not-under"),
+        pytest.param("mode = coupling\nn = 20\nd = 10\n", "d >= n",
+                     id="coupling-not-over"),
+        pytest.param("mode = ou\nn = 50\nd = 5\neps = 0\nsigmas = 0, 0.3\n",
+                     "no noise", id="ou-zero-noise-cell"),
+        pytest.param("mode = ou\nn = 50\nd = 5\nsteps = 1000\nburn_in = 1000\n",
+                     "burn_in", id="ou-burn-in-eats-steps"),
+    ])
+    def test_bad_config_rejected_at_validation(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            parse_config(text)
+
+    def test_lsq_edge_configs_accepted(self):
+        # d == n is overparametrized; an OU cell with eps 0 and sigma > 0 is noisy
+        parse_config("mode = coupling\nn = 10\nd = 10\n")
+        parse_config("mode = ou\nn = 50\nd = 5\neps = 0\nsigmas = 0.3\n")
+
     def test_negative_zero_sigma_is_zero(self):
         cfg = parse_config("experiment = limit_distance\nmode = sde\nsigmas = -0, 0.5\n")
         assert [math.copysign(1.0, v) for v in cfg.sigmas] == [1.0, 1.0]

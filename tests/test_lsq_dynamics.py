@@ -11,6 +11,7 @@ from noiselab import (
     OptimizerConfig,
     RngStream,
     clip,
+    default_step_size,
     eta_bound_rhs,
     gen_sparse_regression,
     gen_underparam_regression,
@@ -20,7 +21,12 @@ from noiselab import (
     solve_lyapunov,
     stationary_law_theory,
 )
-from oracles import em_stationary_cov
+from oracles import coupled_reference, em_stationary_cov, ou_reference
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def step_n(ds, cfg, rng, theta0, k):
@@ -160,7 +166,8 @@ class TestSimulateOuUnder:
     def test_deterministic_flow_reaches_least_squares(self):
         ds = gen_underparam_regression(30, 4, 0.2, RngStream(5))
         cfg = OptimizerConfig(kind="GD", gamma=0.2, eps_floor=0.0, sigma=0.0, sde_step=0.2)
-        mean, cov, traj = simulate_ou_under(ds, cfg, steps=3000, burn_in=2500, rng=RngStream(0))
+        [(mean, cov, traj)] = simulate_ou_under(ds, [cfg], steps=3000, burn_in=2500,
+                                                rngs=[RngStream(0)])
         assert np.abs(mean - ds.theta_ls()).max() < 1e-6
         assert np.abs(cov).max() < 1e-8
 
@@ -171,8 +178,8 @@ class TestSimulateOuUnder:
         gamma = 0.4 / lam
         cfg = OptimizerConfig(kind="SGD", gamma=gamma, eps_floor=0.7, sigma=0.0,
                               sde_step=gamma / 20)
-        mean, cov, traj = simulate_ou_under(ds, cfg, steps=400_000, burn_in=40_000,
-                                            rng=RngStream(99))
+        [(mean, cov, traj)] = simulate_ou_under(ds, [cfg], steps=400_000, burn_in=40_000,
+                                                rngs=[RngStream(99)])
         want = gamma * 0.49 / 2
         assert abs(cov.item() - want) < 0.1 * want
 
@@ -186,8 +193,8 @@ class TestSimulateOuUnder:
         h = gamma / 8
         eps, sigma = 0.5, 0.3
         cfg = OptimizerConfig(kind="SGD", gamma=gamma, eps_floor=eps, sigma=sigma, sde_step=h)
-        mean, cov, traj = simulate_ou_under(ds, cfg, steps=600_000, burn_in=60_000,
-                                            rng=RngStream(7))
+        [(mean, cov, traj)] = simulate_ou_under(ds, [cfg], steps=600_000, burn_in=60_000,
+                                                rngs=[RngStream(7)])
         Sigma = gamma * eps**2 * A + sigma**2 * np.eye(5)
         W = em_stationary_cov(A, h, Sigma)
         assert np.linalg.norm(cov - W) / np.linalg.norm(W) < 0.10
@@ -200,29 +207,101 @@ class TestSimulateOuUnder:
         bad = 2.5 / float(np.linalg.eigvalsh(A)[-1])
         cfg = OptimizerConfig(kind="SGD", gamma=0.1, eps_floor=0.5, sde_step=bad)
         with pytest.raises(ValueError):
-            simulate_ou_under(ds, cfg, steps=10, burn_in=0, rng=RngStream(0))
+            simulate_ou_under(ds, [cfg], steps=10, burn_in=0, rngs=[RngStream(0)])
 
     def test_burn_in_must_leave_samples(self):
         ds = gen_underparam_regression(20, 2, 0.1, RngStream(4))
         cfg = OptimizerConfig(kind="SGD", gamma=0.1, eps_floor=0.5, sde_step=0.05)
         with pytest.raises(ValueError):
-            simulate_ou_under(ds, cfg, steps=100, burn_in=100, rng=RngStream(0))
+            simulate_ou_under(ds, [cfg], steps=100, burn_in=100, rngs=[RngStream(0)])
+
+
+class TestOuEnsembleMatchesOracle:
+    """Every row of one OU ensemble is bitwise the parent's single-row loop
+    (tests/oracles.py::ou_reference) run alone on the row's own stream."""
+
+    @pytest.mark.parametrize("noise, steps, burn_in, stride, thin", [
+        pytest.param([(0.5, 0.0)], 3000, 1000, 100, 10, id="eps-sigma0"),
+        pytest.param([(0.5, 0.3)], 3000, 1000, 100, 10, id="eps-sigma"),
+        pytest.param([(0.0, 0.0)], 3000, 1000, 100, 10, id="noise-free"),
+        pytest.param([(0.5, 0.0), (0.0, 0.0), (0.5, 0.3), (0.0, 0.4)], 3000, 1000,
+                     100, 10, id="mixed-rows"),
+        pytest.param([(0.5, 0.0), (0.5, 0.3)], 23_457, 3000, 1000, 10,
+                     id="crosses-blocks"),
+        pytest.param([(0.5, 0.0), (0.0, 0.0)], 5000, 1003, 100, 7,
+                     id="burn-in-off-thin"),
+        pytest.param([(0.5, 0.3), (0.0, 0.0)], 2000, 500, 333, 10,
+                     id="stride-not-dividing"),
+    ])
+    def test_rows_bitwise(self, noise, steps, burn_in, stride, thin):
+        ds = gen_underparam_regression(50, 5, 0.5, RngStream(7))
+        gamma = default_step_size(ds)
+        cfgs = [OptimizerConfig(kind="SGD", gamma=gamma, eps_floor=eps, sigma=sigma,
+                                sde_step=gamma) for eps, sigma in noise]
+        got = simulate_ou_under(ds, cfgs, steps, burn_in,
+                                [RngStream(11 + i) for i in range(len(cfgs))],
+                                record_stride=stride, thin=thin)
+        for i, ((eps, sigma), (mean, cov, traj)) in enumerate(zip(noise, got)):
+            ref = ou_reference(ds.Xbar, ds.Ybar, gamma, eps, sigma, gamma, steps,
+                               burn_in, RngStream(11 + i), record_stride=stride,
+                               thin=thin)
+            assert same_bits(mean, ref["mean"])
+            assert same_bits(cov, ref["cov"])
+            assert same_bits(traj.meta["mean_se"], ref["mean_se"])
+            assert same_bits(traj.meta["final_theta"], ref["final_theta"])
+            assert traj.meta["n_samples"] == ref["n_samples"]
+            assert traj.columns == ("t", "loss", "theta_norm")
+            assert same_bits(traj.rows, ref["rows"])
+
+    def test_rows_must_share_step(self):
+        ds = gen_underparam_regression(20, 2, 0.1, RngStream(4))
+        cfgs = [OptimizerConfig(kind="SGD", gamma=0.1, eps_floor=0.5, sde_step=h)
+                for h in (0.05, 0.04)]
+        with pytest.raises(ValueError, match="sde_step"):
+            simulate_ou_under(ds, cfgs, steps=100, burn_in=0,
+                              rngs=[RngStream(0), RngStream(1)])
+
+
+class TestCoupledMatchesOracle:
+    """Each sigma's report of one pass is bitwise the parent's per-sigma loop
+    (tests/oracles.py::coupled_reference) run alone."""
+
+    @pytest.mark.parametrize("sigmas, steps, n_traj, stride", [
+        pytest.param((0.0, 0.5), 60, 4, 1, id="zero-and-noisy"),
+        pytest.param((0.3,), 50, 3, 1, id="one-noisy"),
+        pytest.param((0.5, 0.0, 0.25), 40, 5, 1, id="three-sigmas"),
+        pytest.param((0.0, 0.4), 50, 6, 7, id="stride-not-dividing"),
+        pytest.param((0.0, 0.5), 30, 1, 1, id="one-trajectory"),
+    ])
+    def test_reports_bitwise(self, sigmas, steps, n_traj, stride):
+        ds = gen_sparse_regression(10, 20, 3, RngStream(53))
+        gamma = 1.0 / np.trace(ds.Xbar.T @ ds.Xbar)
+        reps = simulate_coupled_over(ds, gamma, sigmas, steps, n_traj, RngStream(3),
+                                     record_stride=stride)
+        assert len(reps) == len(sigmas)
+        for sigma, rep in zip(sigmas, reps):
+            ref = coupled_reference(ds.Xbar, ds.Ybar, gamma, sigma, steps, n_traj,
+                                    RngStream(3), record_stride=stride)
+            for key in ("times", "eta_mean", "loss_integral_mean", "bound_rhs"):
+                assert same_bits(getattr(rep, key), ref[key]), key
+            assert same_bits(rep.traj.rows, ref["rows"])
+            assert rep.n_traj == n_traj
 
 
 class TestCoupledOver:
     def test_sigma_zero_coupling_is_exact(self):
         ds = gen_sparse_regression(10, 20, 3, RngStream(51))
         gamma = 1.0 / np.trace(ds.Xbar.T @ ds.Xbar)
-        rep = simulate_coupled_over(ds, gamma=gamma, sigma=0.0, steps=200,
-                                    n_traj=3, rng=RngStream(1))
+        [rep] = simulate_coupled_over(ds, gamma=gamma, sigmas=[0.0], steps=200,
+                                      n_traj=3, rng=RngStream(1))
         assert np.all(rep.eta_mean == 0.0)
         assert np.all(rep.bound_rhs == 0.0)
 
     def test_time_zero_row(self):
         ds = gen_sparse_regression(10, 20, 3, RngStream(52))
         gamma = 1.0 / np.trace(ds.Xbar.T @ ds.Xbar)
-        rep = simulate_coupled_over(ds, gamma=gamma, sigma=0.4, steps=50,
-                                    n_traj=2, rng=RngStream(2))
+        [rep] = simulate_coupled_over(ds, gamma=gamma, sigmas=[0.4], steps=50,
+                                      n_traj=2, rng=RngStream(2))
         assert rep.times[0] == 0.0
         assert rep.eta_mean[0] == 0.0
         assert rep.loss_integral_mean[0] == 0.0
@@ -230,15 +309,15 @@ class TestCoupledOver:
     def test_deviation_bound_holds_with_slack(self):
         ds = gen_sparse_regression(10, 20, 3, RngStream(53))
         gamma = 1.0 / np.trace(ds.Xbar.T @ ds.Xbar)
-        rep = simulate_coupled_over(ds, gamma=gamma, sigma=0.5, steps=400,
-                                    n_traj=200, rng=RngStream(3))
+        [rep] = simulate_coupled_over(ds, gamma=gamma, sigmas=[0.5], steps=400,
+                                      n_traj=200, rng=RngStream(3))
         assert np.all(rep.eta_mean[1:] <= 1.1 * rep.bound_rhs[1:])
 
     def test_bound_rhs_column_consistent(self):
         ds = gen_sparse_regression(10, 20, 3, RngStream(55))
         gamma = 1.0 / np.trace(ds.Xbar.T @ ds.Xbar)
-        rep = simulate_coupled_over(ds, gamma=gamma, sigma=0.3, steps=60,
-                                    n_traj=4, rng=RngStream(4))
+        [rep] = simulate_coupled_over(ds, gamma=gamma, sigmas=[0.3], steps=60,
+                                      n_traj=4, rng=RngStream(4))
         want = np.array([eta_bound_rhs(gamma, ds.d, 0.3, li)
                          for li in rep.loss_integral_mean])
         assert np.allclose(rep.bound_rhs, want, rtol=1e-15, atol=0.0)
@@ -247,13 +326,13 @@ class TestCoupledOver:
         ds = gen_sparse_regression(10, 20, 3, RngStream(54))
         gamma = 1.5 / np.trace(ds.Xbar.T @ ds.Xbar)
         with pytest.raises(ValueError):
-            simulate_coupled_over(ds, gamma=gamma, sigma=0.1, steps=10,
+            simulate_coupled_over(ds, gamma=gamma, sigmas=[0.1], steps=10,
                                   n_traj=1, rng=RngStream(0))
 
     def test_underparam_rejected(self):
         ds = gen_underparam_regression(20, 3, 0.1, RngStream(6))
         with pytest.raises(ValueError):
-            simulate_coupled_over(ds, gamma=0.01, sigma=0.1, steps=10,
+            simulate_coupled_over(ds, gamma=0.01, sigmas=[0.1], steps=10,
                                   n_traj=1, rng=RngStream(0))
 
 
