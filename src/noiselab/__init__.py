@@ -60,7 +60,6 @@ from .dln_dynamics import (
     dln_init,
     dln_loss,
     effective_alpha,
-    effective_init,
     run_dln_discrete,
     run_dln_discrete_ensemble,
     simulate_dln_sde,
@@ -82,70 +81,3 @@ from .harness import (
     run_experiment,
     trend_check,
 )
-
-__all__ = [
-    "Mat",
-    "Vec",
-    "RngStream",
-    "Trajectory",
-    "fmt17",
-    "min_norm_solve",
-    "row_space_projector",
-    "solve_lyapunov",
-    "spectral_norm",
-    "Dataset",
-    "default_step_size",
-    "gen_sparse_regression",
-    "gen_underparam_regression",
-    "load_dataset",
-    "save_dataset",
-    "ConvergenceError",
-    "PotentialParams",
-    "TiltedProblem",
-    "bregman",
-    "mu_bound",
-    "phi_grad",
-    "phi_grad_inverse",
-    "phi_hessian_diag",
-    "phi_value",
-    "prop3_check",
-    "solve_tilted",
-    "solve_tilted_ensemble",
-    "EtaReport",
-    "LsqState",
-    "OptimizerConfig",
-    "StationaryLaw",
-    "clip",
-    "eta_bound_rhs",
-    "lsq_discrete_step",
-    "simulate_coupled_over",
-    "simulate_ou_under",
-    "stationary_law_theory",
-    "DiscreteRun",
-    "DivergenceError",
-    "DlnState",
-    "NoiseSchedule",
-    "dln_discrete_step",
-    "dln_init",
-    "dln_loss",
-    "effective_alpha",
-    "effective_init",
-    "run_dln_discrete",
-    "run_dln_discrete_ensemble",
-    "simulate_dln_sde",
-    "simulate_dln_sde_ensemble",
-    "ALPHA_SWEEP",
-    "EXPERIMENTS",
-    "LIMIT_DISTANCE_FLOOR",
-    "SIGMA_GRID",
-    "ExperimentConfig",
-    "RunRecord",
-    "aggregate",
-    "apply_overrides",
-    "bundled_config",
-    "config_text",
-    "parse_config",
-    "run_alpha_sweep",
-    "run_experiment",
-    "trend_check",
-]

@@ -6,6 +6,11 @@ weights. The SDE integrator drives both weight signs with one shared Brownian
 path, mirrored, which is what makes the hyperbolic closed form of the iterate
 hold along the trajectory. The loss is the normalized empirical risk
 L(beta) = (1/2n) sum_i (<beta, x_i> - y_i)^2.
+
+Both models step many runs at once as the rows of one (rows, d) weight pair,
+through one time loop, _drive. It owns the per-row records, the early stop,
+the first failure in the caller's order and the dropping of finished rows;
+each model supplies only its draws and its update.
 """
 
 from __future__ import annotations
@@ -37,47 +42,15 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class NoiseSchedule:
-    """Added-noise model for the DLN updates.
+    """Added isotropic noise of the DLN updates, scaled by the loss: the
+    discrete step multiplies its Gaussians by sigma_t = 2 sigma sqrt(L(w_t)),
+    and the SDE adds the block sigma I_d to its diffusion."""
 
-    loss_scaled: sigma_t = 2 sigma sqrt(L(w_t)), the scalar schedule used by
-    all bundled experiments. general: a deterministic table of matrices of
-    shape (p, d) (constant) or (steps, p, d); only accepted when the squared
-    Frobenius mass integrates to at most 1 over the run.
-    """
-
-    kind: str = "loss_scaled"
     sigma: float = 0.0
-    matrices: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("loss_scaled", "general"):
-            raise ValueError("kind must be 'loss_scaled' or 'general'")
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
-        if self.kind == "general":
-            if self.matrices is None:
-                raise ValueError("general schedule needs its matrix table")
-            self.matrices = np.asarray(self.matrices, dtype=float)
-            if self.matrices.ndim not in (2, 3) or not np.all(np.isfinite(self.matrices)):
-                raise ValueError("matrix table must be finite with shape (p,d) or (T,p,d)")
-
-    def matrix_at(self, step: int) -> np.ndarray:
-        if self.matrices.ndim == 2:
-            return self.matrices
-        return self.matrices[min(step, self.matrices.shape[0] - 1)]
-
-    def check_budget(self, h: float, steps: int) -> None:
-        """Refuse general schedules whose noise mass exceeds the admissible budget."""
-        if self.kind != "general":
-            return
-        if self.matrices.ndim == 2:
-            mass = steps * h * float(np.sum(self.matrices**2))
-        else:
-            count = min(steps, self.matrices.shape[0])
-            mass = h * float(np.sum(self.matrices[:count] ** 2))
-            mass += max(0, steps - count) * h * float(np.sum(self.matrices[-1] ** 2))
-        if mass > 1.0 + 1e-12:
-            raise ValueError(f"general schedule mass {mass:.3g} exceeds the unit budget")
 
 
 @dataclass
@@ -85,8 +58,8 @@ class DlnState:
     """Weight pair and running diagnostics of one DLN trajectory.
 
     loss_integral is the left Riemann sum of the loss, r_acc the accumulated
-    out-of-row-span noise, noise_sq_integral the integrated squared schedule
-    magnitude.
+    out-of-row-span noise. It is the start state of a discrete run, and both
+    ensembles return each row's end state as meta["final_state"].
     """
 
     w_plus: Vec
@@ -95,7 +68,6 @@ class DlnState:
     time: float = 0.0
     loss_integral: float = 0.0
     r_acc: Vec | None = None
-    noise_sq_integral: float = 0.0
 
     def __post_init__(self):
         self.w_plus = np.asarray(self.w_plus, dtype=float)
@@ -127,11 +99,16 @@ def dln_loss(beta: Vec, ds: Dataset) -> float:
     return 0.5 * float(r @ r)
 
 
-def _check_discrete(cfg: OptimizerConfig, ds: Dataset) -> None:
+def _check_discrete(cfg: OptimizerConfig, sched: NoiseSchedule, ds: Dataset) -> None:
     if cfg.kind not in ("GD", "SGD", "NoisySGD"):
         raise ValueError(f"unsupported optimizer kind for this model: {cfg.kind!r}")
     if cfg.batch > ds.n:
         raise ValueError("batch exceeds dataset size")
+    # the update reads sigma from the schedule, so a different cfg.sigma
+    # would be silently ignored
+    if cfg.kind == "NoisySGD" and cfg.sigma != sched.sigma:
+        raise ValueError(f"NoisySGD sigma {cfg.sigma:g} differs from its "
+                         f"schedule's sigma {sched.sigma:g}")
 
 
 def _batch_gradient(ds: Dataset, beta: Vec, rbar: Vec, cfg: OptimizerConfig, rng: RngStream) -> Vec:
@@ -152,12 +129,13 @@ def dln_discrete_step(state: DlnState, ds: Dataset, cfg: OptimizerConfig,
 
     w_{+} <- w_{+} (1 - 2 gamma a_t + gamma sigma_t Z_+), and mirrored with
     independent Z_- for w_{-}, where a_t is the minibatch gradient estimate
-    and sigma_t comes from the schedule. GD drops both stochastic terms, SGD
-    drops the Z term. Draw order: batch indices, then Z_+, then Z_-. This is
-    the single-step reference that run_dln_discrete_ensemble reproduces row
-    by row; r_acc is carried over unchanged.
+    and sigma_t comes from the schedule, whose sigma a NoisySGD cfg must
+    repeat. GD drops both stochastic terms, SGD drops the Z term. Draw order:
+    batch indices, then Z_+, then Z_-. This is the single-step reference that
+    run_dln_discrete_ensemble reproduces row by row; r_acc is carried over
+    unchanged.
     """
-    _check_discrete(cfg, ds)
+    _check_discrete(cfg, sched, ds)
     w_p, w_m = state.w_plus, state.w_minus
     beta = w_p * w_p - w_m * w_m
     rbar = ds.Xbar @ beta - ds.Ybar
@@ -170,23 +148,12 @@ def dln_discrete_step(state: DlnState, ds: Dataset, cfg: OptimizerConfig,
     mult_p = 1.0 - drift
     mult_m = 1.0 + drift
 
-    noise_sq = 0.0
-    if cfg.kind == "NoisySGD":
-        if sched.kind == "loss_scaled":
-            if sched.sigma > 0:
-                sigma_t = 2.0 * sched.sigma * math.sqrt(loss)
-                z_p = rng.normal(ds.d)
-                z_m = rng.normal(ds.d)
-                mult_p = mult_p + cfg.gamma * sigma_t * z_p
-                mult_m = mult_m - cfg.gamma * sigma_t * z_m
-                noise_sq = sigma_t * sigma_t
-        else:
-            mat = sched.matrix_at(state.step)
-            z_p = rng.normal(mat.shape[0])
-            z_m = rng.normal(mat.shape[0])
-            mult_p = mult_p + cfg.gamma * (mat.T @ z_p)
-            mult_m = mult_m - cfg.gamma * (mat.T @ z_m)
-            noise_sq = float(np.sum(mat * mat))
+    if cfg.kind == "NoisySGD" and sched.sigma > 0:
+        sigma_t = 2.0 * sched.sigma * math.sqrt(loss)
+        z_p = rng.normal(ds.d)
+        z_m = rng.normal(ds.d)
+        mult_p = mult_p + cfg.gamma * sigma_t * z_p
+        mult_m = mult_m - cfg.gamma * sigma_t * z_m
 
     new_p = w_p * mult_p
     new_m = w_m * mult_m
@@ -199,7 +166,6 @@ def dln_discrete_step(state: DlnState, ds: Dataset, cfg: OptimizerConfig,
         time=state.time + cfg.gamma,
         loss_integral=state.loss_integral + cfg.gamma * loss,
         r_acc=state.r_acc,
-        noise_sq_integral=state.noise_sq_integral + cfg.gamma * noise_sq,
     )
 
 
@@ -217,38 +183,118 @@ def effective_alpha(alpha0: Vec, ds: Dataset, gamma: float, sigma: float,
     )
 
 
-def effective_init(alpha_inf: Vec, r_inf: Vec) -> Vec:
-    """Reference point 2 alpha_inf^2 sinh(4 r_inf) of the limit Bregman problem."""
-    alpha_inf = np.asarray(alpha_inf, dtype=float)
-    if np.any(alpha_inf <= 0):
-        raise ValueError("alpha_inf must be positive")
-    return 2.0 * alpha_inf * alpha_inf * np.sinh(4.0 * np.asarray(r_inf, dtype=float))
-
-
-def _dist_reference(ds: Dataset) -> Vec:
-    return ds.beta_star if ds.beta_star is not None else min_norm_solve(ds.X, ds.Y)
-
-
-def _objects(items) -> np.ndarray:
-    arr = np.empty(len(items), dtype=object)
-    arr[:] = items
-    return arr
-
-
 _COLUMNS = ("t", "loss", "dist_to_beta_l0_sq", "loss_integral", "r_acc_norm")
 
 
-def _trajectory() -> Trajectory:
-    traj = Trajectory(_COLUMNS)
-    traj.meta["steps"] = []  # integer step index of every row
-    return traj
+def _rows(order, states, **arrays) -> Rows:
+    """The rows of an ensemble from their start states, held in `order` (the
+    caller's index of each row), with the model's own per-row arrays."""
+    return Rows(
+        row=np.array(order),
+        step0=np.array([st.step for st in states]),
+        time=np.array([st.time for st in states], dtype=float),
+        w_p=np.array([st.w_plus for st in states]),
+        w_m=np.array([st.w_minus for st in states]),
+        li=np.array([st.loss_integral for st in states], dtype=float),
+        r_acc=np.array([st.r_acc for st in states], dtype=float),
+        **arrays,
+    )
 
 
-def _record(traj: Trajectory, step: int, time: float, beta: Vec, loss: float,
-            loss_integral: float, r_acc: Vec, ref: Vec) -> None:
-    diff = beta - ref
-    traj.append(time, loss, float(diff @ diff), loss_integral, float(np.linalg.norm(r_acc)))
-    traj.meta["steps"].append(int(step))
+def _drive(ds: Dataset, model, steps: int, record_stride: int, early_stop: bool) -> list:
+    """The time loop of both DLN ensembles; returns their list of rows.
+
+    model.s holds the rows (see _rows). The model supplies only its draws and
+    update of step k, step(k, beta, rbar, loss), in place on model.s from the
+    pre-step (rows, d) arrays, and keep(mask), which drops rows. Its
+    stops_before_step fixes the convention: the discrete model judges a row
+    after stepping it, the SDE judges the pre-step loss and stops a row
+    unstepped. The row arrays named in model.snapshot are copied into
+    meta["checkpoints"] at every record, and into meta at the end.
+    """
+    s = model.s
+    ref = ds.beta_star if ds.beta_star is not None else min_norm_solve(ds.X, ds.Y)
+    trajs = [Trajectory(_COLUMNS) for _ in s.row]
+    for traj in trajs:
+        traj.meta["steps"] = []  # integer step index of every row
+    out = [None] * len(trajs)
+    fail = len(trajs)  # first row, in the caller's order, that diverged
+    s.streak = np.zeros(len(trajs), dtype=int)
+
+    def snapshot(j):
+        return {key: getattr(s, key)[j].copy() for key in model.snapshot}
+
+    def record(j, k, beta, loss):
+        traj = trajs[s.row[j]]
+        step = int(s.step0[j]) + k
+        li = float(s.li[j])
+        diff = beta - ref
+        traj.append(s.time[j], loss, float(diff @ diff), li, float(np.linalg.norm(s.r_acc[j])))
+        traj.meta["steps"].append(step)
+        if model.snapshot:
+            traj.meta.setdefault("checkpoints", []).append({
+                "step": step, "time": float(s.time[j]), "beta": beta.copy(),
+                **snapshot(j), "loss_integral": li,
+            })
+
+    def finish(j, done, stopped):
+        beta = s.w_p[j] * s.w_p[j] - s.w_m[j] * s.w_m[j]
+        record(j, done, beta, dln_loss(beta, ds))
+        traj = trajs[s.row[j]]
+        state = DlnState(w_plus=s.w_p[j].copy(), w_minus=s.w_m[j].copy(),
+                         step=int(s.step0[j]) + done, time=float(s.time[j]),
+                         loss_integral=float(s.li[j]), r_acc=s.r_acc[j].copy())
+        traj.meta.update(final_state=state, **snapshot(j), converged=stopped,
+                         steps_run=done)
+        out[s.row[j]] = traj
+
+    def settle(ok, k, done, loss):
+        """Mask of the rows that go on past step k, or None if all do: a row
+        not ok fails at k, and a row that completes its loss streak finishes
+        after done steps."""
+        nonlocal fail
+        drop = not ok.all()
+        if drop:
+            for j in np.flatnonzero(~ok):
+                if s.row[j] < fail:
+                    fail = s.row[j]
+                    out[fail] = DivergenceError(int(s.step0[j]) + k)
+            ok &= s.row < fail
+        if early_stop:
+            s.streak = (s.streak + 1) * (loss <= CONVERGED_LOSS)
+            if s.streak.max() >= CONVERGED_STREAK:
+                for j in np.flatnonzero(ok & (s.streak >= CONVERGED_STREAK)):
+                    finish(j, done, True)
+                    ok[j] = False
+                    drop = True
+        return ok if drop else None
+
+    Xbar, Ybar, before = ds.Xbar, ds.Ybar, model.stops_before_step
+    k = 0
+    # a diverging row computes with non-finite values until it is dropped
+    with np.errstate(over="ignore", invalid="ignore"):
+        while k < steps and s.row.size:
+            beta = s.w_p * s.w_p - s.w_m * s.w_m
+            rbar = matvecs(Xbar, beta) - Ybar
+            loss = 0.5 * dots(rbar)
+            ok = np.isfinite(loss)
+            keep = settle(ok, k, k, loss) if before else None
+            if k % record_stride == 0:
+                for j in np.flatnonzero(ok):
+                    record(j, k, beta[j], loss[j])
+            if keep is not None:
+                model.keep(keep)
+                beta, rbar, loss = beta[keep], rbar[keep], loss[keep]
+            model.step(k, beta, rbar, loss)
+            if not before:
+                ok &= np.isfinite(s.w_p).all(1) & np.isfinite(s.w_m).all(1)
+                keep = settle(ok, k, k + 1, loss)
+                if keep is not None:
+                    model.keep(keep)
+            k += 1
+    for j in range(s.row.size):
+        finish(j, k, False)
+    return out[:fail + 1]
 
 
 class DiscreteRun(NamedTuple):
@@ -258,6 +304,99 @@ class DiscreteRun(NamedTuple):
     cfg: OptimizerConfig
     sched: NoiseSchedule
     rng: RngStream
+
+
+class _Discrete:
+    """The multiplicative update of dln_discrete_step on the rows of a
+    discrete ensemble."""
+
+    stops_before_step = False
+    snapshot = ()
+
+    def __init__(self, ds: Dataset, runs: list, P: Mat | None):
+        gamma, batch = runs[0].cfg.gamma, runs[0].cfg.batch
+        for run in runs:
+            _check_discrete(run.cfg, run.sched, ds)
+            if run.cfg.gamma != gamma or run.cfg.batch != batch:
+                raise ValueError("ensemble rows must share gamma and batch")
+            if run.state.w_plus.shape != (ds.d,):
+                raise ValueError("state dimension does not match the dataset")
+        self.gamma, self.batch, self.P = gamma, batch, P
+        # the dataset's arrays, fetched once: n, d and Ybar are properties
+        self.n, self.d, self.X, self.Y, self.XbarT = ds.n, ds.d, ds.X, ds.Y, ds.Xbar.T
+        self.sqrt_n = math.sqrt(ds.n)
+        self.inc_scale = math.sqrt(gamma) * 0.5
+        noisy = [r.cfg.kind == "NoisySGD" and r.sched.sigma > 0 for r in runs]
+        full = [r.cfg.kind == "GD" or batch == ds.n for r in runs]
+        # Rows are held full-batch first, then noise-free before noisy, so
+        # that each branch is a contiguous slice of the arrays: noisy rows are
+        # minibatch rows unless every row is full-batch. s.row maps back to
+        # the caller's order.
+        order = sorted(range(len(runs)), key=lambda r: (not full[r], noisy[r]))
+        runs_in = [runs[r] for r in order]
+        self.s = _rows(order, [r.state for r in runs_in],
+                       rng=np.array([r.rng for r in runs_in], dtype=object),
+                       full=np.array([full[r] for r in order]),
+                       noisy=np.array([noisy[r] for r in order]),
+                       sigma=np.array([r.sched.sigma for r in runs_in]))
+        self.picks = np.zeros((len(runs), batch), dtype=np.int64)
+        self.z_p = np.empty((len(runs), ds.d))
+        self.z_m = np.empty((len(runs), ds.d))
+        self.keep(slice(None))
+
+    def keep(self, mask) -> None:
+        """Drop rows, then regroup: the slices of the full-batch, minibatch
+        and noisy rows, the minibatch row numbers, and each row's draws."""
+        s = self.s
+        s.keep(mask)
+        nf = int(s.full.sum())
+        noisy = np.flatnonzero(s.noisy)
+        self.full, self.mini = slice(0, nf), slice(nf, s.row.size)
+        self.noisy = slice(noisy[0], noisy[-1] + 1) if noisy.size else None
+        self.mini_rows = np.arange(s.row.size - nf)
+        self.plan = list(zip(s.rng, (~s.full).tolist(), s.noisy.tolist()))
+
+    def step(self, k, beta, rbar, loss) -> None:
+        s, n, d, gamma, batch = self.s, self.n, self.d, self.gamma, self.batch
+        full, mini, ls, picks, z_p, z_m = (self.full, self.mini, self.noisy,
+                                           self.picks, self.z_p, self.z_m)
+        # per-row draws, in dln_discrete_step's order: indices, Z_+, Z_-
+        for j, (rng, draws_idx, noisy) in enumerate(self.plan):
+            if draws_idx:
+                picks[j] = rng.indices(n, batch)
+            if noisy:
+                z_p[j] = rng.normal(d)
+                z_m[j] = rng.normal(d)
+
+        if self.mini_rows.size:
+            idx = picks[mini]
+            if batch == 1:
+                i = idx[:, 0]
+                a = self.X[i] * (self.sqrt_n * rbar[mini][self.mini_rows, i])[:, None]
+            else:
+                rows = self.X[idx]
+                a = matvecs(rows.transpose(0, 2, 1),
+                            matvecs(rows, beta[mini]) - self.Y[idx]) / batch
+            if full.stop:
+                a = np.concatenate((matvecs(self.XbarT, rbar[full]), a))
+        else:
+            a = matvecs(self.XbarT, rbar)
+        drift = 2.0 * gamma * a
+        mult_p = 1.0 - drift
+        mult_m = 1.0 + drift
+        if ls is not None:
+            sigma_t = 2.0 * s.sigma[ls] * np.sqrt(loss[ls])
+            coef = (gamma * sigma_t)[:, None]
+            mult_p[ls] += coef * z_p[ls]
+            mult_m[ls] -= coef * z_m[ls]
+            if self.P is not None:
+                inc = self.inc_scale * (z_p[ls] + z_m[ls])
+                s.r_acc[ls] += (s.sigma[ls] * np.sqrt(gamma * loss[ls]))[:, None] * (
+                    inc - matvecs(self.P, inc))
+        s.w_p = s.w_p * mult_p
+        s.w_m = s.w_m * mult_m
+        s.time = s.time + gamma
+        s.li = s.li + gamma * loss
 
 
 def run_dln_discrete_ensemble(ds: Dataset, runs, steps: int, record_stride: int = 100,
@@ -271,170 +410,22 @@ def run_dln_discrete_ensemble(ds: Dataset, runs, steps: int, record_stride: int 
     per row. Each row gets a Trajectory of pre-step snapshots every
     record_stride steps plus the final iterate, with meta "steps" (integer
     step indices), "final_state", "converged" and "steps_run". When P is
-    given, each loss-scaled noisy step adds
+    given, each noisy step adds
     sigma sqrt(gamma L) (I - P) sqrt(gamma) (Z_+ + Z_-) / 2 to the row's
     r_acc, the realized out-of-row-span noise. A row stops early once its
     loss sits at or below 1e-12 for 100 straight steps; the step that
     completes the streak is still applied.
 
     Returns one entry per row, in order. A row that leaves the finite range
-    ends the list with its DivergenceError in place of a Trajectory, and the
-    rows after it are dropped: the list stops where a sequential loop over the
-    rows would have raised first.
+    ends the list with its DivergenceError in place of a Trajectory, naming
+    the step whose update left the range, and the rows after it are dropped:
+    the list stops where a sequential loop over the rows would have raised
+    first.
     """
     runs = list(runs)
     if not runs:
         return []
-    gamma, batch = runs[0].cfg.gamma, runs[0].cfg.batch
-    for run in runs:
-        _check_discrete(run.cfg, ds)
-        if run.cfg.gamma != gamma or run.cfg.batch != batch:
-            raise ValueError("ensemble rows must share gamma and batch")
-        if run.state.w_plus.shape != (ds.d,):
-            raise ValueError("state dimension does not match the dataset")
-        if run.cfg.kind == "NoisySGD" and run.sched.kind == "general":
-            run.sched.check_budget(gamma, steps)
-    n, d = ds.n, ds.d
-    X, Y, Xbar, Ybar, XbarT = ds.X, ds.Y, ds.Xbar, ds.Ybar, ds.Xbar.T
-    ref = _dist_reference(ds)
-    sqrt_n = math.sqrt(n)
-    inc_scale = math.sqrt(gamma) * 0.5
-    # noise per row: 0 none, 1 loss-scaled (sigma > 0), 2 general table
-    noise = [0 if r.cfg.kind != "NoisySGD" else 2 if r.sched.kind == "general"
-             else int(r.sched.sigma > 0) for r in runs]
-    full = [r.cfg.kind == "GD" or batch == n for r in runs]
-    # Rows are held full-batch first, then by noise branch, so that each
-    # branch is a contiguous slice of the arrays: noisy rows are minibatch
-    # rows unless every row is full-batch. s.row maps back to the caller's order.
-    order = sorted(range(len(runs)), key=lambda r: (not full[r], noise[r]))
-    runs_in = [runs[r] for r in order]
-    s = Rows(
-        row=np.array(order),
-        run=_objects(runs_in),
-        full=np.array([full[r] for r in order]),
-        noise=np.array([noise[r] for r in order]),
-        sigma=np.array([r.sched.sigma for r in runs_in]),
-        w_p=np.array([r.state.w_plus for r in runs_in]),
-        w_m=np.array([r.state.w_minus for r in runs_in]),
-        step0=np.array([r.state.step for r in runs_in]),
-        time=np.array([r.state.time for r in runs_in], dtype=float),
-        li=np.array([r.state.loss_integral for r in runs_in], dtype=float),
-        nsq=np.array([r.state.noise_sq_integral for r in runs_in], dtype=float),
-        r_acc=np.array([r.state.r_acc for r in runs_in], dtype=float),
-        streak=np.zeros(len(runs), dtype=int),
-    )
-    trajs = [_trajectory() for _ in runs]
-    out = [None] * len(runs)
-    fail = len(runs)  # first row, in the caller's order, that diverged
-
-    def finish(j: int, done: int, stopped: bool) -> None:
-        state = DlnState(w_plus=s.w_p[j].copy(), w_minus=s.w_m[j].copy(),
-                         step=int(s.step0[j]) + done, time=float(s.time[j]),
-                         loss_integral=float(s.li[j]), r_acc=s.r_acc[j].copy(),
-                         noise_sq_integral=float(s.nsq[j]))
-        traj = trajs[s.row[j]]
-        beta = state.beta()
-        _record(traj, state.step, state.time, beta, dln_loss(beta, ds),
-                state.loss_integral, state.r_acc, ref)
-        traj.meta.update(final_state=state, converged=stopped, steps_run=done)
-        out[s.row[j]] = traj
-
-    def groups():
-        """Slices of the full-batch, minibatch, loss-scaled and general rows,
-        the minibatch row numbers, and each row's draws."""
-        nf = int(s.full.sum())
-        ls, gen = (np.flatnonzero(s.noise == z) for z in (1, 2))
-        plan = [(run.rng, not f, z == 1) for run, f, z in zip(s.run, s.full, s.noise)]
-        return (slice(0, nf), slice(nf, s.row.size),
-                slice(ls[0], ls[-1] + 1) if ls.size else None,
-                range(gen[0], gen[-1] + 1) if gen.size else (),
-                np.arange(s.row.size - nf), plan)
-
-    full, mini, ls, gen, mini_rows, plan = groups()
-    picks = np.zeros((len(runs), batch), dtype=np.int64)
-    z_p = np.empty((len(runs), d))
-    z_m = np.empty((len(runs), d))
-    k = 0
-    # a diverging row computes with non-finite values until it is dropped
-    with np.errstate(over="ignore", invalid="ignore"):
-        while k < steps and s.row.size:
-            beta = s.w_p * s.w_p - s.w_m * s.w_m
-            rbar = matvecs(Xbar, beta) - Ybar
-            loss = 0.5 * dots(rbar)
-            if k % record_stride == 0:
-                for j, row in enumerate(s.row):
-                    _record(trajs[row], s.step0[j] + k, s.time[j], beta[j], loss[j],
-                            s.li[j], s.r_acc[j], ref)
-
-            # per-row draws, in dln_discrete_step's order: indices, Z_+, Z_-
-            # (a general table's rows draw their Z below)
-            for j, (rng, draws_idx, noisy) in enumerate(plan):
-                if draws_idx:
-                    picks[j] = rng.indices(n, batch)
-                if noisy:
-                    z_p[j] = rng.normal(d)
-                    z_m[j] = rng.normal(d)
-
-            if mini_rows.size:
-                idx = picks[mini]
-                if batch == 1:
-                    i = idx[:, 0]
-                    a = X[i] * (sqrt_n * rbar[mini][mini_rows, i])[:, None]
-                else:
-                    rows = X[idx]
-                    a = matvecs(rows.transpose(0, 2, 1),
-                                matvecs(rows, beta[mini]) - Y[idx]) / batch
-                if full.stop:
-                    a = np.concatenate((matvecs(XbarT, rbar[full]), a))
-            else:
-                a = matvecs(XbarT, rbar)
-            drift = 2.0 * gamma * a
-            mult_p = 1.0 - drift
-            mult_m = 1.0 + drift
-            if ls is not None:
-                sigma_t = 2.0 * s.sigma[ls] * np.sqrt(loss[ls])
-                coef = (gamma * sigma_t)[:, None]
-                mult_p[ls] += coef * z_p[ls]
-                mult_m[ls] -= coef * z_m[ls]
-                s.nsq[ls] += gamma * (sigma_t * sigma_t)
-                if P is not None:
-                    inc = inc_scale * (z_p[ls] + z_m[ls])
-                    s.r_acc[ls] += (s.sigma[ls] * np.sqrt(gamma * loss[ls]))[:, None] * (
-                        inc - matvecs(P, inc))
-            for j in gen:
-                run = s.run[j]
-                mat = run.sched.matrix_at(int(s.step0[j]) + k)
-                mult_p[j] += gamma * (mat.T @ run.rng.normal(mat.shape[0]))
-                mult_m[j] -= gamma * (mat.T @ run.rng.normal(mat.shape[0]))
-                s.nsq[j] += gamma * float(np.sum(mat * mat))
-
-            s.w_p = s.w_p * mult_p
-            s.w_m = s.w_m * mult_m
-            s.time = s.time + gamma
-            s.li = s.li + gamma * loss
-            keep = (np.isfinite(loss) & np.isfinite(s.w_p).all(1)
-                    & np.isfinite(s.w_m).all(1))
-            drop = not keep.all()
-            if drop:
-                for j in np.flatnonzero(~keep):
-                    if s.row[j] < fail:
-                        fail = s.row[j]
-                        out[fail] = DivergenceError(int(s.step0[j]) + k)
-                keep &= s.row < fail
-            if early_stop:
-                s.streak = (s.streak + 1) * (loss <= CONVERGED_LOSS)
-                if s.streak.max() >= CONVERGED_STREAK:
-                    for j in np.flatnonzero(keep & (s.streak >= CONVERGED_STREAK)):
-                        finish(j, k + 1, True)
-                        keep[j] = False
-                        drop = True
-            k += 1
-            if drop:
-                s.keep(keep)
-                full, mini, ls, gen, mini_rows, plan = groups()
-    for j in range(s.row.size):
-        finish(j, k, False)
-    return out[:fail + 1]
+    return _drive(ds, _Discrete(ds, runs, P), steps, record_stride, early_stop)
 
 
 def run_dln_discrete(ds: Dataset, state: DlnState, cfg: OptimizerConfig,
@@ -453,12 +444,64 @@ def run_dln_discrete(ds: Dataset, state: DlnState, cfg: OptimizerConfig,
     return traj.meta["final_state"], traj
 
 
-# SDE noise draw-ahead. Loss-scaled runs hold at most DRAW_AHEAD steps of
-# N(0, I_{n+d}) vectors at once, over all rows together. A general schedule
-# alternates blocks of GENERAL_BLOCK steps of xi and of its own normals in
-# each row's stream, so those rows draw whole blocks.
+# SDE noise draw-ahead: the rows hold at most DRAW_AHEAD steps of
+# N(0, I_{n+d}) vectors at once, over all rows together.
 DRAW_AHEAD = 1024
-GENERAL_BLOCK = 4096
+
+
+class _Sde:
+    """The geometric Euler-Maruyama step of simulate_dln_sde_ensemble."""
+
+    stops_before_step = True
+    snapshot = ("eta", "delta")
+
+    def __init__(self, ds: Dataset, alpha, sigma: float, gamma: float, h: float,
+                 steps: int, rngs: list):
+        R, d = len(rngs), ds.d
+        self.sigma, self.gamma, self.h, self.steps = sigma, gamma, h, steps
+        self.n, self.d, self.XbarT = ds.n, d, ds.Xbar.T  # n and d are properties
+        self.P = row_space_projector(ds.X)
+        self.sqh = math.sqrt(h)
+        # per-coordinate noise variance of the shared path is 4 gamma L h (diag + sigma^2)
+        self.var_fac = 4.0 * gamma * h * (np.sum(ds.Xbar * ds.Xbar, axis=0) + sigma * sigma)
+        self.chunk = max(1, DRAW_AHEAD // R)
+        self.s = _rows(range(R), [dln_init(alpha, d)] * R, rng=np.array(rngs, dtype=object),
+                       eta=np.zeros((R, d)), delta=np.zeros((R, d)),
+                       xi=None)  # drawn noise chunk, (rows, steps, n + d)
+        self.keep = self.s.keep  # no row groups to rebuild
+
+    def step(self, k, beta, rbar, loss) -> None:
+        s, n, d, h, sigma, sqh = self.s, self.n, self.d, self.h, self.sigma, self.sqh
+        XbarT = self.XbarT
+        j = k % self.chunk
+        if j == 0:
+            # the chunk is a row array, so it is compacted with the rows
+            count = min(self.chunk, self.steps - k)
+            s.xi = None  # release the spent chunk before drawing
+            s.xi = np.empty((s.row.size, count, n + d))
+            for i, rng in enumerate(s.rng):
+                s.xi[i] = rng.normal((count, n + d))
+
+        g = 2.0 * h * matvecs(XbarT, rbar)
+        root = np.sqrt(self.gamma * loss)
+        amp = 2.0 * root * sqh
+        xi = s.xi[:, j]
+        m_x = amp[:, None] * matvecs(XbarT, xi[:, :n])
+        c = g - m_x
+        v = self.var_fac * loss[:, None]
+        s.eta = s.eta - g + m_x
+        if sigma > 0:
+            m_i = (amp * sigma)[:, None] * xi[:, n:]
+            inc = sqh * xi[:, n:]
+            s.r_acc = s.r_acc + (sigma * root)[:, None] * (inc - matvecs(self.P, inc))
+            c = c - m_i
+            s.delta = s.delta + m_i
+        fade = np.exp(-0.5 * v)
+        grow = np.exp(-c)
+        s.w_p = s.w_p * (fade * grow)
+        s.w_m = s.w_m * (fade / grow)
+        s.li = s.li + h * loss
+        s.time[:] = (k + 1) * h  # k h exactly, as the records state it
 
 
 def simulate_dln_sde_ensemble(ds: Dataset, alpha, sched: NoiseSchedule, gamma: float,
@@ -485,156 +528,22 @@ def simulate_dln_sde_ensemble(ds: Dataset, alpha, sched: NoiseSchedule, gamma: f
     from the drift and data-noise block, delta from the isotropic block) so
     the hyperbolic closed form can be checked externally.
 
-    Each row draws its xi ahead in chunks from its own stream. A loss-scaled
-    stream is one sequence of normals however it is chunked, so the chunks
-    hold DRAW_AHEAD steps over all rows together, whatever the row count.
+    Each row draws its xi ahead in chunks from its own stream. A stream is
+    one sequence of normals however it is chunked, so the chunks hold
+    DRAW_AHEAD steps over all rows together, whatever the row count.
 
-    Returns one Trajectory per row, in order; a row that leaves the finite
-    range ends the list with its DivergenceError, as for
-    run_dln_discrete_ensemble.
+    Each step first judges the pre-step loss: a row stops, unstepped, once it
+    sits at or below 1e-12 for 100 straight steps, and fails if it is not
+    finite. Returns one Trajectory per row, in order; a row that fails ends
+    the list with its DivergenceError, as for run_dln_discrete_ensemble.
     """
     if steps < 0 or h <= 0 or gamma <= 0:
         raise ValueError("need positive gamma, h and nonnegative steps")
-    sched.check_budget(h, steps)
     rngs = list(rngs)
     if not rngs:
         return []
-    init = dln_init(alpha, ds.d)
-    general = sched.kind == "general"
-    sigma = 0.0 if general else sched.sigma
-    n, d = ds.n, ds.d
-    Xbar, Ybar, XbarT = ds.Xbar, ds.Ybar, ds.Xbar.T
-    P = row_space_projector(ds.X)
-    ref = _dist_reference(ds)
-    sqh = math.sqrt(h)
-    # per-coordinate noise variance of the shared path is 4 gamma L h (diag + sigma^2)
-    var_fac = 4.0 * gamma * h * (np.sum(Xbar * Xbar, axis=0) + sigma * sigma)
-    nsq_fac = h * 4.0 * sigma * sigma
-    R = len(rngs)
-    s = Rows(
-        row=np.arange(R),
-        rng=_objects(rngs),
-        w_p=np.tile(init.w_plus, (R, 1)),
-        w_m=np.tile(init.w_minus, (R, 1)),
-        eta=np.zeros((R, d)),
-        delta=np.zeros((R, d)),
-        r_acc=np.zeros((R, d)),
-        li=np.zeros(R),
-        nsq=np.zeros(R),
-        streak=np.zeros(R, dtype=int),
-        xi=None,  # drawn noise chunk, (rows, steps, n + d)
-        z=None,  # a general schedule's own normals, (rows, steps, p)
-    )
-    trajs = []
-    for _ in range(R):
-        traj = _trajectory()
-        traj.meta["checkpoints"] = []
-        trajs.append(traj)
-    out = [None] * R
-    fail = R
-    last_recorded = -1
-
-    def record(j: int, k: int, beta: Vec, loss: float) -> None:
-        traj = trajs[s.row[j]]
-        li = float(s.li[j])
-        _record(traj, k, k * h, beta, loss, li, s.r_acc[j], ref)
-        traj.meta["checkpoints"].append({
-            "step": k, "time": k * h, "beta": beta.copy(), "eta": s.eta[j].copy(),
-            "delta": s.delta[j].copy(), "loss_integral": li,
-        })
-
-    def finish(j: int, k: int, stopped: bool) -> None:
-        w_p, w_m = s.w_p[j].copy(), s.w_m[j].copy()
-        beta = w_p * w_p - w_m * w_m
-        if last_recorded != k:
-            rbar = Xbar @ beta - Ybar
-            record(j, k, beta, 0.5 * float(rbar @ rbar))
-        traj = trajs[s.row[j]]
-        traj.meta.update(
-            final_state=DlnState(w_plus=w_p, w_minus=w_m, step=k, time=k * h,
-                                 loss_integral=float(s.li[j]), r_acc=s.r_acc[j].copy(),
-                                 noise_sq_integral=float(s.nsq[j])),
-            eta=s.eta[j].copy(), delta=s.delta[j].copy(), converged=stopped,
-            steps_run=k)
-        out[s.row[j]] = traj
-
-    chunk = GENERAL_BLOCK if general else max(1, DRAW_AHEAD // R)
-    k = 0
-    while k < steps and s.row.size:
-        j = k % chunk
-        if j == 0:
-            # the chunk is a row array, so it is compacted with the rows
-            count = min(chunk, steps - k)
-            s.xi = s.z = None  # release the spent chunk before drawing
-            s.xi = np.empty((s.row.size, count, n + d))
-            if general:
-                s.z = np.empty((s.row.size, count, sched.matrices.shape[-2]))
-            for i, rng in enumerate(s.rng):
-                s.xi[i] = rng.normal((count, n + d))
-                if general:
-                    s.z[i] = rng.normal((count, sched.matrices.shape[-2]))
-
-        beta = s.w_p * s.w_p - s.w_m * s.w_m
-        rbar = matvecs(Xbar, beta) - Ybar
-        loss = 0.5 * dots(rbar)
-        keep = np.isfinite(loss)
-        drop = not keep.all()
-        if drop:
-            for i in np.flatnonzero(~keep):
-                if s.row[i] < fail:
-                    fail = s.row[i]
-                    out[fail] = DivergenceError(k)
-            keep &= s.row < fail
-        if k % record_stride == 0:
-            for i in np.flatnonzero(keep):
-                record(i, k, beta[i], loss[i])
-            last_recorded = k
-        if early_stop:
-            s.streak = (s.streak + 1) * (loss <= CONVERGED_LOSS)
-            if s.streak.max() >= CONVERGED_STREAK:
-                for i in np.flatnonzero(keep & (s.streak >= CONVERGED_STREAK)):
-                    finish(i, k, True)
-                    keep[i] = False
-                    drop = True
-        if drop:
-            s.keep(keep)
-            rbar, loss = rbar[keep], loss[keep]
-            if not s.row.size:
-                break
-
-        g = 2.0 * h * matvecs(XbarT, rbar)
-        root = np.sqrt(gamma * loss)
-        amp = 2.0 * root * sqh
-        xi = s.xi[:, j]
-        m_x = amp[:, None] * matvecs(XbarT, xi[:, :n])
-        c = g - m_x
-        v = var_fac * loss[:, None]
-        s.eta = s.eta - g + m_x
-        if sigma > 0:
-            m_i = (amp * sigma)[:, None] * xi[:, n:]
-            inc = sqh * xi[:, n:]
-            s.r_acc = s.r_acc + (sigma * root)[:, None] * (inc - matvecs(P, inc))
-            c = c - m_i
-            s.delta = s.delta + m_i
-        if general:
-            mat = sched.matrix_at(k)
-            m_g = 2.0 * sqh * matvecs(mat.T, s.z[:, j])
-            c = c - m_g
-            s.delta = s.delta + m_g
-            s.r_acc = s.r_acc + 0.5 * (m_g - matvecs(P, m_g))
-            v = v + 4.0 * h * np.sum(mat * mat, axis=0)
-            s.nsq = s.nsq + h * float(np.sum(mat * mat))
-        fade = np.exp(-0.5 * v)
-        grow = np.exp(-c)
-        s.w_p = s.w_p * (fade * grow)
-        s.w_m = s.w_m * (fade / grow)
-        s.li = s.li + h * loss
-        s.nsq = s.nsq + nsq_fac * loss
-        k += 1
-
-    for i in range(s.row.size):
-        finish(i, k, False)
-    return out[:fail + 1]
+    model = _Sde(ds, alpha, sched.sigma, gamma, h, steps, rngs)
+    return _drive(ds, model, steps, record_stride, early_stop)
 
 
 def simulate_dln_sde(ds: Dataset, alpha, sched: NoiseSchedule, gamma: float, h: float,

@@ -33,7 +33,6 @@ from .dln_dynamics import (
     simulate_dln_sde_ensemble,
 )
 from .lsq_dynamics import (
-    KINDS,
     OptimizerConfig,
     simulate_coupled_over,
     simulate_ou_under,
@@ -56,7 +55,14 @@ from .problems import (
 
 EXPERIMENTS = ("bias_order", "limit_distance", "alpha_sweep", "ou_stationary",
                "coupling_bound", "custom")
-MODES = ("discrete", "sde", "ou", "coupling")
+# the optimizer kinds each mode integrates; any other kind would fail mid-run
+# or run another kind's dynamics under its label
+MODE_KINDS = {
+    "discrete": ("GD", "SGD", "NoisySGD"),
+    "sde": ("NoisySGD",),
+    "ou": ("NoisySGD",),
+    "coupling": ("NoisySGD",),
+}
 SIGMA_GRID = (0.0, 0.125, 0.25, 0.5, 1.0)
 ALPHA_SWEEP = (0.1, 0.01)
 OUTDIR_ENV = "NOISELAB_OUTDIR"
@@ -99,14 +105,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        if self.mode not in MODES:
+        if self.mode not in MODE_KINDS:
             raise ValueError(f"unknown mode {self.mode!r}")
         self.kinds = tuple(self.kinds)
         # + 0.0 turns -0.0 into 0.0, whose label "sigma0" the checks look up
         self.sigmas = tuple(float(v) + 0.0 for v in self.sigmas)
         for k in self.kinds:
-            if k not in KINDS:
-                raise ValueError(f"unknown optimizer kind {k!r}")
+            if k not in MODE_KINDS[self.mode]:
+                raise ValueError(f"mode {self.mode} integrates kinds "
+                                 f"{', '.join(MODE_KINDS[self.mode])}, not {k}")
         if not self.kinds or not self.sigmas:
             raise ValueError("kinds and sigmas must be nonempty grids")
         if any(v < 0 for v in self.sigmas):
@@ -382,7 +389,7 @@ def _run_discrete(cfg: ExperimentConfig, record: RunRecord, ds: Dataset) -> None
     for kind in cfg.kinds:
         for sigma in cfg.sigmas:
             cells.append(_cell_label(kind, sigma, multi_kind, multi_sigma))
-            sig = sigma if kind in ("NoisySGD", "DPSGD") else 0.0
+            sig = sigma if kind == "NoisySGD" else 0.0
             opt = OptimizerConfig(kind=kind, gamma=gamma, sigma=sig, batch=cfg.batch)
             sched = NoiseSchedule(sigma=sig)
             runs += [DiscreteRun(dln_init(cfg.alpha0, ds.d), opt, sched,

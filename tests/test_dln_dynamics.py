@@ -18,7 +18,6 @@ from noiselab import (
     dln_init,
     dln_loss,
     effective_alpha,
-    effective_init,
     gen_sparse_regression,
     row_space_projector,
     run_dln_discrete,
@@ -47,55 +46,11 @@ def tiny_instance(seed=3):
 class TestNoiseSchedule:
     def test_defaults(self):
         sched = NoiseSchedule()
-        assert sched.kind == "loss_scaled"
         assert sched.sigma == 0.0
-
-    def test_bad_kind(self):
-        with pytest.raises(ValueError):
-            NoiseSchedule(kind="white")
 
     def test_negative_sigma(self):
         with pytest.raises(ValueError):
             NoiseSchedule(sigma=-0.1)
-
-    def test_general_needs_matrices(self):
-        with pytest.raises(ValueError):
-            NoiseSchedule(kind="general")
-
-    def test_general_rejects_nonfinite(self):
-        M = np.full((2, 3), np.inf)
-        with pytest.raises(ValueError):
-            NoiseSchedule(kind="general", matrices=M)
-
-    def test_budget_constant_table(self):
-        M = np.ones((1, 5))  # squared mass 5 per step
-        sched = NoiseSchedule(kind="general", matrices=M)
-        sched.check_budget(0.01, 10)   # mass 0.5
-        sched.check_budget(0.01, 20)   # mass 1.0, exactly on budget
-        with pytest.raises(ValueError):
-            sched.check_budget(0.01, 21)
-
-    def test_budget_time_varying_table(self):
-        # squared masses per slice: 4.0, 1.0, 0.04; the last slice persists
-        M = np.stack([np.full((1, 4), 1.0), np.full((1, 4), 0.5), np.full((1, 4), 0.1)])
-        sched = NoiseSchedule(kind="general", matrices=M)
-        sched.check_budget(0.1, 3)     # 0.1 * (4 + 1 + 0.04) = 0.504
-        sched.check_budget(0.1, 100)   # + 97 * 0.1 * 0.04 = 0.892
-        with pytest.raises(ValueError):
-            sched.check_budget(0.1, 200)  # 0.504 + 197 * 0.004 = 1.292
-
-    def test_matrix_at_clamps(self):
-        M = np.stack([np.full((1, 2), float(i)) for i in range(3)])
-        sched = NoiseSchedule(kind="general", matrices=M)
-        assert sched.matrix_at(0)[0, 0] == 0.0
-        assert sched.matrix_at(2)[0, 0] == 2.0
-        assert sched.matrix_at(50)[0, 0] == 2.0
-
-    def test_matrix_at_constant(self):
-        M = np.ones((2, 3))
-        sched = NoiseSchedule(kind="general", matrices=M)
-        assert sched.matrix_at(0) is sched.matrices
-        assert sched.matrix_at(123) is sched.matrices
 
 
 class TestDlnInit:
@@ -222,6 +177,13 @@ class TestDiscreteStep:
         assert out.step == 1
         assert out.time == pytest.approx(gamma)
 
+    def test_noisy_sigma_must_match_schedule(self):
+        # the update reads sigma from the schedule; it must not drop cfg.sigma
+        ds = tiny_instance()
+        cfg = OptimizerConfig(kind="NoisySGD", gamma=0.05, sigma=0.5, batch=1)
+        with pytest.raises(ValueError, match="schedule"):
+            dln_discrete_step(dln_init(0.1, ds.d), ds, cfg, NoiseSchedule(), RngStream(0))
+
     def test_dpsgd_unsupported(self):
         ds = tiny_instance()
         cfg = OptimizerConfig(kind="DPSGD", gamma=0.05, clip=1.0)
@@ -342,10 +304,7 @@ def sequential_discrete(ds, run, steps, record_stride, P=None, early_stop=True):
             record(prev)
         if cfg.kind != "GD" and cfg.batch < ds.n:
             twin.indices(ds.n, cfg.batch)
-        if cfg.kind == "NoisySGD" and sched.kind == "general":
-            twin.normal(sched.matrices.shape[-2])
-            twin.normal(sched.matrices.shape[-2])
-        elif cfg.kind == "NoisySGD" and sched.sigma > 0:
+        if cfg.kind == "NoisySGD" and sched.sigma > 0:
             z_p, z_m = twin.normal(ds.d), twin.normal(ds.d)
             if P is not None:
                 inc = math.sqrt(cfg.gamma) * 0.5 * (z_p + z_m)
@@ -369,8 +328,8 @@ def assert_same_discrete(traj, ref):
     assert np.array_equal(st.w_plus, state.w_plus)
     assert np.array_equal(st.w_minus, state.w_minus)
     assert np.array_equal(st.r_acc, state.r_acc)
-    assert (st.step, st.time, st.loss_integral, st.noise_sq_integral) == (
-        state.step, state.time, state.loss_integral, state.noise_sq_integral)
+    assert (st.step, st.time, st.loss_integral) == (
+        state.step, state.time, state.loss_integral)
     assert traj.meta["converged"] == stopped
     assert traj.meta["steps_run"] == done
 
@@ -386,42 +345,30 @@ def grid_runs(ds, batch, kinds=("GD", "SGD", "NoisySGD"), sigmas=(0.0, 0.3),
 
 class TestDiscreteEnsemble:
     # budgets chosen so that rows stop early at several different steps
-    # while at least one row runs out of steps
-    @pytest.mark.parametrize("batch,steps", [(1, 5500), (4, 3160)])
+    # while at least one row runs out of steps; stride "stop" is the
+    # steps_run of a stopped row, so that row stops exactly on the record grid
+    @pytest.mark.parametrize("batch,steps,stride", [
+        pytest.param(1, 5500, 50, id="1-5500"), pytest.param(4, 3160, 50, id="4-3160"),
+        pytest.param(1, 5500, "stop", id="1-5500-stop"),
+        pytest.param(4, 3160, "stop", id="4-3160-stop")])
     @pytest.mark.parametrize("with_projector", [False, True])
-    def test_rows_match_sequential_steps(self, batch, steps, with_projector):
+    def test_rows_match_sequential_steps(self, batch, steps, stride, with_projector):
         ds = tiny_instance()
         P = row_space_projector(ds.X) if with_projector else None
+        if stride == "stop":
+            first = run_dln_discrete_ensemble(ds, grid_runs(ds, batch), steps,
+                                              record_stride=50, P=P)
+            stride = next(t.meta["steps_run"] for t in first if t.meta["converged"])
         out = run_dln_discrete_ensemble(ds, grid_runs(ds, batch), steps,
-                                        record_stride=50, P=P)
+                                        record_stride=stride, P=P)
         assert len(out) == 12
         for traj, run in zip(out, grid_runs(ds, batch)):
-            assert_same_discrete(traj, sequential_discrete(ds, run, steps, 50, P))
+            assert_same_discrete(traj, sequential_discrete(ds, run, steps, stride, P))
         stops = {t.meta["steps_run"] for t in out if t.meta["converged"]}
         assert len(stops) >= 3
         assert not all(t.meta["converged"] for t in out)
         if with_projector:
             assert np.linalg.norm(out[-1].meta["final_state"].r_acc) > 0
-
-    def test_general_schedule_rows(self):
-        ds = tiny_instance()
-        g = default_step_size(ds)
-        M = 0.05 * np.stack([np.ones((2, ds.d)), np.full((2, ds.d), 0.5)])
-        cfg = OptimizerConfig(kind="NoisySGD", gamma=g, batch=1)
-
-        def runs():
-            return [DiscreteRun(dln_init(0.2, ds.d), cfg,
-                                NoiseSchedule(kind="general", matrices=M), RngStream(4)),
-                    grid_runs(ds, 1, kinds=("NoisySGD",), sigmas=(0.3,), seeds=(5,))[0],
-                    DiscreteRun(dln_init(0.2, ds.d), cfg,
-                                NoiseSchedule(kind="general", matrices=M), RngStream(6))]
-
-        out = run_dln_discrete_ensemble(ds, runs(), 300, record_stride=40,
-                                        early_stop=False)
-        for traj, run in zip(out, runs()):
-            assert_same_discrete(traj, sequential_discrete(ds, run, 300, 40,
-                                                           early_stop=False))
-        assert out[0].meta["final_state"].noise_sq_integral > 0
 
     def test_first_failing_row_in_order_is_reported(self):
         # row 1 diverges at step 72, row 2 already at step 11: a sequential
@@ -455,12 +402,21 @@ class TestDiscreteEnsemble:
         with pytest.raises(ValueError):
             run_dln_discrete_ensemble(ds, runs, 10)
 
+    def test_noisy_sigma_must_match_schedule(self):
+        # the update reads sigma from the schedule; it must not drop cfg.sigma
+        ds = tiny_instance()
+        state, cfg, _, rng = grid_runs(ds, 1, kinds=("NoisySGD",), sigmas=(0.5,))[0]
+        runs = [DiscreteRun(state, cfg, NoiseSchedule(), rng)]
+        with pytest.raises(ValueError, match="schedule"):
+            run_dln_discrete_ensemble(ds, runs, 10)
+        with pytest.raises(ValueError, match="schedule"):
+            run_dln_discrete(ds, state, cfg, NoiseSchedule(sigma=0.25), 10, rng)
 
-def sde_oracle(ds, alpha, sigma, gamma, h, steps, seed, stride, early_stop=True,
-               matrices=None):
+
+def sde_oracle(ds, alpha, sigma, gamma, h, steps, seed, stride, early_stop=True):
     return sde_reference(ds.Xbar, ds.Ybar, ds.beta_star, row_space_projector(ds.X),
                          alpha, sigma, gamma, h, steps, RngStream(seed), stride,
-                         early_stop, matrices)
+                         early_stop)
 
 
 def assert_same_sde(traj, ref):
@@ -477,7 +433,6 @@ def assert_same_sde(traj, ref):
     assert np.array_equal(traj.meta["eta"], ref["eta"])
     assert np.array_equal(traj.meta["delta"], ref["delta"])
     assert st.loss_integral == ref["loss_integral"]
-    assert st.noise_sq_integral == ref["noise_sq_integral"]
     assert traj.meta["converged"] == ref["converged"]
     assert traj.meta["steps_run"] == ref["steps_run"] == st.step
 
@@ -485,37 +440,34 @@ def assert_same_sde(traj, ref):
 class TestSdeEnsemble:
     # four rows draw their noise in chunks of 256 steps, where a single run
     # drew blocks of 4096; the runs converge after about 3300 to 3700 steps
-    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    # stride "stop" is the steps_run of row 0: its early stop, or else the
+    # whole budget of 4000 steps, falls on the record grid
+    @pytest.mark.parametrize("sigma,stride", [
+        pytest.param(0.0, 70, id="0.0"), pytest.param(0.5, 70, id="0.5"),
+        pytest.param(0.0, "stop", id="0.0-stop"), pytest.param(0.5, "stop", id="0.5-stop")])
     @pytest.mark.parametrize("early_stop", [True, False])
-    def test_rows_match_sequential_loop(self, sigma, early_stop):
+    def test_rows_match_sequential_loop(self, sigma, stride, early_stop):
         ds = tiny_instance()
         g = default_step_size(ds)
         seeds = (0, 1, 2, 3)
-        out = simulate_dln_sde_ensemble(ds, 0.2, NoiseSchedule(sigma=sigma), g, g, 4000,
-                                        [RngStream(s) for s in seeds], record_stride=70,
-                                        early_stop=early_stop)
+
+        def ensemble(stride):
+            return simulate_dln_sde_ensemble(ds, 0.2, NoiseSchedule(sigma=sigma), g, g,
+                                             4000, [RngStream(s) for s in seeds],
+                                             record_stride=stride, early_stop=early_stop)
+
+        if stride == "stop":
+            stride = ensemble(70)[0].meta["steps_run"]
+        out = ensemble(stride)
         assert len(out) == len(seeds)
         for traj, seed in zip(out, seeds):
-            assert_same_sde(traj, sde_oracle(ds, 0.2, sigma, g, g, 4000, seed, 70,
+            assert_same_sde(traj, sde_oracle(ds, 0.2, sigma, g, g, 4000, seed, stride,
                                              early_stop))
         if early_stop:
             assert len({t.meta["steps_run"] for t in out}) == len(seeds)
             assert all(t.meta["converged"] for t in out)
         if sigma > 0:
             assert np.linalg.norm(out[0].meta["final_state"].r_acc) > 0
-
-    def test_general_schedule_keeps_block_interleave(self):
-        # the general schedule draws xi and its own normals in alternating
-        # blocks of 4096 steps; 5000 steps cross one block boundary
-        ds = tiny_instance()
-        g = default_step_size(ds)
-        M = 0.004 * np.ones((2, ds.d))
-        out = simulate_dln_sde_ensemble(ds, 0.2, NoiseSchedule(kind="general", matrices=M),
-                                        g, 0.01, 5000, [RngStream(2), RngStream(3)],
-                                        record_stride=500, early_stop=False)
-        for traj, seed in zip(out, (2, 3)):
-            assert_same_sde(traj, sde_oracle(ds, 0.2, 0.0, g, 0.01, 5000, seed, 500,
-                                             False, M))
 
     def test_first_failing_row_in_order_is_reported(self):
         # at h = 10 gamma seed 7 diverges at step 1443 and seed 1 at step 2;
@@ -604,24 +556,6 @@ class TestSdeIntegrator:
                                 300_000, RngStream(4))
         assert traj.column("loss")[-1] <= 1e-8
 
-    def test_general_budget_enforced(self):
-        ds = tiny_instance()
-        gamma = default_step_size(ds)
-        M = np.ones((1, ds.d))  # mass 10 per unit time
-        sched = NoiseSchedule(kind="general", matrices=M)
-        with pytest.raises(ValueError):
-            simulate_dln_sde(ds, 0.2, sched, gamma, 0.01, 100_000, RngStream(0))
-
-    def test_general_schedule_runs(self):
-        ds = tiny_instance()
-        gamma = default_step_size(ds)
-        M = 0.05 * np.ones((1, ds.d))  # mass 0.025 per unit time
-        sched = NoiseSchedule(kind="general", matrices=M)
-        traj = simulate_dln_sde(ds, 0.2, sched, gamma, 0.01, 2000, RngStream(2),
-                                early_stop=False)
-        assert math.isfinite(traj.column("loss")[-1])
-        assert traj.meta["final_state"].noise_sq_integral > 0
-
     def test_bad_arguments(self):
         ds = tiny_instance()
         with pytest.raises(ValueError):
@@ -655,21 +589,3 @@ class TestScaleFormulas:
             effective_alpha(0.0, ds, 0.1, 0.0, 1.0)
         with pytest.raises(ValueError):
             effective_alpha(0.1, ds, 0.1, 0.0, -1.0)
-
-    def test_effective_init_zero_tilt(self):
-        out = effective_init(np.array([0.1, 0.2]), np.zeros(2))
-        assert np.array_equal(out, np.zeros(2))
-
-    def test_effective_init_frozen_point(self):
-        # r = asinh(1)/4 turns the sinh into exactly 1
-        out = effective_init(np.ones(1), np.array([QUARTER_ASINH_ONE]))
-        assert out[0] == pytest.approx(2.0, rel=1e-14)
-
-    def test_effective_init_odd(self):
-        a = np.array([0.3, 0.7])
-        r = np.array([0.2, -1.1])
-        assert np.allclose(effective_init(a, r), -effective_init(a, -r), rtol=1e-15)
-
-    def test_effective_init_rejects_bad_alpha(self):
-        with pytest.raises(ValueError):
-            effective_init(np.array([0.1, 0.0]), np.zeros(2))

@@ -141,6 +141,14 @@ class TestConfig:
                      "no noise", id="ou-zero-noise-cell"),
         pytest.param("mode = ou\nn = 50\nd = 5\nsteps = 1000\nburn_in = 1000\n",
                      "burn_in", id="ou-burn-in-eats-steps"),
+        pytest.param("mode = discrete\nkinds = SGD, DPSGD\nsigmas = 0\n",
+                     "not DPSGD", id="discrete-dpsgd"),
+        pytest.param("experiment = limit_distance\nmode = sde\nkinds = GD\n",
+                     "not GD", id="sde-gd"),
+        pytest.param("mode = ou\nn = 50\nd = 5\nkinds = SGD\n", "not SGD",
+                     id="ou-sgd"),
+        pytest.param("mode = coupling\nn = 10\nd = 20\nkinds = NoisySGD, DPSGD\n",
+                     "not DPSGD", id="coupling-dpsgd"),
     ])
     def test_bad_config_rejected_at_validation(self, text, match):
         with pytest.raises(ValueError, match=match):
