@@ -7,8 +7,6 @@ mirror-descent limit points under the hyperbolic entropy.
 """
 
 from .core_math import (
-    Mat,
-    Vec,
     RngStream,
     Trajectory,
     fmt17,
@@ -28,7 +26,6 @@ from .problems import (
 from .mirror import (
     ConvergenceError,
     PotentialParams,
-    TiltedProblem,
     bregman,
     mu_bound,
     phi_grad,
@@ -40,10 +37,8 @@ from .mirror import (
     solve_tilted_ensemble,
 )
 from .lsq_dynamics import (
-    EtaReport,
     LsqState,
     OptimizerConfig,
-    StationaryLaw,
     clip,
     eta_bound_rhs,
     lsq_discrete_step,
@@ -55,7 +50,6 @@ from .dln_dynamics import (
     DiscreteRun,
     DivergenceError,
     DlnState,
-    NoiseSchedule,
     dln_discrete_step,
     dln_init,
     dln_loss,
@@ -66,10 +60,7 @@ from .dln_dynamics import (
     simulate_dln_sde_ensemble,
 )
 from .harness import (
-    ALPHA_SWEEP,
     EXPERIMENTS,
-    LIMIT_DISTANCE_FLOOR,
-    SIGMA_GRID,
     ExperimentConfig,
     RunRecord,
     aggregate,

@@ -143,8 +143,6 @@ def spectral_norm(M: Mat) -> float:
     if M.size == 0:
         raise ValueError("empty matrix")
     _require_finite("M", M)
-    if M.ndim == 1:
-        M = M[None, :]
     return float(np.linalg.svd(M, compute_uv=False)[0])
 
 

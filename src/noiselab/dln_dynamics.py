@@ -2,10 +2,11 @@
 
 Discrete updates are exact minibatch SGD on the reparametrized risk, written in
 multiplicative form, with optional loss-scaled Gaussian noise multiplying the
-weights. The SDE integrator drives both weight signs with one shared Brownian
-path, mirrored, which is what makes the hyperbolic closed form of the iterate
-hold along the trajectory. The loss is the normalized empirical risk
-L(beta) = (1/2n) sum_i (<beta, x_i> - y_i)^2.
+weights; an OptimizerConfig (kind, gamma, sigma, batch) fixes a discrete run,
+and the SDE takes its sigma as an argument. The SDE integrator drives both
+weight signs with one shared Brownian path, mirrored, which is what makes the
+hyperbolic closed form of the iterate hold along the trajectory. The loss is
+the normalized empirical risk L(beta) = (1/2n) sum_i (<beta, x_i> - y_i)^2.
 
 Both models step many runs at once as the rows of one (rows, d) weight pair,
 through one time loop, _drive. It owns the per-row records, the early stop,
@@ -22,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core_math import (
-    Mat, RngStream, Rows, Trajectory, Vec, dots, matvecs, min_norm_solve, row_space_projector,
+    RngStream, Rows, Trajectory, Vec, dots, matvecs, min_norm_solve, row_space_projector,
 )
 from .lsq_dynamics import OptimizerConfig
 from .problems import Dataset
@@ -41,25 +42,13 @@ class DivergenceError(RuntimeError):
 
 
 @dataclass
-class NoiseSchedule:
-    """Added isotropic noise of the DLN updates, scaled by the loss: the
-    discrete step multiplies its Gaussians by sigma_t = 2 sigma sqrt(L(w_t)),
-    and the SDE adds the block sigma I_d to its diffusion."""
-
-    sigma: float = 0.0
-
-    def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
-
-
-@dataclass
 class DlnState:
     """Weight pair and running diagnostics of one DLN trajectory.
 
-    loss_integral is the left Riemann sum of the loss, r_acc the accumulated
-    out-of-row-span noise. It is the start state of a discrete run, and both
-    ensembles return each row's end state as meta["final_state"].
+    loss_integral is the left Riemann sum of the loss, r_acc the out-of-row-span
+    noise that the SDE accumulates (a discrete run carries it unchanged). It
+    is the start state of a discrete run, and both ensembles return each
+    row's end state as meta["final_state"].
     """
 
     w_plus: Vec
@@ -99,16 +88,11 @@ def dln_loss(beta: Vec, ds: Dataset) -> float:
     return 0.5 * float(r @ r)
 
 
-def _check_discrete(cfg: OptimizerConfig, sched: NoiseSchedule, ds: Dataset) -> None:
+def _check_discrete(cfg: OptimizerConfig, ds: Dataset) -> None:
     if cfg.kind not in ("GD", "SGD", "NoisySGD"):
         raise ValueError(f"unsupported optimizer kind for this model: {cfg.kind!r}")
     if cfg.batch > ds.n:
         raise ValueError("batch exceeds dataset size")
-    # the update reads sigma from the schedule, so a different cfg.sigma
-    # would be silently ignored
-    if cfg.kind == "NoisySGD" and cfg.sigma != sched.sigma:
-        raise ValueError(f"NoisySGD sigma {cfg.sigma:g} differs from its "
-                         f"schedule's sigma {sched.sigma:g}")
 
 
 def _batch_gradient(ds: Dataset, beta: Vec, rbar: Vec, cfg: OptimizerConfig, rng: RngStream) -> Vec:
@@ -124,18 +108,18 @@ def _batch_gradient(ds: Dataset, beta: Vec, rbar: Vec, cfg: OptimizerConfig, rng
 
 
 def dln_discrete_step(state: DlnState, ds: Dataset, cfg: OptimizerConfig,
-                      sched: NoiseSchedule, rng: RngStream) -> DlnState:
+                      rng: RngStream) -> DlnState:
     """One multiplicative update of the weight pair.
 
     w_{+} <- w_{+} (1 - 2 gamma a_t + gamma sigma_t Z_+), and mirrored with
     independent Z_- for w_{-}, where a_t is the minibatch gradient estimate
-    and sigma_t comes from the schedule, whose sigma a NoisySGD cfg must
-    repeat. GD drops both stochastic terms, SGD drops the Z term. Draw order:
+    and sigma_t = 2 cfg.sigma sqrt(L(w_t)) scales the isotropic noise by the
+    loss. GD drops both stochastic terms, SGD drops the Z term. Draw order:
     batch indices, then Z_+, then Z_-. This is the single-step reference that
     run_dln_discrete_ensemble reproduces row by row; r_acc is carried over
     unchanged.
     """
-    _check_discrete(cfg, sched, ds)
+    _check_discrete(cfg, ds)
     w_p, w_m = state.w_plus, state.w_minus
     beta = w_p * w_p - w_m * w_m
     rbar = ds.Xbar @ beta - ds.Ybar
@@ -148,8 +132,8 @@ def dln_discrete_step(state: DlnState, ds: Dataset, cfg: OptimizerConfig,
     mult_p = 1.0 - drift
     mult_m = 1.0 + drift
 
-    if cfg.kind == "NoisySGD" and sched.sigma > 0:
-        sigma_t = 2.0 * sched.sigma * math.sqrt(loss)
+    if cfg.kind == "NoisySGD" and cfg.sigma > 0:
+        sigma_t = 2.0 * cfg.sigma * math.sqrt(loss)
         z_p = rng.normal(ds.d)
         z_m = rng.normal(ds.d)
         mult_p = mult_p + cfg.gamma * sigma_t * z_p
@@ -176,8 +160,6 @@ def effective_alpha(alpha0: Vec, ds: Dataset, gamma: float, sigma: float,
     if np.any(alpha0 <= 0) or loss_integral < 0:
         raise ValueError("need alpha0 > 0 and a nonnegative loss integral")
     col = np.sum(ds.Xbar * ds.Xbar, axis=0)
-    if alpha0.size == 1:
-        alpha0 = np.full(ds.d, alpha0[0])
     return alpha0 * np.exp(-2.0 * gamma * sigma * sigma * loss_integral) * np.exp(
         -2.0 * gamma * col * loss_integral
     )
@@ -298,11 +280,10 @@ def _drive(ds: Dataset, model, steps: int, record_stride: int, early_stop: bool)
 
 
 class DiscreteRun(NamedTuple):
-    """One row of a discrete ensemble: start state, optimizer, schedule, stream."""
+    """One row of a discrete ensemble: start state, optimizer, stream."""
 
     state: DlnState
     cfg: OptimizerConfig
-    sched: NoiseSchedule
     rng: RngStream
 
 
@@ -313,20 +294,19 @@ class _Discrete:
     stops_before_step = False
     snapshot = ()
 
-    def __init__(self, ds: Dataset, runs: list, P: Mat | None):
+    def __init__(self, ds: Dataset, runs: list):
         gamma, batch = runs[0].cfg.gamma, runs[0].cfg.batch
         for run in runs:
-            _check_discrete(run.cfg, run.sched, ds)
+            _check_discrete(run.cfg, ds)
             if run.cfg.gamma != gamma or run.cfg.batch != batch:
                 raise ValueError("ensemble rows must share gamma and batch")
             if run.state.w_plus.shape != (ds.d,):
                 raise ValueError("state dimension does not match the dataset")
-        self.gamma, self.batch, self.P = gamma, batch, P
-        # the dataset's arrays, fetched once: n, d and Ybar are properties
+        self.gamma, self.batch = gamma, batch
+        # the dataset's arrays, bound once for the step loop
         self.n, self.d, self.X, self.Y, self.XbarT = ds.n, ds.d, ds.X, ds.Y, ds.Xbar.T
         self.sqrt_n = math.sqrt(ds.n)
-        self.inc_scale = math.sqrt(gamma) * 0.5
-        noisy = [r.cfg.kind == "NoisySGD" and r.sched.sigma > 0 for r in runs]
+        noisy = [r.cfg.kind == "NoisySGD" and r.cfg.sigma > 0 for r in runs]
         full = [r.cfg.kind == "GD" or batch == ds.n for r in runs]
         # Rows are held full-batch first, then noise-free before noisy, so
         # that each branch is a contiguous slice of the arrays: noisy rows are
@@ -338,7 +318,7 @@ class _Discrete:
                        rng=np.array([r.rng for r in runs_in], dtype=object),
                        full=np.array([full[r] for r in order]),
                        noisy=np.array([noisy[r] for r in order]),
-                       sigma=np.array([r.sched.sigma for r in runs_in]))
+                       sigma=np.array([r.cfg.sigma for r in runs_in]))
         self.picks = np.zeros((len(runs), batch), dtype=np.int64)
         self.z_p = np.empty((len(runs), ds.d))
         self.z_m = np.empty((len(runs), ds.d))
@@ -389,10 +369,6 @@ class _Discrete:
             coef = (gamma * sigma_t)[:, None]
             mult_p[ls] += coef * z_p[ls]
             mult_m[ls] -= coef * z_m[ls]
-            if self.P is not None:
-                inc = self.inc_scale * (z_p[ls] + z_m[ls])
-                s.r_acc[ls] += (s.sigma[ls] * np.sqrt(gamma * loss[ls]))[:, None] * (
-                    inc - matvecs(self.P, inc))
         s.w_p = s.w_p * mult_p
         s.w_m = s.w_m * mult_m
         s.time = s.time + gamma
@@ -400,21 +376,18 @@ class _Discrete:
 
 
 def run_dln_discrete_ensemble(ds: Dataset, runs, steps: int, record_stride: int = 100,
-                              P: Mat | None = None, early_stop: bool = True) -> list:
+                              early_stop: bool = True) -> list:
     """Step many discrete runs at once as the rows of one (rows, d) weight pair.
 
     Every row is bitwise the run that iterating dln_discrete_step from its
     start state would give: its stream draws in the same order and sizes, and
     the arithmetic is the same elementwise, with one gemv or dot call per row
-    for each product. Rows must share gamma and batch; kind and schedule are
-    per row. Each row gets a Trajectory of pre-step snapshots every
-    record_stride steps plus the final iterate, with meta "steps" (integer
-    step indices), "final_state", "converged" and "steps_run". When P is
-    given, each noisy step adds
-    sigma sqrt(gamma L) (I - P) sqrt(gamma) (Z_+ + Z_-) / 2 to the row's
-    r_acc, the realized out-of-row-span noise. A row stops early once its
-    loss sits at or below 1e-12 for 100 straight steps; the step that
-    completes the streak is still applied.
+    for each product. Rows must share gamma and batch; kind and sigma are per
+    row. Each row gets a Trajectory of pre-step snapshots every record_stride
+    steps plus the final iterate, with meta "steps" (integer step indices),
+    "final_state", "converged" and "steps_run"; r_acc keeps its start value.
+    A row stops early once its loss sits at or below 1e-12 for 100 straight
+    steps; the step that completes the streak is still applied.
 
     Returns one entry per row, in order. A row that leaves the finite range
     ends the list with its DivergenceError in place of a Trajectory, naming
@@ -425,19 +398,17 @@ def run_dln_discrete_ensemble(ds: Dataset, runs, steps: int, record_stride: int 
     runs = list(runs)
     if not runs:
         return []
-    return _drive(ds, _Discrete(ds, runs, P), steps, record_stride, early_stop)
+    return _drive(ds, _Discrete(ds, runs), steps, record_stride, early_stop)
 
 
-def run_dln_discrete(ds: Dataset, state: DlnState, cfg: OptimizerConfig,
-                     sched: NoiseSchedule, steps: int, rng: RngStream,
-                     record_stride: int = 100, P: Mat | None = None,
-                     early_stop: bool = True):
+def run_dln_discrete(ds: Dataset, state: DlnState, cfg: OptimizerConfig, steps: int,
+                     rng: RngStream, record_stride: int = 100, early_stop: bool = True):
     """One run of run_dln_discrete_ensemble; returns (final DlnState, Trajectory).
 
     Raises the run's DivergenceError if it leaves the finite range.
     """
-    traj = run_dln_discrete_ensemble(ds, [DiscreteRun(state, cfg, sched, rng)], steps,
-                                     record_stride=record_stride, P=P,
+    traj = run_dln_discrete_ensemble(ds, [DiscreteRun(state, cfg, rng)], steps,
+                                     record_stride=record_stride,
                                      early_stop=early_stop)[0]
     if isinstance(traj, DivergenceError):
         raise traj
@@ -459,7 +430,7 @@ class _Sde:
                  steps: int, rngs: list):
         R, d = len(rngs), ds.d
         self.sigma, self.gamma, self.h, self.steps = sigma, gamma, h, steps
-        self.n, self.d, self.XbarT = ds.n, d, ds.Xbar.T  # n and d are properties
+        self.n, self.d, self.XbarT = ds.n, d, ds.Xbar.T
         self.P = row_space_projector(ds.X)
         self.sqh = math.sqrt(h)
         # per-coordinate noise variance of the shared path is 4 gamma L h (diag + sigma^2)
@@ -504,12 +475,14 @@ class _Sde:
         s.time[:] = (k + 1) * h  # k h exactly, as the records state it
 
 
-def simulate_dln_sde_ensemble(ds: Dataset, alpha, sched: NoiseSchedule, gamma: float,
+def simulate_dln_sde_ensemble(ds: Dataset, alpha, sigma: float, gamma: float,
                               h: float, steps: int, rngs, record_stride: int = 100,
                               early_stop: bool = True) -> list:
     """Geometric Euler-Maruyama for the mirrored weight SDE, one row per stream.
 
-    Each row integrates from the same start and schedule with its own stream
+    sigma scales the isotropic block sigma I_d of the diffusion, which the
+    loss multiplies like the data block. Each row integrates from the same
+    start and sigma with its own stream
     and shared Brownian path, bitwise as simulate_dln_sde would alone. The
     scheme steps the logarithms of the weights, which stay positive in the
     exact SDE. Per step, with xi ~ N(0, I_{n+d}) and A = (Xbar | sigma I_d):
@@ -537,20 +510,21 @@ def simulate_dln_sde_ensemble(ds: Dataset, alpha, sched: NoiseSchedule, gamma: f
     finite. Returns one Trajectory per row, in order; a row that fails ends
     the list with its DivergenceError, as for run_dln_discrete_ensemble.
     """
-    if steps < 0 or h <= 0 or gamma <= 0:
-        raise ValueError("need positive gamma, h and nonnegative steps")
+    if steps < 0 or h <= 0 or gamma <= 0 or not 0 <= sigma < math.inf:
+        raise ValueError("need positive gamma and h, a finite nonnegative sigma "
+                         "and nonnegative steps")
     rngs = list(rngs)
     if not rngs:
         return []
-    model = _Sde(ds, alpha, sched.sigma, gamma, h, steps, rngs)
+    model = _Sde(ds, alpha, sigma, gamma, h, steps, rngs)
     return _drive(ds, model, steps, record_stride, early_stop)
 
 
-def simulate_dln_sde(ds: Dataset, alpha, sched: NoiseSchedule, gamma: float, h: float,
+def simulate_dln_sde(ds: Dataset, alpha, sigma: float, gamma: float, h: float,
                      steps: int, rng: RngStream, record_stride: int = 100,
                      early_stop: bool = True) -> Trajectory:
     """One row of simulate_dln_sde_ensemble; raises its DivergenceError."""
-    traj = simulate_dln_sde_ensemble(ds, alpha, sched, gamma, h, steps, [rng],
+    traj = simulate_dln_sde_ensemble(ds, alpha, sigma, gamma, h, steps, [rng],
                                      record_stride=record_stride,
                                      early_stop=early_stop)[0]
     if isinstance(traj, DivergenceError):

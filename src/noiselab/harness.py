@@ -24,7 +24,6 @@ from .core_math import RngStream, Trajectory
 from .dln_dynamics import (
     DiscreteRun,
     DivergenceError,
-    NoiseSchedule,
     dln_init,
     effective_alpha,
     run_dln_discrete,  # noqa: F401 -- perfbench/tracer.py wraps this name here
@@ -53,8 +52,12 @@ from .problems import (
     gen_underparam_regression,
 )
 
-EXPERIMENTS = ("bias_order", "limit_distance", "alpha_sweep", "ou_stationary",
-               "coupling_bound", "custom")
+# the one mode whose checks each study writes; a custom run writes none and
+# runs in any mode
+STUDY_MODES = {"bias_order": "discrete", "limit_distance": "sde",
+               "alpha_sweep": "discrete", "ou_stationary": "ou",
+               "coupling_bound": "coupling"}
+EXPERIMENTS = (*STUDY_MODES, "custom")
 # the optimizer kinds each mode integrates; any other kind would fail mid-run
 # or run another kind's dynamics under its label
 MODE_KINDS = {
@@ -107,6 +110,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.mode not in MODE_KINDS:
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.mode != STUDY_MODES.get(self.experiment, self.mode):
+            raise ValueError(f"{self.experiment} writes its checks in mode "
+                             f"{STUDY_MODES[self.experiment]}, not {self.mode}")
         self.kinds = tuple(self.kinds)
         # + 0.0 turns -0.0 into 0.0, whose label "sigma0" the checks look up
         self.sigmas = tuple(float(v) + 0.0 for v in self.sigmas)
@@ -116,14 +122,19 @@ class ExperimentConfig:
                                  f"{', '.join(MODE_KINDS[self.mode])}, not {k}")
         if not self.kinds or not self.sigmas:
             raise ValueError("kinds and sigmas must be nonempty grids")
-        if any(v < 0 for v in self.sigmas):
-            raise ValueError("sigmas must be nonnegative")
+        if not all(0 <= v < math.inf for v in self.sigmas):
+            raise ValueError("sigmas must be finite and nonnegative")
         # each cell writes files named after its kind and sigma
         if (len(set(self.kinds)) < len(self.kinds)
                 or len(set(self.sigmas)) < len(self.sigmas)):
             raise ValueError("kinds and sigmas must not repeat")
-        if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
+        if not (0 <= self.eps < math.inf and 0 <= self.label_noise < math.inf):
+            raise ValueError("eps and label_noise must be finite and nonnegative")
+        if self.n < 1 or self.d < 1:
+            raise ValueError("n and d must be at least 1")
+        # the sparse instance of the other modes plants s of the d coordinates
+        if self.mode != "ou" and not 0 <= self.s <= self.d:
+            raise ValueError("need 0 <= s <= d")
         if self.mode == "ou" and self.n <= self.d:
             raise ValueError("mode ou needs an underparametrized instance, n > d")
         if self.mode == "coupling" and self.d < self.n:
@@ -135,10 +146,13 @@ class ExperimentConfig:
             raise ValueError("seeds, stride, and steps must all be at least 1")
         if self.batch < 1 or self.n_traj < 1:
             raise ValueError("batch and n_traj must be at least 1")
+        if self.mode == "discrete" and self.batch > self.n:
+            raise ValueError("batch exceeds n")
         if self.burn_in < 0 or (self.mode == "ou" and self.burn_in >= self.steps):
             raise ValueError("burn_in must be nonnegative and smaller than steps")
-        if np.any(np.asarray(self.alpha0, dtype=float) <= 0):
-            raise ValueError("alpha0 must be positive")
+        alpha0 = np.asarray(self.alpha0, dtype=float)
+        if not np.all((alpha0 > 0) & (alpha0 < math.inf)):
+            raise ValueError("alpha0 must be positive and finite")
         # the study checks read fixed cells of the grid
         if self.experiment == "bias_order" and (
                 not {"GD", "SGD", "NoisySGD"} <= set(self.kinds) or len(self.sigmas) != 1):
@@ -150,15 +164,11 @@ class ExperimentConfig:
         return self.out or os.environ.get(OUTDIR_ENV, "") or "noiselab-out"
 
 
-# flat key = value config files; every key maps straight onto a config field
-_CASTS = {
-    "experiment": str, "n": int, "d": int, "s": int, "dataset_seed": int,
-    "label_noise": float, "alpha0": float, "batch": int, "mode": str,
-    "eps": float, "burn_in": int, "n_traj": int, "seeds": int,
-    "seed_base": int, "steps": int, "stride": int, "out": str,
-    "kinds": lambda v: tuple(p.strip() for p in v.split(",") if p.strip()),
-    "sigmas": lambda v: tuple(float(p) for p in v.split(",") if p.strip()),
-}
+# flat key = value config files: every key is a config field, read as the type
+# of its default; the two grids are comma-separated lists
+_CASTS = {f.name: type(f.default) for f in fields(ExperimentConfig)}
+_CASTS.update(kinds=lambda v: tuple(p.strip() for p in v.split(",") if p.strip()),
+              sigmas=lambda v: tuple(float(p) for p in v.split(",") if p.strip()))
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -391,9 +401,8 @@ def _run_discrete(cfg: ExperimentConfig, record: RunRecord, ds: Dataset) -> None
             cells.append(_cell_label(kind, sigma, multi_kind, multi_sigma))
             sig = sigma if kind == "NoisySGD" else 0.0
             opt = OptimizerConfig(kind=kind, gamma=gamma, sigma=sig, batch=cfg.batch)
-            sched = NoiseSchedule(sigma=sig)
-            runs += [DiscreteRun(dln_init(cfg.alpha0, ds.d), opt, sched,
-                                 RngStream(cfg.seed_base + i)) for i in range(cfg.seeds)]
+            runs += [DiscreteRun(dln_init(cfg.alpha0, ds.d), opt, RngStream(cfg.seed_base + i))
+                     for i in range(cfg.seeds)]
     trajs = run_dln_discrete_ensemble(ds, runs, cfg.steps, record_stride=cfg.stride)
     for c, label in enumerate(cells):
         dist_curves, loss_curves, cell_finals = [], [], []
@@ -444,7 +453,7 @@ def _run_sde_pipeline(cfg: ExperimentConfig, record: RunRecord, ds: Dataset) -> 
     failed = None  # (label, trajectory or DivergenceError) of the first failing run
     for sigma in cfg.sigmas:
         trajs = simulate_dln_sde_ensemble(
-            ds, cfg.alpha0, NoiseSchedule(sigma=sigma), gamma, gamma, cfg.steps,
+            ds, cfg.alpha0, sigma, gamma, gamma, cfg.steps,
             [RngStream(cfg.seed_base + i) for i in range(cfg.seeds)],
             record_stride=cfg.stride)
         for i, traj in enumerate(trajs):

@@ -50,15 +50,14 @@ class OptimizerConfig:
     batch: int = 1
     clip: float = math.inf
     sde_step: float | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
         if not self.gamma > 0:
             raise ValueError("gamma must be positive")
-        if self.sigma < 0 or self.eps_floor < 0:
-            raise ValueError("sigma and eps_floor must be nonnegative")
+        if not (0 <= self.sigma < math.inf and 0 <= self.eps_floor < math.inf):
+            raise ValueError("sigma and eps_floor must be finite and nonnegative")
         if self.batch < 1:
             raise ValueError("batch must be at least 1")
         if not self.clip > 0:

@@ -1,5 +1,7 @@
 """Hyperbolic-entropy potential: values, derivatives, Bregman geometry, and the
-constrained limit problem solved by mirror descent in the dual space."""
+constrained limit problem, min phi_alpha(beta) - <tilt, beta> subject to
+X beta = Y, solved by mirror descent in the dual space. A limit problem is its
+dataset, scale and tilt, passed to the solvers as they are."""
 
 from __future__ import annotations
 
@@ -30,23 +32,6 @@ class PotentialParams:
         if self.alpha.size == 1:
             return np.full(d, self.alpha[0])
         raise ValueError("alpha length does not match dimension")
-
-
-@dataclass
-class TiltedProblem:
-    """Minimize phi_alpha(beta) - <tilt, beta> subject to X beta = Y."""
-
-    ds: Dataset
-    alpha: PotentialParams
-    tilt: Vec = None
-
-    def __post_init__(self):
-        if self.tilt is None:
-            self.tilt = np.zeros(self.ds.d)
-        self.tilt = np.asarray(self.tilt, dtype=float)
-        if self.tilt.shape != (self.ds.d,):
-            raise ValueError("tilt dimension mismatch")
-        self.alpha.broadcast(self.ds.d)
 
 
 def phi_value(beta: Vec, alpha: PotentialParams) -> float:
@@ -155,20 +140,24 @@ def solve_tilted_ensemble(ds: Dataset, alphas, tilts, max_iters: int = 1_000_000
     budget, cannot start, or converged with a KKT residual above 1e-6.
     """
     d = ds.d
-    probs = [TiltedProblem(ds, alpha, tilt) for alpha, tilt in zip(alphas, tilts, strict=True)]
-    if not probs:
+    alphas = list(alphas)
+    tilts = [np.zeros(d) if t is None else np.asarray(t, dtype=float)
+             for t in tilts]
+    if len(tilts) != len(alphas) or any(t.shape != (d,) for t in tilts):
+        raise ValueError("need one tilt of dimension d per alpha")
+    a = np.array([alpha.broadcast(d) for alpha in alphas])
+    if not alphas:
         return []
     Xbar, XbarT, Ybar = ds.Xbar, ds.Xbar.T, ds.Ybar
     gamma = default_step_size(ds)
     kkt_map = np.eye(d) - row_space_projector(ds.X)
-    a = np.array([p.alpha.broadcast(d) for p in probs])
-    R = len(probs)
+    R = len(alphas)
     s = Rows(
         row=np.arange(R),
         two_a2=2.0 * a**2,
-        tilt=np.array([p.tilt for p in probs]),
+        tilt=np.array(tilts),
         eta=np.array([[gamma / max(1.0, 8.0 * float(np.max(ai) ** 2))] for ai in a]),
-        u=np.array([p.tilt for p in probs]),
+        u=np.array(tilts),
         fresh=np.ones(R, dtype=bool),  # no evaluation since the last (re)start
         loss0=np.zeros(R),  # first loss of the current restart
         floor=np.full(R, np.inf),  # lowest loss of the current restart
@@ -181,7 +170,7 @@ def solve_tilted_ensemble(ds: Dataset, alphas, tilts, max_iters: int = 1_000_000
     any_fresh = True
 
     def kkt_of(i: int, beta: Vec) -> float:
-        alpha = probs[s.row[i]].alpha
+        alpha = alphas[s.row[i]]
         return float(np.linalg.norm(kkt_map @ (phi_grad(beta, alpha) - s.tilt[i])))
 
     def give_up(i: int, message: str) -> None:
@@ -189,7 +178,7 @@ def solve_tilted_ensemble(ds: Dataset, alphas, tilts, max_iters: int = 1_000_000
         if best_loss < np.inf:
             beta = s.best_beta[i].copy()
         else:
-            beta = phi_grad_inverse(s.tilt[i], probs[s.row[i]].alpha)
+            beta = phi_grad_inverse(s.tilt[i], alphas[s.row[i]])
         out[s.row[i]] = ConvergenceError(message, beta, best_loss, kkt_of(i, beta))
 
     def restart(mask) -> None:
@@ -262,14 +251,16 @@ def solve_tilted_ensemble(ds: Dataset, alphas, tilts, max_iters: int = 1_000_000
     return out
 
 
-def solve_tilted(prob: TiltedProblem, max_iters: int = 1_000_000, tol: float = 1e-12) -> Vec:
-    """Solve one tilted problem as a one-row solve_tilted_ensemble.
+def solve_tilted(ds: Dataset, alpha: PotentialParams, tilt: Vec | None = None,
+                 max_iters: int = 1_000_000, tol: float = 1e-12) -> Vec:
+    """Minimize phi_alpha(beta) - <tilt, beta> subject to X beta = Y (a tilt
+    of None is zero), as a one-row solve_tilted_ensemble.
 
     Returns the limit point; raises the row's ConvergenceError when the
     iteration cannot start, runs out of budget, or converges with a KKT
     residual above 1e-6.
     """
-    beta = solve_tilted_ensemble(prob.ds, [prob.alpha], [prob.tilt], max_iters, tol)[0]
+    beta = solve_tilted_ensemble(ds, [alpha], [tilt], max_iters, tol)[0]
     if isinstance(beta, ConvergenceError):
         raise beta
     return beta

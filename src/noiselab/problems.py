@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -11,33 +11,31 @@ from .core_math import Mat, RngStream, Vec, fmt17, min_norm_solve, spectral_norm
 
 @dataclass
 class Dataset:
-    """A regression instance with pre-normalized features.
+    """A regression instance (X, Y, beta_star) and what follows from it.
 
-    Xbar is X / sqrt(n), so the empirical risk reads (1/2)||Xbar @ beta - Ybar||^2
-    with Ybar = Y / sqrt(n). beta_star, when present, interpolates: X @ beta_star = Y.
-    regime records which side of n = d the instance sits on ("under" or "over").
+    Xbar = X / sqrt(n) and Ybar = Y / sqrt(n) are computed once, so the
+    empirical risk reads (1/2)||Xbar @ beta - Ybar||^2. regime records which
+    side of n = d the instance sits on: "over" when d >= n, else "under".
+    beta_star, when present, interpolates: X @ beta_star = Y.
     """
 
     X: Mat
     Y: Vec
-    Xbar: Mat
     beta_star: Vec | None
-    regime: str
+    Xbar: Mat = field(init=False, repr=False)
+    Ybar: Vec = field(init=False, repr=False)
+    regime: str = field(init=False)
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
         self.Y = np.asarray(self.Y, dtype=float)
-        self.Xbar = np.asarray(self.Xbar, dtype=float)
         if self.X.ndim != 2 or self.Y.ndim != 1 or self.X.shape[0] != self.Y.shape[0]:
             raise ValueError("X and Y shapes are inconsistent")
-        if self.Xbar.shape != self.X.shape:
-            raise ValueError("Xbar shape differs from X")
         if not (np.all(np.isfinite(self.X)) and np.all(np.isfinite(self.Y))):
             raise ValueError("non-finite dataset entries")
-        if not np.array_equal(self.Xbar, self.X / np.sqrt(self.X.shape[0])):
-            raise ValueError("Xbar must equal X / sqrt(n) entrywise")
-        if self.regime not in ("under", "over"):
-            raise ValueError("regime must be 'under' or 'over'")
+        self.Xbar = self.X / np.sqrt(self.n)
+        self.Ybar = self.Y / np.sqrt(self.n)
+        self.regime = "over" if self.d >= self.n else "under"
         if self.beta_star is not None:
             self.beta_star = np.asarray(self.beta_star, dtype=float)
             if self.beta_star.shape != (self.X.shape[1],):
@@ -53,10 +51,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.X.shape[1]
-
-    @property
-    def Ybar(self) -> Vec:
-        return self.Y / np.sqrt(self.n)
 
     def theta_ls(self) -> Vec:
         """Minimum-norm least-squares point of the instance."""
@@ -80,8 +74,7 @@ def gen_sparse_regression(n: int, d: int, s: int, rng: RngStream) -> Dataset:
             vals = np.where(vals == 0.0, rng.normal(s), vals)
         beta_star[support] = vals
     Y = X @ beta_star
-    regime = "over" if d >= n else "under"
-    return Dataset(X=X, Y=Y, Xbar=X / np.sqrt(n), beta_star=beta_star, regime=regime)
+    return Dataset(X=X, Y=Y, beta_star=beta_star)
 
 
 def gen_underparam_regression(n: int, d: int, label_noise: float, rng: RngStream) -> Dataset:
@@ -93,7 +86,7 @@ def gen_underparam_regression(n: int, d: int, label_noise: float, rng: RngStream
     X = rng.normal((n, d))
     beta0 = rng.normal(d)
     Y = X @ beta0 + label_noise * rng.normal(n)
-    return Dataset(X=X, Y=Y, Xbar=X / np.sqrt(n), beta_star=None, regime="under")
+    return Dataset(X=X, Y=Y, beta_star=None)
 
 
 def default_step_size(ds: Dataset) -> float:
@@ -133,4 +126,7 @@ def load_dataset(path) -> Dataset:
     beta_star = None
     if len(body) == n + 2:
         beta_star = np.array([float(v) for v in body[n + 1].split()])
-    return Dataset(X=X, Y=Y, Xbar=X / np.sqrt(n), beta_star=beta_star, regime=regime)
+    ds = Dataset(X=X, Y=Y, beta_star=beta_star)
+    if regime != ds.regime:
+        raise ValueError(f"header regime {regime!r} does not match an {n} x {d} instance")
+    return ds

@@ -20,11 +20,9 @@ import numpy as np
 
 from conftest import record_verdict
 from noiselab import (
-    NoiseSchedule,
     OptimizerConfig,
     PotentialParams,
     RngStream,
-    TiltedProblem,
     bregman,
     bundled_config,
     clip,
@@ -206,14 +204,13 @@ def test_criterion_07_mirror_suite():
     worst_kkt = worst_feas = 0.0
     for tilt in (None, 0.3 * np.sin(np.arange(20.0))):
         pp = PotentialParams(0.2)
-        prob = TiltedProblem(ds=ds, alpha=pp, tilt=tilt)
-        beta = solve_tilted(prob, tol=1e-14)
+        beta = solve_tilted(ds, pp, tilt, tol=1e-14)
         t = np.zeros(20) if tilt is None else tilt
         worst_kkt = max(worst_kkt, float(np.linalg.norm(
             (np.eye(20) - P) @ (phi_grad(beta, pp) - t))))
         worst_feas = max(worst_feas, float(np.linalg.norm(ds.Xbar @ beta - ds.Ybar)))
 
-    big = solve_tilted(TiltedProblem(ds=ds, alpha=PotentialParams(50.0)))
+    big = solve_tilted(ds, PotentialParams(50.0))
     mn = min_norm_interpolator(ds.Xbar, ds.Ybar)
     large_dev = float(np.linalg.norm(big - mn) / np.linalg.norm(mn))
 
@@ -221,12 +218,12 @@ def test_criterion_07_mirror_suite():
     # limit point up to the pipeline accuracy floor
     ds33 = gen_sparse_regression(40, 100, 5, RngStream(33))
     gamma = default_step_size(ds33)
-    traj = simulate_dln_sde(ds33, 0.1, NoiseSchedule(sigma=0.0), gamma, gamma,
+    traj = simulate_dln_sde(ds33, 0.1, 0.0, gamma, gamma,
                             200_000, RngStream(28_000))
     st = traj.meta["final_state"]
     beta_inf = st.w_plus**2 - st.w_minus**2
     a_inf = effective_alpha(0.1, ds33, gamma, 0.0, st.loss_integral)
-    pred = solve_tilted(TiltedProblem(ds=ds33, alpha=PotentialParams(a_inf)))
+    pred = solve_tilted(ds33, PotentialParams(a_inf))
     pipe_dev = float(np.linalg.norm(beta_inf - pred))
 
     ok = (worst_fd <= 1e-6 and worst_rt <= 1e-12 and breg_ok
@@ -249,8 +246,7 @@ def test_criterion_08_degenerate_equivalences():
     runs = []
     for kind in ("SGD", "NoisySGD"):
         opt = OptimizerConfig(kind=kind, gamma=gamma, sigma=0.0, batch=3)
-        _, traj = run_dln_discrete(ds, dln_init(0.1, ds.d), opt,
-                                   NoiseSchedule(sigma=0.0), 200, RngStream(5),
+        _, traj = run_dln_discrete(ds, dln_init(0.1, ds.d), opt, 200, RngStream(5),
                                    record_stride=10, early_stop=False)
         runs.append(np.array(traj.rows))
     noisy_eq = bool(np.array_equal(runs[0], runs[1]))
@@ -289,7 +285,7 @@ def test_criterion_09_fine_step_identity():
     hyperbolic identity within 1e-3 relative at 10+ checkpoints."""
     ds = gen_sparse_regression(5, 12, 2, RngStream(77))
     gamma = default_step_size(ds)
-    traj = simulate_dln_sde(ds, 0.1, NoiseSchedule(sigma=0.5), gamma,
+    traj = simulate_dln_sde(ds, 0.1, 0.5, gamma,
                             gamma / 100.0, 4000, RngStream(4),
                             record_stride=400, early_stop=False)
     ckpts = traj.meta["checkpoints"]

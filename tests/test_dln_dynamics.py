@@ -10,7 +10,6 @@ from noiselab import (
     DiscreteRun,
     DivergenceError,
     DlnState,
-    NoiseSchedule,
     OptimizerConfig,
     RngStream,
     default_step_size,
@@ -39,18 +38,7 @@ def tiny_instance(seed=3):
     beta_star = np.zeros(10)
     beta_star[1] = 0.6
     beta_star[5] = -0.45
-    return Dataset(X=X, Y=X @ beta_star, Xbar=X / np.sqrt(6),
-                   beta_star=beta_star, regime="over")
-
-
-class TestNoiseSchedule:
-    def test_defaults(self):
-        sched = NoiseSchedule()
-        assert sched.sigma == 0.0
-
-    def test_negative_sigma(self):
-        with pytest.raises(ValueError):
-            NoiseSchedule(sigma=-0.1)
+    return Dataset(X=X, Y=X @ beta_star, beta_star=beta_star)
 
 
 class TestDlnInit:
@@ -103,7 +91,7 @@ class TestDiscreteStep:
         gamma = 0.05
         st = dln_init(0.3, ds.d)
         out = dln_discrete_step(st, ds, OptimizerConfig(kind="GD", gamma=gamma),
-                                NoiseSchedule(), RngStream(0))
+                                RngStream(0))
         beta = st.beta()
         a = ds.Xbar.T @ (ds.Xbar @ beta - ds.Ybar)
         assert np.allclose(out.w_plus, st.w_plus * (1 - 2 * gamma * a), rtol=1e-15)
@@ -112,8 +100,8 @@ class TestDiscreteStep:
     def test_gd_ignores_rng(self):
         ds = tiny_instance()
         cfg = OptimizerConfig(kind="GD", gamma=0.05)
-        a = dln_discrete_step(dln_init(0.3, ds.d), ds, cfg, NoiseSchedule(), RngStream(1))
-        b = dln_discrete_step(dln_init(0.3, ds.d), ds, cfg, NoiseSchedule(), RngStream(2))
+        a = dln_discrete_step(dln_init(0.3, ds.d), ds, cfg, RngStream(1))
+        b = dln_discrete_step(dln_init(0.3, ds.d), ds, cfg, RngStream(2))
         assert np.array_equal(a.w_plus, b.w_plus)
 
     def test_single_sample_gradient(self):
@@ -122,10 +110,10 @@ class TestDiscreteStep:
         gamma = 0.05
         st = dln_init(0.3, ds.d)
         st = dln_discrete_step(st, ds, OptimizerConfig(kind="GD", gamma=gamma),
-                               NoiseSchedule(), RngStream(0))
+                               RngStream(0))
         probe = RngStream(42)
         out = dln_discrete_step(st, ds, OptimizerConfig(kind="SGD", gamma=gamma, batch=1),
-                                NoiseSchedule(), RngStream(42))
+                                RngStream(42))
         i = int(probe.indices(ds.n, 1)[0])
         beta = st.beta()
         res_i = float(ds.X[i] @ beta - ds.Y[i])
@@ -141,7 +129,7 @@ class TestDiscreteStep:
         z_p = probe.normal(ds.d)
         z_m = probe.normal(ds.d)
         cfg = OptimizerConfig(kind="NoisySGD", gamma=gamma, sigma=sigma, batch=ds.n)
-        out = dln_discrete_step(st, ds, cfg, NoiseSchedule(sigma=sigma), RngStream(11))
+        out = dln_discrete_step(st, ds, cfg, RngStream(11))
         beta = st.beta()
         loss = dln_loss(beta, ds)
         a = ds.Xbar.T @ (ds.Xbar @ beta - ds.Ybar)
@@ -158,11 +146,9 @@ class TestDiscreteStep:
         b = dln_init(0.2, ds.d)
         ra, rb = RngStream(9), RngStream(9)
         for _ in range(60):
-            a = dln_discrete_step(a, ds, OptimizerConfig(kind="SGD", gamma=g, batch=1),
-                                  NoiseSchedule(), ra)
+            a = dln_discrete_step(a, ds, OptimizerConfig(kind="SGD", gamma=g, batch=1), ra)
             b = dln_discrete_step(b, ds, OptimizerConfig(kind="NoisySGD", gamma=g,
-                                                         sigma=0.0, batch=1),
-                                  NoiseSchedule(sigma=0.0), rb)
+                                                         sigma=0.0, batch=1), rb)
         assert np.array_equal(a.w_plus, b.w_plus)
         assert np.array_equal(a.w_minus, b.w_minus)
 
@@ -172,29 +158,22 @@ class TestDiscreteStep:
         st = dln_init(0.3, ds.d)
         loss0 = dln_loss(st.beta(), ds)
         out = dln_discrete_step(st, ds, OptimizerConfig(kind="GD", gamma=gamma),
-                                NoiseSchedule(), RngStream(0))
+                                RngStream(0))
         assert out.loss_integral == pytest.approx(gamma * loss0, rel=1e-14)
         assert out.step == 1
         assert out.time == pytest.approx(gamma)
-
-    def test_noisy_sigma_must_match_schedule(self):
-        # the update reads sigma from the schedule; it must not drop cfg.sigma
-        ds = tiny_instance()
-        cfg = OptimizerConfig(kind="NoisySGD", gamma=0.05, sigma=0.5, batch=1)
-        with pytest.raises(ValueError, match="schedule"):
-            dln_discrete_step(dln_init(0.1, ds.d), ds, cfg, NoiseSchedule(), RngStream(0))
 
     def test_dpsgd_unsupported(self):
         ds = tiny_instance()
         cfg = OptimizerConfig(kind="DPSGD", gamma=0.05, clip=1.0)
         with pytest.raises(ValueError):
-            dln_discrete_step(dln_init(0.1, ds.d), ds, cfg, NoiseSchedule(), RngStream(0))
+            dln_discrete_step(dln_init(0.1, ds.d), ds, cfg, RngStream(0))
 
     def test_batch_too_large(self):
         ds = tiny_instance()
         cfg = OptimizerConfig(kind="SGD", gamma=0.05, batch=7)
         with pytest.raises(ValueError):
-            dln_discrete_step(dln_init(0.1, ds.d), ds, cfg, NoiseSchedule(), RngStream(0))
+            dln_discrete_step(dln_init(0.1, ds.d), ds, cfg, RngStream(0))
 
     def test_divergence_carries_step(self):
         # gamma far above stability: multipliers grow until a weight overflows
@@ -203,7 +182,7 @@ class TestDiscreteStep:
         st = dln_init(1.0, ds.d)
         with pytest.raises(DivergenceError) as exc:
             for _ in range(10_000):
-                st = dln_discrete_step(st, ds, cfg, NoiseSchedule(), RngStream(0))
+                st = dln_discrete_step(st, ds, cfg, RngStream(0))
         assert exc.value.step >= 0
 
 
@@ -212,13 +191,12 @@ class TestDriver:
         ds = tiny_instance()
         g = default_step_size(ds)
         cfg = OptimizerConfig(kind="NoisySGD", gamma=g, sigma=0.3, batch=1)
-        sched = NoiseSchedule(sigma=0.3)
-        st, traj = run_dln_discrete(ds, dln_init(0.2, ds.d), cfg, sched, 57,
+        st, traj = run_dln_discrete(ds, dln_init(0.2, ds.d), cfg, 57,
                                     RngStream(14), early_stop=False)
         manual = dln_init(0.2, ds.d)
         rng = RngStream(14)
         for _ in range(57):
-            manual = dln_discrete_step(manual, ds, cfg, sched, rng)
+            manual = dln_discrete_step(manual, ds, cfg, rng)
         assert np.array_equal(st.w_plus, manual.w_plus)
         assert np.array_equal(st.w_minus, manual.w_minus)
         assert st.loss_integral == manual.loss_integral
@@ -226,7 +204,7 @@ class TestDriver:
     def test_trajectory_rows(self):
         ds = tiny_instance()
         cfg = OptimizerConfig(kind="GD", gamma=0.02)
-        st, traj = run_dln_discrete(ds, dln_init(0.2, ds.d), cfg, NoiseSchedule(),
+        st, traj = run_dln_discrete(ds, dln_init(0.2, ds.d), cfg,
                                     25, RngStream(0), record_stride=10, early_stop=False)
         t = traj.column("t")
         assert t[0] == 0.0
@@ -237,7 +215,7 @@ class TestDriver:
         ds = tiny_instance()
         g = default_step_size(ds)
         cfg = OptimizerConfig(kind="SGD", gamma=g, batch=1)
-        st, traj = run_dln_discrete(ds, dln_init(0.2, ds.d), cfg, NoiseSchedule(),
+        st, traj = run_dln_discrete(ds, dln_init(0.2, ds.d), cfg,
                                     200_000, RngStream(5))
         assert traj.meta["converged"]
         assert traj.meta["steps_run"] < 200_000
@@ -249,73 +227,41 @@ class TestDriver:
         cfg = OptimizerConfig(kind="NoisySGD", gamma=g, sigma=0.25, batch=1)
         hits = 0
         for seed in range(8):
-            st, traj = run_dln_discrete(ds, dln_init(0.2, ds.d), cfg,
-                                        NoiseSchedule(sigma=0.25), 200_000,
+            st, traj = run_dln_discrete(ds, dln_init(0.2, ds.d), cfg, 200_000,
                                         RngStream(100 + seed))
             hits += dln_loss(st.beta(), ds) <= 1e-8
         assert hits >= 7
 
-    def test_r_acc_stays_out_of_row_space(self):
-        ds = tiny_instance()
-        g = default_step_size(ds)
-        P = row_space_projector(ds.X)
-        cfg = OptimizerConfig(kind="NoisySGD", gamma=g, sigma=0.4, batch=1)
-        st, traj = run_dln_discrete(ds, dln_init(0.2, ds.d), cfg,
-                                    NoiseSchedule(sigma=0.4), 5000, RngStream(3),
-                                    P=P, early_stop=False)
-        assert np.linalg.norm(st.r_acc) > 0
-        assert np.abs(P @ st.r_acc).max() < 1e-12 * max(1.0, np.linalg.norm(st.r_acc))
 
-    def test_r_acc_zero_without_noise(self):
-        ds = tiny_instance()
-        g = default_step_size(ds)
-        P = row_space_projector(ds.X)
-        cfg = OptimizerConfig(kind="SGD", gamma=g, batch=1)
-        st, traj = run_dln_discrete(ds, dln_init(0.2, ds.d), cfg, NoiseSchedule(),
-                                    2000, RngStream(3), P=P, early_stop=False)
-        assert np.array_equal(st.r_acc, np.zeros(ds.d))
-
-
-def sequential_discrete(ds, run, steps, record_stride, P=None, early_stop=True):
+def sequential_discrete(ds, run, steps, record_stride, early_stop=True):
     """The discrete loop's contract, built by iterating dln_discrete_step.
 
-    A twin of the run's stream replays each step's draws, which recovers the
-    step's normals for the r_acc sum. Returns (rows, step indices, final
-    state, converged, steps run); a diverging step raises its DivergenceError.
+    Returns (rows, step indices, final state, converged, steps run); a
+    diverging step raises its DivergenceError.
     """
-    state, cfg, sched, rng = run
-    twin = RngStream(rng.seed, rng.path)
-    r_acc = state.r_acc.copy()
+    state, cfg, rng = run
     rows, rec = [], []
 
     def record(st):
         beta = st.beta()
         diff = beta - ds.beta_star
         rows.append(tuple(float(v) for v in (st.time, dln_loss(beta, ds), diff @ diff,
-                                             st.loss_integral, np.linalg.norm(r_acc))))
+                                             st.loss_integral, np.linalg.norm(st.r_acc))))
         rec.append(st.step)
 
     streak, done, stopped = 0, 0, False
     for k in range(steps):
         prev = state
         loss = dln_loss(prev.beta(), ds)
-        state = dln_discrete_step(prev, ds, cfg, sched, rng)
+        state = dln_discrete_step(prev, ds, cfg, rng)
         if k % record_stride == 0:
             record(prev)
-        if cfg.kind != "GD" and cfg.batch < ds.n:
-            twin.indices(ds.n, cfg.batch)
-        if cfg.kind == "NoisySGD" and sched.sigma > 0:
-            z_p, z_m = twin.normal(ds.d), twin.normal(ds.d)
-            if P is not None:
-                inc = math.sqrt(cfg.gamma) * 0.5 * (z_p + z_m)
-                r_acc = r_acc + sched.sigma * math.sqrt(cfg.gamma * loss) * (inc - P @ inc)
         done = k + 1
         if early_stop:
             streak = streak + 1 if loss <= 1e-12 else 0
             if streak >= 100:
                 stopped = True
                 break
-    state.r_acc = r_acc
     record(state)
     return rows, rec, state, stopped, done
 
@@ -339,36 +285,37 @@ def grid_runs(ds, batch, kinds=("GD", "SGD", "NoisySGD"), sigmas=(0.0, 0.3),
     g = default_step_size(ds)
     return [DiscreteRun(dln_init(0.2, ds.d),
                         OptimizerConfig(kind=kind, gamma=g, sigma=sigma, batch=batch),
-                        NoiseSchedule(sigma=sigma), RngStream(seed))
+                        RngStream(seed))
             for kind in kinds for sigma in sigmas for seed in seeds]
 
 
 class TestDiscreteEnsemble:
-    # budgets chosen so that rows stop early at several different steps
-    # while at least one row runs out of steps; stride "stop" is the
+    # budgets chosen so that, with early stop, rows stop at several different
+    # steps while at least one row runs out of steps; stride "stop" is the
     # steps_run of a stopped row, so that row stops exactly on the record grid
     @pytest.mark.parametrize("batch,steps,stride", [
         pytest.param(1, 5500, 50, id="1-5500"), pytest.param(4, 3160, 50, id="4-3160"),
         pytest.param(1, 5500, "stop", id="1-5500-stop"),
         pytest.param(4, 3160, "stop", id="4-3160-stop")])
-    @pytest.mark.parametrize("with_projector", [False, True])
-    def test_rows_match_sequential_steps(self, batch, steps, stride, with_projector):
+    @pytest.mark.parametrize("early_stop", [False, True])
+    def test_rows_match_sequential_steps(self, batch, steps, stride, early_stop):
         ds = tiny_instance()
-        P = row_space_projector(ds.X) if with_projector else None
         if stride == "stop":
             first = run_dln_discrete_ensemble(ds, grid_runs(ds, batch), steps,
-                                              record_stride=50, P=P)
+                                              record_stride=50)
             stride = next(t.meta["steps_run"] for t in first if t.meta["converged"])
         out = run_dln_discrete_ensemble(ds, grid_runs(ds, batch), steps,
-                                        record_stride=stride, P=P)
+                                        record_stride=stride, early_stop=early_stop)
         assert len(out) == 12
         for traj, run in zip(out, grid_runs(ds, batch)):
-            assert_same_discrete(traj, sequential_discrete(ds, run, steps, stride, P))
+            assert_same_discrete(traj, sequential_discrete(ds, run, steps, stride,
+                                                           early_stop))
         stops = {t.meta["steps_run"] for t in out if t.meta["converged"]}
-        assert len(stops) >= 3
-        assert not all(t.meta["converged"] for t in out)
-        if with_projector:
-            assert np.linalg.norm(out[-1].meta["final_state"].r_acc) > 0
+        if early_stop:
+            assert len(stops) >= 3
+            assert not all(t.meta["converged"] for t in out)
+        else:
+            assert stops == set()
 
     def test_first_failing_row_in_order_is_reported(self):
         # row 1 diverges at step 72, row 2 already at step 11: a sequential
@@ -393,7 +340,7 @@ class TestDiscreteEnsemble:
         assert out[1].step == steps[0]
         run = runs()[1]
         with pytest.raises(DivergenceError) as exc:
-            run_dln_discrete(ds, *run[:3], 300, run.rng)
+            run_dln_discrete(ds, *run[:2], 300, run.rng)
         assert exc.value.step == steps[0]
 
     def test_rows_must_share_gamma_and_batch(self):
@@ -401,16 +348,6 @@ class TestDiscreteEnsemble:
         runs = grid_runs(ds, 1, kinds=("SGD",), sigmas=(0.0,)) + grid_runs(ds, 4)
         with pytest.raises(ValueError):
             run_dln_discrete_ensemble(ds, runs, 10)
-
-    def test_noisy_sigma_must_match_schedule(self):
-        # the update reads sigma from the schedule; it must not drop cfg.sigma
-        ds = tiny_instance()
-        state, cfg, _, rng = grid_runs(ds, 1, kinds=("NoisySGD",), sigmas=(0.5,))[0]
-        runs = [DiscreteRun(state, cfg, NoiseSchedule(), rng)]
-        with pytest.raises(ValueError, match="schedule"):
-            run_dln_discrete_ensemble(ds, runs, 10)
-        with pytest.raises(ValueError, match="schedule"):
-            run_dln_discrete(ds, state, cfg, NoiseSchedule(sigma=0.25), 10, rng)
 
 
 def sde_oracle(ds, alpha, sigma, gamma, h, steps, seed, stride, early_stop=True):
@@ -452,7 +389,7 @@ class TestSdeEnsemble:
         seeds = (0, 1, 2, 3)
 
         def ensemble(stride):
-            return simulate_dln_sde_ensemble(ds, 0.2, NoiseSchedule(sigma=sigma), g, g,
+            return simulate_dln_sde_ensemble(ds, 0.2, sigma, g, g,
                                              4000, [RngStream(s) for s in seeds],
                                              record_stride=stride, early_stop=early_stop)
 
@@ -482,14 +419,14 @@ class TestSdeEnsemble:
             except Diverged as exc:
                 refs.append(exc.step)
         assert isinstance(refs[0], dict) and refs[2] < refs[1]
-        out = simulate_dln_sde_ensemble(ds, 0.2, NoiseSchedule(sigma=0.5), g, 10 * g,
+        out = simulate_dln_sde_ensemble(ds, 0.2, 0.5, g, 10 * g,
                                         2000, [RngStream(s) for s in seeds])
         assert len(out) == 2
         assert_same_sde(out[0], refs[0])
         assert isinstance(out[1], DivergenceError)
         assert out[1].step == refs[1]
         with pytest.raises(DivergenceError) as exc:
-            simulate_dln_sde(ds, 0.2, NoiseSchedule(sigma=0.5), g, 10 * g, 2000,
+            simulate_dln_sde(ds, 0.2, 0.5, g, 10 * g, 2000,
                              RngStream(7))
         assert exc.value.step == refs[1]
 
@@ -499,7 +436,7 @@ def fine_run():
     ds = gen_sparse_regression(5, 12, 2, RngStream(77))
     gamma = default_step_size(ds)
     sigma = 0.5
-    traj = simulate_dln_sde(ds, 0.1, NoiseSchedule(sigma=sigma), gamma,
+    traj = simulate_dln_sde(ds, 0.1, sigma, gamma,
                             gamma / 100, 4000, RngStream(21),
                             record_stride=400, early_stop=False)
     return ds, gamma, sigma, traj
@@ -542,8 +479,7 @@ class TestSdeIntegrator:
     def test_sigma_zero_flow_converges(self):
         ds = tiny_instance()
         gamma = default_step_size(ds)
-        traj = simulate_dln_sde(ds, 0.2, NoiseSchedule(), gamma, gamma, 150_000,
-                                RngStream(1))
+        traj = simulate_dln_sde(ds, 0.2, 0.0, gamma, gamma, 150_000, RngStream(1))
         assert traj.meta["converged"]
         assert traj.column("loss")[-1] <= 1e-12
         st = traj.meta["final_state"]
@@ -552,16 +488,18 @@ class TestSdeIntegrator:
     def test_noisy_run_converges(self):
         ds = tiny_instance()
         gamma = default_step_size(ds)
-        traj = simulate_dln_sde(ds, 0.2, NoiseSchedule(sigma=0.5), gamma, gamma,
-                                300_000, RngStream(4))
+        traj = simulate_dln_sde(ds, 0.2, 0.5, gamma, gamma, 300_000, RngStream(4))
         assert traj.column("loss")[-1] <= 1e-8
 
     def test_bad_arguments(self):
         ds = tiny_instance()
         with pytest.raises(ValueError):
-            simulate_dln_sde(ds, 0.2, NoiseSchedule(), 0.0, 0.01, 10, RngStream(0))
+            simulate_dln_sde(ds, 0.2, 0.0, 0.0, 0.01, 10, RngStream(0))
         with pytest.raises(ValueError):
-            simulate_dln_sde(ds, 0.2, NoiseSchedule(), 0.1, -0.01, 10, RngStream(0))
+            simulate_dln_sde(ds, 0.2, 0.0, 0.1, -0.01, 10, RngStream(0))
+        for sigma in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="sigma"):
+                simulate_dln_sde(ds, 0.2, sigma, 0.1, 0.01, 10, RngStream(0))
 
 
 class TestScaleFormulas:

@@ -3,17 +3,21 @@
 import json
 import math
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from noiselab import (
+    EXPERIMENTS,
     ConvergenceError,
     DivergenceError,
     ExperimentConfig,
-    NoiseSchedule,
     OptimizerConfig,
+    PotentialParams,
     RngStream,
     aggregate,
     apply_overrides,
@@ -21,6 +25,7 @@ from noiselab import (
     config_text,
     default_step_size,
     dln_init,
+    gen_sparse_regression,
     parse_config,
     run_dln_discrete,
     run_experiment,
@@ -29,7 +34,7 @@ from noiselab import (
 from noiselab import harness
 from noiselab.cli import main
 from noiselab.core_math import Trajectory
-from noiselab.harness import OUTDIR_ENV, _align, _dataset_for
+from noiselab.harness import MODE_KINDS, OUTDIR_ENV, STUDY_MODES, _align, _dataset_for
 from noiselab.problems import load_dataset
 
 
@@ -121,6 +126,20 @@ class TestConfig:
         dict(experiment="bias_order", kinds=("GD", "SGD", "NoisySGD"),
              sigmas=(0.25, 0.5)),
         dict(experiment="alpha_sweep", kinds=("SGD", "NoisySGD")),
+        dict(batch=41),
+        dict(s=-1),
+        dict(s=101),
+        dict(mode="coupling", n=0),
+        dict(d=0, s=0),
+        dict(mode="ou", n=50, d=5, label_noise=-0.5),
+        dict(sigmas=(math.inf,)),
+        dict(sigmas=(0.5, math.nan)),
+        dict(eps=math.nan),
+        dict(alpha0=math.inf),
+        dict(alpha0=math.nan),
+        dict(label_noise=math.nan),
+        dict(experiment="limit_distance", mode="discrete"),
+        dict(experiment="ou_stationary", mode="discrete"),
     ])
     def test_bad_values_rejected(self, kw):
         with pytest.raises(ValueError):
@@ -175,6 +194,72 @@ class TestConfig:
         monkeypatch.setenv(OUTDIR_ENV, "envdir")
         assert ExperimentConfig().outdir() == "envdir"
         assert ExperimentConfig(out="x").outdir() == "x"
+
+
+# values outside each field's range (a mode that may not be the study's own);
+# each test case below puts one field at one of its values
+ODD_VALUES = {
+    "experiment": ("nope",), "mode": tuple(MODE_KINDS),
+    "kinds": (("DPSGD",), ("SGD", "SGD"), ()),
+    "sigmas": ((math.nan,), (math.inf,), (-0.5,), (0.5, 0.5), ()),
+    "n": (0, -1), "d": (0, -1), "s": (13, -1), "batch": (13, 0),
+    "label_noise": (math.nan, math.inf, -0.5), "alpha0": (math.nan, math.inf, 0.0, -0.1),
+    "eps": (math.nan, math.inf, -0.5), "burn_in": (30, -1), "n_traj": (0, -1),
+    "seeds": (0, -1), "steps": (0, -1), "stride": (0,),
+}
+
+
+@st.composite
+def small_config_fields(draw):
+    """Every field but out, at small values that fit the study's mode."""
+    experiment = draw(st.sampled_from(EXPERIMENTS))
+    mode = STUDY_MODES.get(experiment) or draw(st.sampled_from(tuple(MODE_KINDS)))
+    kinds = MODE_KINDS[mode]
+    if experiment != "bias_order":
+        kinds = draw(st.lists(st.sampled_from(kinds), min_size=1, unique=True,
+                              max_size=1 if experiment == "alpha_sweep" else 3))
+    if mode == "ou":
+        n = draw(st.integers(2, 12))
+        d = draw(st.integers(1, n - 1))
+    else:
+        n = draw(st.integers(1, 12))
+        d = draw(st.integers(n if mode == "coupling" else 1, 12))
+    steps = draw(st.integers(1, 30))
+    return dict(
+        experiment=experiment, mode=mode, kinds=kinds, n=n, d=d,
+        sigmas=draw(st.lists(st.floats(0, 2), min_size=1, unique=True,
+                             max_size=1 if experiment == "bias_order" else 3)),
+        s=draw(st.integers(0, d)), dataset_seed=draw(st.integers(0, 3)),
+        label_noise=draw(st.floats(0, 2)), alpha0=draw(st.floats(1e-3, 2)),
+        batch=draw(st.integers(1, n)), eps=draw(st.floats(0, 2)),
+        burn_in=draw(st.integers(0, steps - 1)), n_traj=draw(st.integers(1, 5)),
+        seeds=draw(st.integers(1, 2)), seed_base=draw(st.integers(0, 5)),
+        steps=steps, stride=draw(st.integers(1, 12)),
+    )
+
+
+@pytest.mark.parametrize("odd", [None, *ODD_VALUES])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_config_is_rejected_or_runs(tmp_path, odd, data):
+    """A config either fails validation with ValueError or runs: it returns a
+    record, in which a study writes its checks, or ends in a run outcome."""
+    fields = data.draw(small_config_fields())
+    if odd:
+        fields[odd] = data.draw(st.sampled_from(ODD_VALUES[odd]))
+    try:
+        cfg = ExperimentConfig(**fields, out=str(tmp_path / "run"))
+    except ValueError:
+        return
+    try:
+        rec = run_experiment(cfg)
+    except (DivergenceError, ConvergenceError):
+        return
+    except RuntimeError as exc:
+        assert "no convergence within" in str(exc)
+        return
+    assert rec.checks or cfg.experiment == "custom"
 
 
 class TestConfigFile:
@@ -249,8 +334,7 @@ class TestFailureOrder:
             for i in range(cfg.seeds):
                 opt = OptimizerConfig(kind="NoisySGD", gamma=gamma, sigma=sigma, batch=1)
                 try:
-                    run_dln_discrete(ds, dln_init(0.1, ds.d), opt, NoiseSchedule(sigma=sigma),
-                                     cfg.steps, RngStream(i))
+                    run_dln_discrete(ds, dln_init(0.1, ds.d), opt, cfg.steps, RngStream(i))
                 except DivergenceError as exc:
                     failures.append((exc.step, f"{label} seed {i}"))
         step, where = failures[0]
@@ -461,3 +545,29 @@ class TestCli:
             "steps = 50\nn_traj = 5\nstride = 10\n")
         assert main(["run", str(cfgfile)]) == 0
         assert (tmp_path / "envout" / "summary.json").exists()
+
+
+class TestBenchmarkHooks:
+    def test_tracer_wraps_and_restores(self):
+        """perfbench/tracer.py wraps harness and mirror names and reads the
+        arguments and results of some; renaming any of them fails here, not
+        only in the benchmark's own tests."""
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from tracer import Tracer
+
+        names = ("run_dln_discrete", "simulate_dln_sde", "solve_tilted", "_align", "aggregate")
+        before = {name: getattr(harness, name) for name in names}
+        ds = gen_sparse_regression(6, 10, 2, RngStream(3))
+        gamma = default_step_size(ds)
+        with Tracer().installed() as tracer:
+            assert all(getattr(harness, name) is not fn for name, fn in before.items())
+            harness.run_dln_discrete(ds, dln_init(0.1, ds.d),
+                                     OptimizerConfig(kind="GD", gamma=gamma), 5,
+                                     RngStream(0), early_stop=False)
+            harness.simulate_dln_sde(ds, 0.1, 0.0, gamma, gamma, 7, RngStream(0),
+                                     early_stop=False)
+            harness.solve_tilted(ds, PotentialParams(0.1), max_iters=3, tol=1.0)
+        assert all(getattr(harness, name) is fn for name, fn in before.items())
+        assert tracer.counts["discrete_steps"] == 5
+        assert tracer.counts["sde_steps"] == 7
+        assert tracer.counts["solve_iters"] >= 1

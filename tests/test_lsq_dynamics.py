@@ -59,8 +59,7 @@ class TestClip:
 class TestDiscreteStep:
     def test_gd_scalar_case(self):
         # d = n = 1, X = (1), Y = (2), gamma = 1: one exact step lands on the solution
-        ds = Dataset(X=np.array([[1.0]]), Y=np.array([2.0]), Xbar=np.array([[1.0]]),
-                     beta_star=np.array([2.0]), regime="over")
+        ds = Dataset(X=np.array([[1.0]]), Y=np.array([2.0]), beta_star=np.array([2.0]))
         cfg = OptimizerConfig(kind="GD", gamma=1.0)
         state = step_n(ds, cfg, RngStream(0), np.zeros(1), 1)
         assert state.theta[0] == pytest.approx(2.0, abs=1e-14)
@@ -140,8 +139,7 @@ class TestStationaryLawTheory:
         # Xbar^T Xbar = I exactly, so cov = (gamma eps^2 / 2 + sigma^2 / 2) I
         d = 3
         X = np.vstack([np.eye(d), np.eye(d)]) * np.sqrt(3.0)
-        ds = Dataset(X=X, Y=np.zeros(2 * d), Xbar=X / np.sqrt(2 * d),
-                     beta_star=None, regime="under")
+        ds = Dataset(X=X, Y=np.zeros(2 * d), beta_star=None)
         law = stationary_law_theory(ds, gamma=0.2, eps=1.0, sigma=0.4)
         want = (0.2 / 2 + 0.16 / 2) * np.eye(d)
         assert np.allclose(law.cov, want, atol=1e-12)

@@ -15,10 +15,8 @@ from hypothesis import strategies as st
 
 from noiselab import (
     ConvergenceError,
-    NoiseSchedule,
     PotentialParams,
     RngStream,
-    TiltedProblem,
     bregman,
     bundled_config,
     default_step_size,
@@ -139,7 +137,7 @@ class TestSolveTilted:
         self.ds = gen_sparse_regression(10, 25, 3, RngStream(41))
 
     def test_untilted_kkt(self):
-        beta = solve_tilted(TiltedProblem(self.ds, PotentialParams(alpha=np.array([0.1]))))
+        beta = solve_tilted(self.ds, PotentialParams(alpha=np.array([0.1])))
         r = self.ds.Xbar @ beta - self.ds.Ybar
         assert 0.5 * float(r @ r) <= 1e-12
         P = row_space_projector(self.ds.X)
@@ -149,28 +147,27 @@ class TestSolveTilted:
     def test_tilted_kkt(self):
         tilt = 0.05 * RngStream(5).normal(self.ds.d)
         alpha = PotentialParams(alpha=np.array([0.2]))
-        beta = solve_tilted(TiltedProblem(self.ds, alpha, tilt=tilt))
+        beta = solve_tilted(self.ds, alpha, tilt=tilt)
         P = row_space_projector(self.ds.X)
         g = phi_grad(beta, alpha) - tilt
         assert np.linalg.norm(g - P @ g) <= 1e-6
         assert np.max(np.abs(self.ds.X @ beta - self.ds.Y)) <= 1e-4
 
     def test_large_alpha_recovers_min_norm(self):
-        beta = solve_tilted(TiltedProblem(self.ds, PotentialParams(alpha=np.array([100.0]))))
+        beta = solve_tilted(self.ds, PotentialParams(alpha=np.array([100.0])))
         ref = min_norm_solve(self.ds.X, self.ds.Y)
         assert np.linalg.norm(beta - ref) <= 1e-2 * np.linalg.norm(ref)
 
     def test_small_alpha_is_sparser(self):
         d_at = {}
         for a in (0.1, 0.01):
-            beta = solve_tilted(TiltedProblem(self.ds, PotentialParams(alpha=np.array([a]))))
+            beta = solve_tilted(self.ds, PotentialParams(alpha=np.array([a])))
             d_at[a] = np.linalg.norm(beta - self.ds.beta_star)
         assert d_at[0.01] <= d_at[0.1] + 1e-6
 
     def test_budget_exhaustion_reports_diagnostics(self):
         with pytest.raises(ConvergenceError) as err:
-            solve_tilted(TiltedProblem(self.ds, PotentialParams(alpha=np.array([0.1]))),
-                         max_iters=3)
+            solve_tilted(self.ds, PotentialParams(alpha=np.array([0.1])), max_iters=3)
         assert err.value.loss > 0
         assert err.value.beta.shape == (self.ds.d,)
 
@@ -227,7 +224,7 @@ class TestSolveTiltedEnsemble:
         alphas = []
         for sigma in (0.0, 0.5):
             trajs = simulate_dln_sde_ensemble(
-                ds, cfg.alpha0, NoiseSchedule(sigma=sigma), gamma, gamma, cfg.steps,
+                ds, cfg.alpha0, sigma, gamma, gamma, cfg.steps,
                 [RngStream(cfg.seed_base + i) for i in range(2)])
             for traj in trajs:
                 li = traj.meta["final_state"].loss_integral
@@ -238,7 +235,7 @@ class TestSolveTiltedEnsemble:
         for a, got in zip(alphas, out):
             ref = solve_reference(ds, a, None, 1_000_000, 1e-12)
             assert_same_solution(got, ref)
-            assert_same_solution(solve_tilted(TiltedProblem(ds, PotentialParams(a))), ref)
+            assert_same_solution(solve_tilted(ds, PotentialParams(a)), ref)
 
     def test_mixed_rows(self):
         # At tol 1e-30 the untilted and mildly tilted rows converge, each at
@@ -295,8 +292,7 @@ class TestSolveTiltedEnsemble:
         tilt[0] = 200.0
         with time_limit(10):
             with pytest.raises(ConvergenceError, match="start point") as err:
-                solve_tilted(TiltedProblem(ds, PotentialParams(0.1), tilt=tilt),
-                             max_iters=1000)
+                solve_tilted(ds, PotentialParams(0.1), tilt=tilt, max_iters=1000)
         assert err.value.loss == np.inf
 
     def test_empty_and_zero_budget(self):

@@ -84,6 +84,11 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(back.Y, ds.Y)
     assert np.array_equal(back.beta_star, ds.beta_star)
     assert back.regime == ds.regime
+    # the header is outside input: a regime that contradicts the shape is refused
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text(lines[0].replace("over", "under") + "".join(lines[1:]))
+    with pytest.raises(ValueError, match="regime"):
+        load_dataset(path)
 
 
 def test_underparam_has_no_planted_vector():
