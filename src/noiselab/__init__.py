@@ -47,10 +47,8 @@ from .lsq_dynamics import (
     stationary_law_theory,
 )
 from .dln_dynamics import (
-    DiscreteRun,
     DivergenceError,
     DlnState,
-    dln_discrete_step,
     dln_init,
     dln_loss,
     effective_alpha,

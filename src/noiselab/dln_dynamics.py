@@ -9,16 +9,15 @@ hyperbolic closed form of the iterate hold along the trajectory. The loss is
 the normalized empirical risk L(beta) = (1/2n) sum_i (<beta, x_i> - y_i)^2.
 
 Both models step many runs at once as the rows of one (rows, d) weight pair,
-through one time loop, _drive. It owns the per-row records, the early stop,
-the first failure in the caller's order and the dropping of finished rows;
-each model supplies only its draws and its update.
+each row started at w_+ = w_- = alpha, through one time loop, _drive. It owns
+the per-row records, the early stop, the first failure in the caller's order
+and the dropping of finished rows; each model supplies only its draws and update.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -34,7 +33,7 @@ CONVERGED_STREAK = 100
 
 
 class DivergenceError(RuntimeError):
-    """A weight coordinate left the finite range; carries the failing step."""
+    """The iterate or its loss left the finite range; carries the failing step."""
 
     def __init__(self, step: int, detail: str = ""):
         self.step = step
@@ -46,9 +45,8 @@ class DlnState:
     """Weight pair and running diagnostics of one DLN trajectory.
 
     loss_integral is the left Riemann sum of the loss, r_acc the out-of-row-span
-    noise that the SDE accumulates (a discrete run carries it unchanged). It
-    is the start state of a discrete run, and both ensembles return each
-    row's end state as meta["final_state"].
+    noise that the SDE accumulates (zero for a discrete run). Both ensembles
+    return each row's end state as meta["final_state"].
     """
 
     w_plus: Vec
@@ -88,71 +86,6 @@ def dln_loss(beta: Vec, ds: Dataset) -> float:
     return 0.5 * float(r @ r)
 
 
-def _check_discrete(cfg: OptimizerConfig, ds: Dataset) -> None:
-    if cfg.kind not in ("GD", "SGD", "NoisySGD"):
-        raise ValueError(f"unsupported optimizer kind for this model: {cfg.kind!r}")
-    if cfg.batch > ds.n:
-        raise ValueError("batch exceeds dataset size")
-
-
-def _batch_gradient(ds: Dataset, beta: Vec, rbar: Vec, cfg: OptimizerConfig, rng: RngStream) -> Vec:
-    """Minibatch estimate of grad_beta L; full batch reuses the GD expression."""
-    if cfg.kind == "GD" or cfg.batch == ds.n:
-        return ds.Xbar.T @ rbar
-    if cfg.batch == 1:
-        i = int(rng.indices(ds.n, 1)[0])
-        return ds.X[i] * (math.sqrt(ds.n) * rbar[i])
-    idx = rng.indices(ds.n, cfg.batch)
-    rows = ds.X[idx]
-    return rows.T @ (rows @ beta - ds.Y[idx]) / cfg.batch
-
-
-def dln_discrete_step(state: DlnState, ds: Dataset, cfg: OptimizerConfig,
-                      rng: RngStream) -> DlnState:
-    """One multiplicative update of the weight pair.
-
-    w_{+} <- w_{+} (1 - 2 gamma a_t + gamma sigma_t Z_+), and mirrored with
-    independent Z_- for w_{-}, where a_t is the minibatch gradient estimate
-    and sigma_t = 2 cfg.sigma sqrt(L(w_t)) scales the isotropic noise by the
-    loss. GD drops both stochastic terms, SGD drops the Z term. Draw order:
-    batch indices, then Z_+, then Z_-. This is the single-step reference that
-    run_dln_discrete_ensemble reproduces row by row; r_acc is carried over
-    unchanged.
-    """
-    _check_discrete(cfg, ds)
-    w_p, w_m = state.w_plus, state.w_minus
-    beta = w_p * w_p - w_m * w_m
-    rbar = ds.Xbar @ beta - ds.Ybar
-    loss = 0.5 * float(rbar @ rbar)
-    if not math.isfinite(loss):
-        raise DivergenceError(state.step)
-
-    a = _batch_gradient(ds, beta, rbar, cfg, rng)
-    drift = 2.0 * cfg.gamma * a
-    mult_p = 1.0 - drift
-    mult_m = 1.0 + drift
-
-    if cfg.kind == "NoisySGD" and cfg.sigma > 0:
-        sigma_t = 2.0 * cfg.sigma * math.sqrt(loss)
-        z_p = rng.normal(ds.d)
-        z_m = rng.normal(ds.d)
-        mult_p = mult_p + cfg.gamma * sigma_t * z_p
-        mult_m = mult_m - cfg.gamma * sigma_t * z_m
-
-    new_p = w_p * mult_p
-    new_m = w_m * mult_m
-    if not (np.all(np.isfinite(new_p)) and np.all(np.isfinite(new_m))):
-        raise DivergenceError(state.step)
-    return DlnState(
-        w_plus=new_p,
-        w_minus=new_m,
-        step=state.step + 1,
-        time=state.time + cfg.gamma,
-        loss_integral=state.loss_integral + cfg.gamma * loss,
-        r_acc=state.r_acc,
-    )
-
-
 def effective_alpha(alpha0: Vec, ds: Dataset, gamma: float, sigma: float,
                     loss_integral: float) -> Vec:
     """Decayed potential scale alpha0 . exp(-2 gamma (sigma^2 + diag(Xbar^T Xbar)) int L)."""
@@ -168,17 +101,17 @@ def effective_alpha(alpha0: Vec, ds: Dataset, gamma: float, sigma: float,
 _COLUMNS = ("t", "loss", "dist_to_beta_l0_sq", "loss_integral", "r_acc_norm")
 
 
-def _rows(order, states, **arrays) -> Rows:
-    """The rows of an ensemble from their start states, held in `order` (the
-    caller's index of each row), with the model's own per-row arrays."""
+def _rows(order, alpha, d: int, **arrays) -> Rows:
+    """The rows of an ensemble, each started at dln_init(alpha, d), held in
+    `order` (the caller's index of each row), with the model's own arrays."""
+    start, rows = dln_init(alpha, d), len(order)
     return Rows(
         row=np.array(order),
-        step0=np.array([st.step for st in states]),
-        time=np.array([st.time for st in states], dtype=float),
-        w_p=np.array([st.w_plus for st in states]),
-        w_m=np.array([st.w_minus for st in states]),
-        li=np.array([st.loss_integral for st in states], dtype=float),
-        r_acc=np.array([st.r_acc for st in states], dtype=float),
+        time=np.zeros(rows),
+        w_p=np.tile(start.w_plus, (rows, 1)),
+        w_m=np.tile(start.w_minus, (rows, 1)),
+        li=np.zeros(rows),
+        r_acc=np.zeros((rows, d)),
         **arrays,
     )
 
@@ -191,7 +124,8 @@ def _drive(ds: Dataset, model, steps: int, record_stride: int, early_stop: bool)
     pre-step (rows, d) arrays, and keep(mask), which drops rows. Its
     stops_before_step fixes the convention: the discrete model judges a row
     after stepping it, the SDE judges the pre-step loss and stops a row
-    unstepped. The row arrays named in model.snapshot are copied into
+    unstepped; either way a row whose final loss is not finite fails where
+    it ended. The row arrays named in model.snapshot are copied into
     meta["checkpoints"] at every record, and into meta at the end.
     """
     s = model.s
@@ -208,23 +142,33 @@ def _drive(ds: Dataset, model, steps: int, record_stride: int, early_stop: bool)
 
     def record(j, k, beta, loss):
         traj = trajs[s.row[j]]
-        step = int(s.step0[j]) + k
         li = float(s.li[j])
         diff = beta - ref
         traj.append(s.time[j], loss, float(diff @ diff), li, float(np.linalg.norm(s.r_acc[j])))
-        traj.meta["steps"].append(step)
+        traj.meta["steps"].append(k)
         if model.snapshot:
             traj.meta.setdefault("checkpoints", []).append({
-                "step": step, "time": float(s.time[j]), "beta": beta.copy(),
+                "step": k, "time": float(s.time[j]), "beta": beta.copy(),
                 **snapshot(j), "loss_integral": li,
             })
 
+    def fail_at(j, k):
+        """Row j fails at step k unless an earlier row in the caller's order did."""
+        nonlocal fail
+        if s.row[j] < fail:
+            fail = s.row[j]
+            out[fail] = DivergenceError(k)
+
     def finish(j, done, stopped):
         beta = s.w_p[j] * s.w_p[j] - s.w_m[j] * s.w_m[j]
-        record(j, done, beta, dln_loss(beta, ds))
+        loss = dln_loss(beta, ds)
+        if not math.isfinite(loss):  # finite weights can still overflow the loss
+            fail_at(j, done)
+            return
+        record(j, done, beta, loss)
         traj = trajs[s.row[j]]
         state = DlnState(w_plus=s.w_p[j].copy(), w_minus=s.w_m[j].copy(),
-                         step=int(s.step0[j]) + done, time=float(s.time[j]),
+                         step=done, time=float(s.time[j]),
                          loss_integral=float(s.li[j]), r_acc=s.r_acc[j].copy())
         traj.meta.update(final_state=state, **snapshot(j), converged=stopped,
                          steps_run=done)
@@ -234,13 +178,10 @@ def _drive(ds: Dataset, model, steps: int, record_stride: int, early_stop: bool)
         """Mask of the rows that go on past step k, or None if all do: a row
         not ok fails at k, and a row that completes its loss streak finishes
         after done steps."""
-        nonlocal fail
         drop = not ok.all()
         if drop:
             for j in np.flatnonzero(~ok):
-                if s.row[j] < fail:
-                    fail = s.row[j]
-                    out[fail] = DivergenceError(int(s.step0[j]) + k)
+                fail_at(j, k)
             ok &= s.row < fail
         if early_stop:
             s.streak = (s.streak + 1) * (loss <= CONVERGED_LOSS)
@@ -274,54 +215,52 @@ def _drive(ds: Dataset, model, steps: int, record_stride: int, early_stop: bool)
                 if keep is not None:
                     model.keep(keep)
             k += 1
-    for j in range(s.row.size):
-        finish(j, k, False)
+        for j in range(s.row.size):
+            finish(j, k, False)
     return out[:fail + 1]
 
 
-class DiscreteRun(NamedTuple):
-    """One row of a discrete ensemble: start state, optimizer, stream."""
-
-    state: DlnState
-    cfg: OptimizerConfig
-    rng: RngStream
-
-
 class _Discrete:
-    """The multiplicative update of dln_discrete_step on the rows of a
-    discrete ensemble."""
+    """The multiplicative update of the weight pair, on every row at once.
+
+    w_{+} <- w_{+} (1 - 2 gamma a_t + gamma sigma_t Z_+), and mirrored with
+    independent Z_- for w_{-}, where a_t is the minibatch gradient estimate
+    and sigma_t = 2 sigma sqrt(L(w_t)) scales the isotropic noise by the
+    loss. GD drops both stochastic terms, SGD drops the Z term. Draw order
+    per row: batch indices (none for a full batch), then Z_+, then Z_-.
+    """
 
     stops_before_step = False
     snapshot = ()
 
-    def __init__(self, ds: Dataset, runs: list):
-        gamma, batch = runs[0].cfg.gamma, runs[0].cfg.batch
-        for run in runs:
-            _check_discrete(run.cfg, ds)
-            if run.cfg.gamma != gamma or run.cfg.batch != batch:
+    def __init__(self, ds: Dataset, alpha, cfgs: list, rngs: list):
+        gamma, batch = cfgs[0].gamma, cfgs[0].batch
+        for cfg in cfgs:
+            if cfg.kind not in ("GD", "SGD", "NoisySGD"):
+                raise ValueError(f"unsupported optimizer kind for this model: {cfg.kind!r}")
+            if cfg.gamma != gamma or cfg.batch != batch:
                 raise ValueError("ensemble rows must share gamma and batch")
-            if run.state.w_plus.shape != (ds.d,):
-                raise ValueError("state dimension does not match the dataset")
+        if batch > ds.n:
+            raise ValueError("batch exceeds dataset size")
         self.gamma, self.batch = gamma, batch
         # the dataset's arrays, bound once for the step loop
         self.n, self.d, self.X, self.Y, self.XbarT = ds.n, ds.d, ds.X, ds.Y, ds.Xbar.T
         self.sqrt_n = math.sqrt(ds.n)
-        noisy = [r.cfg.kind == "NoisySGD" and r.cfg.sigma > 0 for r in runs]
-        full = [r.cfg.kind == "GD" or batch == ds.n for r in runs]
+        noisy = [cfg.kind == "NoisySGD" and cfg.sigma > 0 for cfg in cfgs]
+        full = [cfg.kind == "GD" or batch == ds.n for cfg in cfgs]
         # Rows are held full-batch first, then noise-free before noisy, so
         # that each branch is a contiguous slice of the arrays: noisy rows are
         # minibatch rows unless every row is full-batch. s.row maps back to
         # the caller's order.
-        order = sorted(range(len(runs)), key=lambda r: (not full[r], noisy[r]))
-        runs_in = [runs[r] for r in order]
-        self.s = _rows(order, [r.state for r in runs_in],
-                       rng=np.array([r.rng for r in runs_in], dtype=object),
+        order = sorted(range(len(cfgs)), key=lambda r: (not full[r], noisy[r]))
+        self.s = _rows(order, alpha, ds.d,
+                       rng=np.array([rngs[r] for r in order], dtype=object),
                        full=np.array([full[r] for r in order]),
                        noisy=np.array([noisy[r] for r in order]),
-                       sigma=np.array([r.cfg.sigma for r in runs_in]))
-        self.picks = np.zeros((len(runs), batch), dtype=np.int64)
-        self.z_p = np.empty((len(runs), ds.d))
-        self.z_m = np.empty((len(runs), ds.d))
+                       sigma=np.array([cfgs[r].sigma for r in order]))
+        self.picks = np.zeros((len(cfgs), batch), dtype=np.int64)
+        self.z_p = np.empty((len(cfgs), ds.d))
+        self.z_m = np.empty((len(cfgs), ds.d))
         self.keep(slice(None))
 
     def keep(self, mask) -> None:
@@ -340,7 +279,7 @@ class _Discrete:
         s, n, d, gamma, batch = self.s, self.n, self.d, self.gamma, self.batch
         full, mini, ls, picks, z_p, z_m = (self.full, self.mini, self.noisy,
                                            self.picks, self.z_p, self.z_m)
-        # per-row draws, in dln_discrete_step's order: indices, Z_+, Z_-
+        # per-row draws, in the order indices, Z_+, Z_-
         for j, (rng, draws_idx, noisy) in enumerate(self.plan):
             if draws_idx:
                 picks[j] = rng.indices(n, batch)
@@ -375,39 +314,42 @@ class _Discrete:
         s.li = s.li + gamma * loss
 
 
-def run_dln_discrete_ensemble(ds: Dataset, runs, steps: int, record_stride: int = 100,
-                              early_stop: bool = True) -> list:
-    """Step many discrete runs at once as the rows of one (rows, d) weight pair.
+def run_dln_discrete_ensemble(ds: Dataset, alpha, cfgs, rngs, steps: int,
+                              record_stride: int = 100, early_stop: bool = True) -> list:
+    """Step many discrete runs at once as the rows of one (rows, d) weight pair,
+    one row per (cfg, rng) pair, each started at dln_init(alpha, ds.d).
 
-    Every row is bitwise the run that iterating dln_discrete_step from its
-    start state would give: its stream draws in the same order and sizes, and
-    the arithmetic is the same elementwise, with one gemv or dot call per row
-    for each product. Rows must share gamma and batch; kind and sigma are per
-    row. Each row gets a Trajectory of pre-step snapshots every record_stride
-    steps plus the final iterate, with meta "steps" (integer step indices),
-    "final_state", "converged" and "steps_run"; r_acc keeps its start value.
-    A row stops early once its loss sits at or below 1e-12 for 100 straight
-    steps; the step that completes the streak is still applied.
+    Every row is bitwise the run that iterating discrete_step_reference
+    (tests/oracles.py) would give: its stream draws in the same order and
+    sizes, and the arithmetic is the same elementwise, with one gemv or dot
+    call per row for each product. Rows must share gamma and batch; kind and
+    sigma are per row. Each row gets a Trajectory of pre-step snapshots every
+    record_stride steps plus the final iterate, with meta "steps" (integer
+    step indices), "final_state", "converged" and "steps_run". A row stops
+    early once its loss sits at or below 1e-12 for 100 straight steps; the
+    step that completes the streak is still applied.
 
     Returns one entry per row, in order. A row that leaves the finite range
     ends the list with its DivergenceError in place of a Trajectory, naming
-    the step whose update left the range, and the rows after it are dropped:
-    the list stops where a sequential loop over the rows would have raised
-    first.
+    the step whose update (or final loss) left the range, and the rows after
+    it are dropped: the list stops where a sequential loop over the rows
+    would have raised first.
     """
-    runs = list(runs)
-    if not runs:
+    cfgs, rngs = list(cfgs), list(rngs)
+    if len(cfgs) != len(rngs):
+        raise ValueError("need one stream per optimizer config")
+    if not cfgs:
         return []
-    return _drive(ds, _Discrete(ds, runs), steps, record_stride, early_stop)
+    return _drive(ds, _Discrete(ds, alpha, cfgs, rngs), steps, record_stride, early_stop)
 
 
-def run_dln_discrete(ds: Dataset, state: DlnState, cfg: OptimizerConfig, steps: int,
+def run_dln_discrete(ds: Dataset, alpha, cfg: OptimizerConfig, steps: int,
                      rng: RngStream, record_stride: int = 100, early_stop: bool = True):
     """One run of run_dln_discrete_ensemble; returns (final DlnState, Trajectory).
 
     Raises the run's DivergenceError if it leaves the finite range.
     """
-    traj = run_dln_discrete_ensemble(ds, [DiscreteRun(state, cfg, rng)], steps,
+    traj = run_dln_discrete_ensemble(ds, alpha, [cfg], [rng], steps,
                                      record_stride=record_stride,
                                      early_stop=early_stop)[0]
     if isinstance(traj, DivergenceError):
@@ -436,7 +378,7 @@ class _Sde:
         # per-coordinate noise variance of the shared path is 4 gamma L h (diag + sigma^2)
         self.var_fac = 4.0 * gamma * h * (np.sum(ds.Xbar * ds.Xbar, axis=0) + sigma * sigma)
         self.chunk = max(1, DRAW_AHEAD // R)
-        self.s = _rows(range(R), [dln_init(alpha, d)] * R, rng=np.array(rngs, dtype=object),
+        self.s = _rows(range(R), alpha, d, rng=np.array(rngs, dtype=object),
                        eta=np.zeros((R, d)), delta=np.zeros((R, d)),
                        xi=None)  # drawn noise chunk, (rows, steps, n + d)
         self.keep = self.s.keep  # no row groups to rebuild

@@ -22,9 +22,7 @@ import numpy as np
 
 from .core_math import RngStream, Trajectory
 from .dln_dynamics import (
-    DiscreteRun,
     DivergenceError,
-    dln_init,
     effective_alpha,
     run_dln_discrete,  # noqa: F401 -- perfbench/tracer.py wraps this name here
     run_dln_discrete_ensemble,
@@ -74,6 +72,9 @@ OUTDIR_ENV = "NOISELAB_OUTDIR"
 # predicted minimizer is at or below this counts as matching the theory, which
 # keeps the distance-versus-tilt verdict meaningful when the tilt vanishes
 LIMIT_DISTANCE_FLOOR = 1e-4
+
+# an ou study samples every OU_THIN-th iterate after its burn-in
+OU_THIN = 10
 
 
 @dataclass
@@ -148,8 +149,10 @@ class ExperimentConfig:
             raise ValueError("batch and n_traj must be at least 1")
         if self.mode == "discrete" and self.batch > self.n:
             raise ValueError("batch exceeds n")
-        if self.burn_in < 0 or (self.mode == "ou" and self.burn_in >= self.steps):
-            raise ValueError("burn_in must be nonnegative and smaller than steps")
+        # an ou run needs two samples for its batch-means standard error
+        if self.burn_in < 0 or (self.mode == "ou" and self.steps - self.burn_in <= OU_THIN):
+            raise ValueError(f"burn_in must be nonnegative, and in mode ou leave more "
+                             f"than {OU_THIN} steps")
         alpha0 = np.asarray(self.alpha0, dtype=float)
         if not np.all((alpha0 > 0) & (alpha0 < math.inf)):
             raise ValueError("alpha0 must be positive and finite")
@@ -395,15 +398,16 @@ def _run_discrete(cfg: ExperimentConfig, record: RunRecord, ds: Dataset) -> None
     times = [g * gamma for g in _grid_steps(cfg.steps, cfg.stride)]
     multi_kind = len(cfg.kinds) > 1
     multi_sigma = len(cfg.sigmas) > 1
-    cells, runs = [], []
+    cells, opts, rngs = [], [], []
     for kind in cfg.kinds:
         for sigma in cfg.sigmas:
             cells.append(_cell_label(kind, sigma, multi_kind, multi_sigma))
             sig = sigma if kind == "NoisySGD" else 0.0
             opt = OptimizerConfig(kind=kind, gamma=gamma, sigma=sig, batch=cfg.batch)
-            runs += [DiscreteRun(dln_init(cfg.alpha0, ds.d), opt, RngStream(cfg.seed_base + i))
-                     for i in range(cfg.seeds)]
-    trajs = run_dln_discrete_ensemble(ds, runs, cfg.steps, record_stride=cfg.stride)
+            opts += [opt] * cfg.seeds
+            rngs += [RngStream(cfg.seed_base + i) for i in range(cfg.seeds)]
+    trajs = run_dln_discrete_ensemble(ds, cfg.alpha0, opts, rngs, cfg.steps,
+                                      record_stride=cfg.stride)
     for c, label in enumerate(cells):
         dist_curves, loss_curves, cell_finals = [], [], []
         for i in range(cfg.seeds):
@@ -526,7 +530,7 @@ def _run_ou(cfg: ExperimentConfig, record: RunRecord, ds: Dataset) -> None:
                             sde_step=gamma) for sigma in cfg.sigmas]
     results = simulate_ou_under(ds, opts, steps=cfg.steps, burn_in=cfg.burn_in,
                                 rngs=[RngStream(cfg.seed_base) for _ in opts],
-                                record_stride=cfg.stride)
+                                record_stride=cfg.stride, thin=OU_THIN)
     for sigma, (mean, cov, traj) in zip(cfg.sigmas, results):
         tag = f"sigma{sigma:g}"
         dev = np.abs(mean - ds.theta_ls())

@@ -173,7 +173,7 @@ def stationary_law_theory(ds: Dataset, gamma: float, eps: float, sigma: float) -
 
 
 def simulate_ou_under(ds: Dataset, cfgs, steps: int, burn_in: int, rngs,
-                      record_stride: int = 100, thin: int = 10) -> list:
+                      record_stride: int = 100, *, thin: int) -> list:
     """Euler-Maruyama for d theta = -Xbar^T(Xbar theta - Ybar) dt
     + sqrt(gamma) eps Xbar^T dW + sigma dW~, one row per (cfg, rng) pair.
 

@@ -112,7 +112,7 @@ def save_dataset(ds: Dataset, path) -> None:
 def load_dataset(path) -> Dataset:
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    head = lines[0].split()
+    head = lines[0].split() if lines else []
     if len(head) != 3:
         raise ValueError("malformed dataset header")
     n, d, regime = int(head[0]), int(head[1]), head[2]

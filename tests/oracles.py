@@ -132,11 +132,63 @@ def fd_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
 
 
 class Diverged(Exception):
-    """Raised by sde_reference when the loss leaves the finite range."""
+    """Raised by sde_reference and discrete_step_reference when the iterate
+    leaves the finite range."""
 
     def __init__(self, step):
         super().__init__(f"non-finite loss at step {step}")
         self.step = step
+
+
+def discrete_step_reference(X, Y, Xbar, Ybar, state, kind, gamma, sigma, batch, rng):
+    """One multiplicative update of the diagonal network's weight pair.
+
+    This is the single-step function the package stepped before its ensemble
+    loop existed, kept as the sequential reference. state is a dict with
+    w_plus, w_minus, step, time and loss_integral; the updated dict is
+    returned. w_+ <- w_+ (1 - 2 gamma a_t + gamma sigma_t Z_+), and mirrored
+    with independent Z_- for w_-, where a_t is the minibatch gradient
+    estimate and sigma_t = 2 sigma sqrt(L(w_t)) scales the isotropic noise by
+    the loss. GD drops both stochastic terms, SGD drops the Z term, and a full
+    batch uses the GD gradient and draws no indices. Draw order:
+    rng.indices(n, batch), then Z_+, then Z_- from rng.normal(d). A pre-step
+    loss or an updated weight that is not finite raises Diverged(step).
+    """
+    n, d = X.shape
+    w_p, w_m = state["w_plus"], state["w_minus"]
+    beta = w_p * w_p - w_m * w_m
+    rbar = Xbar @ beta - Ybar
+    loss = 0.5 * float(rbar @ rbar)
+    if not np.isfinite(loss):
+        raise Diverged(state["step"])
+
+    if kind == "GD" or batch == n:
+        a = Xbar.T @ rbar
+    elif batch == 1:
+        i = int(rng.indices(n, 1)[0])
+        a = X[i] * (np.sqrt(n) * rbar[i])
+    else:
+        idx = rng.indices(n, batch)
+        rows = X[idx]
+        a = rows.T @ (rows @ beta - Y[idx]) / batch
+    drift = 2.0 * gamma * a
+    mult_p = 1.0 - drift
+    mult_m = 1.0 + drift
+
+    if kind == "NoisySGD" and sigma > 0:
+        sigma_t = 2.0 * sigma * np.sqrt(loss)
+        z_p = rng.normal(d)
+        z_m = rng.normal(d)
+        mult_p = mult_p + gamma * sigma_t * z_p
+        mult_m = mult_m - gamma * sigma_t * z_m
+
+    new_p = w_p * mult_p
+    new_m = w_m * mult_m
+    if not (np.all(np.isfinite(new_p)) and np.all(np.isfinite(new_m))):
+        raise Diverged(state["step"])
+    return {"w_plus": new_p, "w_minus": new_m, "step": state["step"] + 1,
+            "time": state["time"] + gamma,
+            "loss_integral": state["loss_integral"] + gamma * loss}
 
 
 def sde_reference(Xbar, Ybar, ref, P, alpha, sigma, gamma, h, steps, rng,
@@ -147,9 +199,10 @@ def sde_reference(Xbar, Ybar, ref, P, alpha, sigma, gamma, h, steps, rng,
     integrated before its ensemble integrator existed, kept as the sequential
     reference: noise is drawn from rng.normal in blocks of 4096 steps of
     N(0, I_{n+d}), and the run stops once the loss stays at or below 1e-12
-    for 100 straight steps. Returns a dict with the trajectory rows (t, loss,
-    squared distance to ref, loss integral, ||r_acc||), their step indices,
-    the checkpoints and the final state.
+    for 100 straight steps. A loss that is not finite, before a step or at
+    the final iterate, raises Diverged at that step. Returns a dict with the
+    trajectory rows (t, loss, squared distance to ref, loss integral,
+    ||r_acc||), their step indices, the checkpoints and the final state.
     """
     n, d = Xbar.shape
     w_p = np.full(d, float(alpha))
@@ -218,8 +271,11 @@ def sde_reference(Xbar, Ybar, ref, P, alpha, sigma, gamma, h, steps, rng,
 
     beta = w_p * w_p - w_m * w_m
     rbar = Xbar @ beta - Ybar
+    loss = 0.5 * float(rbar @ rbar)
+    if not np.isfinite(loss):
+        raise Diverged(k)
     if last_recorded != k:
-        record(k, beta, 0.5 * float(rbar @ rbar))
+        record(k, beta, loss)
     return {"rows": rows, "steps": rec_steps, "checkpoints": checkpoints,
             "w_plus": w_p, "w_minus": w_m, "eta": eta, "delta": delta,
             "r_acc": r_acc, "loss_integral": loss_integral, "converged": stopped,

@@ -27,7 +27,6 @@ from noiselab import (
     bundled_config,
     clip,
     default_step_size,
-    dln_init,
     effective_alpha,
     gen_sparse_regression,
     gen_underparam_regression,
@@ -246,7 +245,7 @@ def test_criterion_08_degenerate_equivalences():
     runs = []
     for kind in ("SGD", "NoisySGD"):
         opt = OptimizerConfig(kind=kind, gamma=gamma, sigma=0.0, batch=3)
-        _, traj = run_dln_discrete(ds, dln_init(0.1, ds.d), opt, 200, RngStream(5),
+        _, traj = run_dln_discrete(ds, 0.1, opt, 200, RngStream(5),
                                    record_stride=10, early_stop=False)
         runs.append(np.array(traj.rows))
     noisy_eq = bool(np.array_equal(runs[0], runs[1]))

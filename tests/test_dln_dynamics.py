@@ -7,13 +7,11 @@ import pytest
 
 from noiselab import (
     Dataset,
-    DiscreteRun,
     DivergenceError,
     DlnState,
     OptimizerConfig,
     RngStream,
     default_step_size,
-    dln_discrete_step,
     dln_init,
     dln_loss,
     effective_alpha,
@@ -24,7 +22,7 @@ from noiselab import (
     simulate_dln_sde,
     simulate_dln_sde_ensemble,
 )
-from oracles import QUARTER_ASINH_ONE, Diverged, sde_reference
+from oracles import QUARTER_ASINH_ONE, Diverged, discrete_step_reference, sde_reference
 
 
 def tiny_instance(seed=3):
@@ -90,8 +88,8 @@ class TestDiscreteStep:
         ds = tiny_instance()
         gamma = 0.05
         st = dln_init(0.3, ds.d)
-        out = dln_discrete_step(st, ds, OptimizerConfig(kind="GD", gamma=gamma),
-                                RngStream(0))
+        out, _ = run_dln_discrete(ds, 0.3, OptimizerConfig(kind="GD", gamma=gamma), 1,
+                                  RngStream(0), early_stop=False)
         beta = st.beta()
         a = ds.Xbar.T @ (ds.Xbar @ beta - ds.Ybar)
         assert np.allclose(out.w_plus, st.w_plus * (1 - 2 * gamma * a), rtol=1e-15)
@@ -100,8 +98,8 @@ class TestDiscreteStep:
     def test_gd_ignores_rng(self):
         ds = tiny_instance()
         cfg = OptimizerConfig(kind="GD", gamma=0.05)
-        a = dln_discrete_step(dln_init(0.3, ds.d), ds, cfg, RngStream(1))
-        b = dln_discrete_step(dln_init(0.3, ds.d), ds, cfg, RngStream(2))
+        a, _ = run_dln_discrete(ds, 0.3, cfg, 1, RngStream(1), early_stop=False)
+        b, _ = run_dln_discrete(ds, 0.3, cfg, 1, RngStream(2), early_stop=False)
         assert np.array_equal(a.w_plus, b.w_plus)
 
     def test_single_sample_gradient(self):
@@ -109,11 +107,9 @@ class TestDiscreteStep:
         ds = tiny_instance()
         gamma = 0.05
         st = dln_init(0.3, ds.d)
-        st = dln_discrete_step(st, ds, OptimizerConfig(kind="GD", gamma=gamma),
-                               RngStream(0))
         probe = RngStream(42)
-        out = dln_discrete_step(st, ds, OptimizerConfig(kind="SGD", gamma=gamma, batch=1),
-                                RngStream(42))
+        out, _ = run_dln_discrete(ds, 0.3, OptimizerConfig(kind="SGD", gamma=gamma, batch=1),
+                                  1, RngStream(42), early_stop=False)
         i = int(probe.indices(ds.n, 1)[0])
         beta = st.beta()
         res_i = float(ds.X[i] @ beta - ds.Y[i])
@@ -129,7 +125,7 @@ class TestDiscreteStep:
         z_p = probe.normal(ds.d)
         z_m = probe.normal(ds.d)
         cfg = OptimizerConfig(kind="NoisySGD", gamma=gamma, sigma=sigma, batch=ds.n)
-        out = dln_discrete_step(st, ds, cfg, RngStream(11))
+        out, _ = run_dln_discrete(ds, 0.3, cfg, 1, RngStream(11), early_stop=False)
         beta = st.beta()
         loss = dln_loss(beta, ds)
         a = ds.Xbar.T @ (ds.Xbar @ beta - ds.Ybar)
@@ -142,13 +138,11 @@ class TestDiscreteStep:
     def test_noisy_sigma_zero_equals_sgd(self):
         ds = tiny_instance()
         g = default_step_size(ds)
-        a = dln_init(0.2, ds.d)
-        b = dln_init(0.2, ds.d)
-        ra, rb = RngStream(9), RngStream(9)
-        for _ in range(60):
-            a = dln_discrete_step(a, ds, OptimizerConfig(kind="SGD", gamma=g, batch=1), ra)
-            b = dln_discrete_step(b, ds, OptimizerConfig(kind="NoisySGD", gamma=g,
-                                                         sigma=0.0, batch=1), rb)
+        a, _ = run_dln_discrete(ds, 0.2, OptimizerConfig(kind="SGD", gamma=g, batch=1), 60,
+                                RngStream(9), early_stop=False)
+        b, _ = run_dln_discrete(ds, 0.2, OptimizerConfig(kind="NoisySGD", gamma=g,
+                                                         sigma=0.0, batch=1), 60,
+                                RngStream(9), early_stop=False)
         assert np.array_equal(a.w_plus, b.w_plus)
         assert np.array_equal(a.w_minus, b.w_minus)
 
@@ -157,8 +151,8 @@ class TestDiscreteStep:
         gamma = 0.05
         st = dln_init(0.3, ds.d)
         loss0 = dln_loss(st.beta(), ds)
-        out = dln_discrete_step(st, ds, OptimizerConfig(kind="GD", gamma=gamma),
-                                RngStream(0))
+        out, _ = run_dln_discrete(ds, 0.3, OptimizerConfig(kind="GD", gamma=gamma), 1,
+                                  RngStream(0), early_stop=False)
         assert out.loss_integral == pytest.approx(gamma * loss0, rel=1e-14)
         assert out.step == 1
         assert out.time == pytest.approx(gamma)
@@ -167,23 +161,34 @@ class TestDiscreteStep:
         ds = tiny_instance()
         cfg = OptimizerConfig(kind="DPSGD", gamma=0.05, clip=1.0)
         with pytest.raises(ValueError):
-            dln_discrete_step(dln_init(0.1, ds.d), ds, cfg, RngStream(0))
+            run_dln_discrete(ds, 0.1, cfg, 1, RngStream(0), early_stop=False)
 
     def test_batch_too_large(self):
         ds = tiny_instance()
         cfg = OptimizerConfig(kind="SGD", gamma=0.05, batch=7)
         with pytest.raises(ValueError):
-            dln_discrete_step(dln_init(0.1, ds.d), ds, cfg, RngStream(0))
+            run_dln_discrete(ds, 0.1, cfg, 1, RngStream(0), early_stop=False)
 
     def test_divergence_carries_step(self):
         # gamma far above stability: multipliers grow until a weight overflows
         ds = tiny_instance()
         cfg = OptimizerConfig(kind="GD", gamma=50.0)
-        st = dln_init(1.0, ds.d)
         with pytest.raises(DivergenceError) as exc:
-            for _ in range(10_000):
-                st = dln_discrete_step(st, ds, cfg, RngStream(0))
+            run_dln_discrete(ds, 1.0, cfg, 10_000, RngStream(0))
         assert exc.value.step >= 0
+
+    def test_final_loss_overflow_fails_at_budget(self):
+        # after 6 GD steps the weights are finite (w_+ near -5e95) but the
+        # loss of the final iterate overflows: the run fails at step 6, as it
+        # does when a seventh step judges that loss before stepping
+        ds = gen_sparse_regression(1, 1, 1, RngStream(1))
+        cfg = OptimizerConfig(kind="GD", gamma=default_step_size(ds))
+        st, _ = run_dln_discrete(ds, 1.0, cfg, 5, RngStream(0), record_stride=1)
+        assert math.isfinite(dln_loss(st.beta(), ds))
+        for steps in (6, 7):
+            with pytest.raises(DivergenceError) as exc:
+                run_dln_discrete(ds, 1.0, cfg, steps, RngStream(0), record_stride=1)
+            assert exc.value.step == 6
 
 
 class TestDriver:
@@ -191,12 +196,11 @@ class TestDriver:
         ds = tiny_instance()
         g = default_step_size(ds)
         cfg = OptimizerConfig(kind="NoisySGD", gamma=g, sigma=0.3, batch=1)
-        st, traj = run_dln_discrete(ds, dln_init(0.2, ds.d), cfg, 57,
-                                    RngStream(14), early_stop=False)
-        manual = dln_init(0.2, ds.d)
+        st, traj = run_dln_discrete(ds, 0.2, cfg, 57, RngStream(14), early_stop=False)
+        manual = start_state(ds, 0.2)
         rng = RngStream(14)
         for _ in range(57):
-            manual = dln_discrete_step(manual, ds, cfg, rng)
+            manual = reference_step(ds, manual, cfg, rng)
         assert np.array_equal(st.w_plus, manual.w_plus)
         assert np.array_equal(st.w_minus, manual.w_minus)
         assert st.loss_integral == manual.loss_integral
@@ -204,7 +208,7 @@ class TestDriver:
     def test_trajectory_rows(self):
         ds = tiny_instance()
         cfg = OptimizerConfig(kind="GD", gamma=0.02)
-        st, traj = run_dln_discrete(ds, dln_init(0.2, ds.d), cfg,
+        st, traj = run_dln_discrete(ds, 0.2, cfg,
                                     25, RngStream(0), record_stride=10, early_stop=False)
         t = traj.column("t")
         assert t[0] == 0.0
@@ -215,8 +219,7 @@ class TestDriver:
         ds = tiny_instance()
         g = default_step_size(ds)
         cfg = OptimizerConfig(kind="SGD", gamma=g, batch=1)
-        st, traj = run_dln_discrete(ds, dln_init(0.2, ds.d), cfg,
-                                    200_000, RngStream(5))
+        st, traj = run_dln_discrete(ds, 0.2, cfg, 200_000, RngStream(5))
         assert traj.meta["converged"]
         assert traj.meta["steps_run"] < 200_000
         assert dln_loss(st.beta(), ds) <= 1e-10
@@ -227,19 +230,36 @@ class TestDriver:
         cfg = OptimizerConfig(kind="NoisySGD", gamma=g, sigma=0.25, batch=1)
         hits = 0
         for seed in range(8):
-            st, traj = run_dln_discrete(ds, dln_init(0.2, ds.d), cfg, 200_000,
-                                        RngStream(100 + seed))
+            st, traj = run_dln_discrete(ds, 0.2, cfg, 200_000, RngStream(100 + seed))
             hits += dln_loss(st.beta(), ds) <= 1e-8
         assert hits >= 7
 
 
-def sequential_discrete(ds, run, steps, record_stride, early_stop=True):
-    """The discrete loop's contract, built by iterating dln_discrete_step.
+def start_state(ds, alpha):
+    """w_+ = w_- = alpha, built in plain numpy for the reference."""
+    w = np.broadcast_to(np.asarray(alpha, dtype=float), (ds.d,))
+    return DlnState(w_plus=w.copy(), w_minus=w.copy())
+
+
+def reference_step(ds, state, cfg, rng):
+    """discrete_step_reference on a DlnState; divergence raises DivergenceError."""
+    try:
+        out = discrete_step_reference(ds.X, ds.Y, ds.Xbar, ds.Ybar, vars(state), cfg.kind,
+                                      cfg.gamma, cfg.sigma, cfg.batch, rng)
+    except Diverged as exc:
+        raise DivergenceError(exc.step) from None
+    return DlnState(**out)
+
+
+def sequential_discrete(ds, alpha, cfg, seed, steps, record_stride, early_stop=True):
+    """The discrete loop's contract, built by iterating discrete_step_reference
+    from alpha on the stream RngStream(seed).
 
     Returns (rows, step indices, final state, converged, steps run); a
-    diverging step raises its DivergenceError.
+    diverging step, or a final iterate whose loss is not finite, raises its
+    DivergenceError.
     """
-    state, cfg, rng = run
+    state, rng = start_state(ds, alpha), RngStream(seed)
     rows, rec = [], []
 
     def record(st):
@@ -253,7 +273,7 @@ def sequential_discrete(ds, run, steps, record_stride, early_stop=True):
     for k in range(steps):
         prev = state
         loss = dln_loss(prev.beta(), ds)
-        state = dln_discrete_step(prev, ds, cfg, rng)
+        state = reference_step(ds, prev, cfg, rng)
         if k % record_stride == 0:
             record(prev)
         done = k + 1
@@ -262,6 +282,8 @@ def sequential_discrete(ds, run, steps, record_stride, early_stop=True):
             if streak >= 100:
                 stopped = True
                 break
+    if not math.isfinite(dln_loss(state.beta(), ds)):
+        raise DivergenceError(done)
     record(state)
     return rows, rec, state, stopped, done
 
@@ -282,34 +304,43 @@ def assert_same_discrete(traj, ref):
 
 def grid_runs(ds, batch, kinds=("GD", "SGD", "NoisySGD"), sigmas=(0.0, 0.3),
               seeds=(1, 2)):
+    """(optimizer config, stream seed) of every run of a kind x sigma x seed grid."""
     g = default_step_size(ds)
-    return [DiscreteRun(dln_init(0.2, ds.d),
-                        OptimizerConfig(kind=kind, gamma=g, sigma=sigma, batch=batch),
-                        RngStream(seed))
+    return [(OptimizerConfig(kind=kind, gamma=g, sigma=sigma, batch=batch), seed)
             for kind in kinds for sigma in sigmas for seed in seeds]
+
+
+def run_grid(ds, alpha, runs, steps, **kw):
+    return run_dln_discrete_ensemble(ds, alpha, [cfg for cfg, _ in runs],
+                                     [RngStream(seed) for _, seed in runs], steps, **kw)
+
+
+# per-coordinate start scales for the tiny instance's 10 coordinates
+VECTOR_ALPHA = np.linspace(0.1, 0.25, 10)
 
 
 class TestDiscreteEnsemble:
     # budgets chosen so that, with early stop, rows stop at several different
     # steps while at least one row runs out of steps; stride "stop" is the
     # steps_run of a stopped row, so that row stops exactly on the record grid
-    @pytest.mark.parametrize("batch,steps,stride", [
-        pytest.param(1, 5500, 50, id="1-5500"), pytest.param(4, 3160, 50, id="4-3160"),
-        pytest.param(1, 5500, "stop", id="1-5500-stop"),
-        pytest.param(4, 3160, "stop", id="4-3160-stop")])
+    @pytest.mark.parametrize("batch,steps,stride,alpha", [
+        pytest.param(1, 5500, 50, 0.2, id="1-5500"),
+        pytest.param(4, 3160, 50, 0.2, id="4-3160"),
+        pytest.param(1, 5500, "stop", 0.2, id="1-5500-stop"),
+        pytest.param(4, 3160, "stop", 0.2, id="4-3160-stop"),
+        pytest.param(1, 5500, 50, VECTOR_ALPHA, id="1-5500-vector-alpha")])
     @pytest.mark.parametrize("early_stop", [False, True])
-    def test_rows_match_sequential_steps(self, batch, steps, stride, early_stop):
+    def test_rows_match_sequential_steps(self, batch, steps, stride, alpha, early_stop):
         ds = tiny_instance()
+        runs = grid_runs(ds, batch)
         if stride == "stop":
-            first = run_dln_discrete_ensemble(ds, grid_runs(ds, batch), steps,
-                                              record_stride=50)
+            first = run_grid(ds, alpha, runs, steps, record_stride=50)
             stride = next(t.meta["steps_run"] for t in first if t.meta["converged"])
-        out = run_dln_discrete_ensemble(ds, grid_runs(ds, batch), steps,
-                                        record_stride=stride, early_stop=early_stop)
+        out = run_grid(ds, alpha, runs, steps, record_stride=stride, early_stop=early_stop)
         assert len(out) == 12
-        for traj, run in zip(out, grid_runs(ds, batch)):
-            assert_same_discrete(traj, sequential_discrete(ds, run, steps, stride,
-                                                           early_stop))
+        for traj, (cfg, seed) in zip(out, runs):
+            assert_same_discrete(traj, sequential_discrete(ds, alpha, cfg, seed, steps,
+                                                           stride, early_stop))
         stops = {t.meta["steps_run"] for t in out if t.meta["converged"]}
         if early_stop:
             assert len(stops) >= 3
@@ -321,33 +352,33 @@ class TestDiscreteEnsemble:
         # row 1 diverges at step 72, row 2 already at step 11: a sequential
         # loop over the rows raises for row 1, and so must the ensemble
         ds = tiny_instance()
-
-        def runs():
-            return (grid_runs(ds, 1, kinds=("SGD",), sigmas=(0.0,), seeds=(1,))
-                    + grid_runs(ds, 1, kinds=("NoisySGD",), sigmas=(3.0,), seeds=(1, 0))
-                    + grid_runs(ds, 1, kinds=("SGD",), sigmas=(0.0,), seeds=(2,)))
-
+        runs = (grid_runs(ds, 1, kinds=("SGD",), sigmas=(0.0,), seeds=(1,))
+                + grid_runs(ds, 1, kinds=("NoisySGD",), sigmas=(3.0,), seeds=(1, 0))
+                + grid_runs(ds, 1, kinds=("SGD",), sigmas=(0.0,), seeds=(2,)))
         steps = []
-        for run in runs()[1:3]:
+        for cfg, seed in runs[1:3]:
             with pytest.raises(DivergenceError) as exc:
-                sequential_discrete(ds, run, 300, 50)
+                sequential_discrete(ds, 0.2, cfg, seed, 300, 50)
             steps.append(exc.value.step)
         assert steps[1] < steps[0]
-        out = run_dln_discrete_ensemble(ds, runs(), 300, record_stride=50)
+        out = run_grid(ds, 0.2, runs, 300, record_stride=50)
         assert len(out) == 2
-        assert_same_discrete(out[0], sequential_discrete(ds, runs()[0], 300, 50))
+        assert_same_discrete(out[0], sequential_discrete(ds, 0.2, *runs[0], 300, 50))
         assert isinstance(out[1], DivergenceError)
         assert out[1].step == steps[0]
-        run = runs()[1]
+        cfg, seed = runs[1]
         with pytest.raises(DivergenceError) as exc:
-            run_dln_discrete(ds, *run[:2], 300, run.rng)
+            run_dln_discrete(ds, 0.2, cfg, 300, RngStream(seed))
         assert exc.value.step == steps[0]
 
     def test_rows_must_share_gamma_and_batch(self):
         ds = tiny_instance()
         runs = grid_runs(ds, 1, kinds=("SGD",), sigmas=(0.0,)) + grid_runs(ds, 4)
         with pytest.raises(ValueError):
-            run_dln_discrete_ensemble(ds, runs, 10)
+            run_grid(ds, 0.2, runs, 10)
+        cfgs = [cfg for cfg, _ in grid_runs(ds, 1)]
+        with pytest.raises(ValueError, match="one stream per"):
+            run_dln_discrete_ensemble(ds, 0.2, cfgs, [RngStream(0)] * (len(cfgs) - 1), 10)
 
 
 def sde_oracle(ds, alpha, sigma, gamma, h, steps, seed, stride, early_stop=True):

@@ -24,7 +24,6 @@ from noiselab import (
     bundled_config,
     config_text,
     default_step_size,
-    dln_init,
     gen_sparse_regression,
     parse_config,
     run_dln_discrete,
@@ -140,6 +139,9 @@ class TestConfig:
         dict(label_noise=math.nan),
         dict(experiment="limit_distance", mode="discrete"),
         dict(experiment="ou_stationary", mode="discrete"),
+        # one sample after the burn-in: no standard error of the mean
+        dict(experiment="ou_stationary", mode="ou", n=6, d=2, sigmas=(0.3,),
+             steps=110, burn_in=100),
     ])
     def test_bad_values_rejected(self, kw):
         with pytest.raises(ValueError):
@@ -334,7 +336,7 @@ class TestFailureOrder:
             for i in range(cfg.seeds):
                 opt = OptimizerConfig(kind="NoisySGD", gamma=gamma, sigma=sigma, batch=1)
                 try:
-                    run_dln_discrete(ds, dln_init(0.1, ds.d), opt, cfg.steps, RngStream(i))
+                    run_dln_discrete(ds, 0.1, opt, cfg.steps, RngStream(i))
                 except DivergenceError as exc:
                     failures.append((exc.step, f"{label} seed {i}"))
         step, where = failures[0]
@@ -343,6 +345,16 @@ class TestFailureOrder:
             run_experiment(cfg)
         assert exc.value.step == step
         assert str(exc.value) == f"non-finite iterate at step {step}: {where}"
+
+    def test_final_loss_overflow_is_a_divergence(self, tmp_path):
+        # the weights stay finite for the whole budget, but the loss of the
+        # final iterate overflows: the run fails where it ended, and is never
+        # graded with an infinite distance
+        cfg = ExperimentConfig(experiment="alpha_sweep", n=1, d=1, s=1, dataset_seed=1,
+                               kinds=("GD",), sigmas=(0.0,), alpha0=1.0, seeds=1,
+                               seed_base=0, steps=6, stride=1, out=str(tmp_path))
+        with pytest.raises(DivergenceError, match="^non-finite iterate at step 6: GD seed 0$"):
+            run_experiment(cfg)
 
     def test_sde_non_convergence_before_later_divergence(self, tmp_path, monkeypatch):
         stalled = Trajectory(("t",))
@@ -561,7 +573,7 @@ class TestBenchmarkHooks:
         gamma = default_step_size(ds)
         with Tracer().installed() as tracer:
             assert all(getattr(harness, name) is not fn for name, fn in before.items())
-            harness.run_dln_discrete(ds, dln_init(0.1, ds.d),
+            harness.run_dln_discrete(ds, 0.1,
                                      OptimizerConfig(kind="GD", gamma=gamma), 5,
                                      RngStream(0), early_stop=False)
             harness.simulate_dln_sde(ds, 0.1, 0.0, gamma, gamma, 7, RngStream(0),

@@ -165,7 +165,7 @@ class TestSimulateOuUnder:
         ds = gen_underparam_regression(30, 4, 0.2, RngStream(5))
         cfg = OptimizerConfig(kind="GD", gamma=0.2, eps_floor=0.0, sigma=0.0, sde_step=0.2)
         [(mean, cov, traj)] = simulate_ou_under(ds, [cfg], steps=3000, burn_in=2500,
-                                                rngs=[RngStream(0)])
+                                                rngs=[RngStream(0)], thin=10)
         assert np.abs(mean - ds.theta_ls()).max() < 1e-6
         assert np.abs(cov).max() < 1e-8
 
@@ -177,7 +177,7 @@ class TestSimulateOuUnder:
         cfg = OptimizerConfig(kind="SGD", gamma=gamma, eps_floor=0.7, sigma=0.0,
                               sde_step=gamma / 20)
         [(mean, cov, traj)] = simulate_ou_under(ds, [cfg], steps=400_000, burn_in=40_000,
-                                                rngs=[RngStream(99)])
+                                                rngs=[RngStream(99)], thin=10)
         want = gamma * 0.49 / 2
         assert abs(cov.item() - want) < 0.1 * want
 
@@ -192,7 +192,7 @@ class TestSimulateOuUnder:
         eps, sigma = 0.5, 0.3
         cfg = OptimizerConfig(kind="SGD", gamma=gamma, eps_floor=eps, sigma=sigma, sde_step=h)
         [(mean, cov, traj)] = simulate_ou_under(ds, [cfg], steps=600_000, burn_in=60_000,
-                                                rngs=[RngStream(7)])
+                                                rngs=[RngStream(7)], thin=10)
         Sigma = gamma * eps**2 * A + sigma**2 * np.eye(5)
         W = em_stationary_cov(A, h, Sigma)
         assert np.linalg.norm(cov - W) / np.linalg.norm(W) < 0.10
@@ -205,13 +205,13 @@ class TestSimulateOuUnder:
         bad = 2.5 / float(np.linalg.eigvalsh(A)[-1])
         cfg = OptimizerConfig(kind="SGD", gamma=0.1, eps_floor=0.5, sde_step=bad)
         with pytest.raises(ValueError):
-            simulate_ou_under(ds, [cfg], steps=10, burn_in=0, rngs=[RngStream(0)])
+            simulate_ou_under(ds, [cfg], steps=10, burn_in=0, rngs=[RngStream(0)], thin=10)
 
     def test_burn_in_must_leave_samples(self):
         ds = gen_underparam_regression(20, 2, 0.1, RngStream(4))
         cfg = OptimizerConfig(kind="SGD", gamma=0.1, eps_floor=0.5, sde_step=0.05)
         with pytest.raises(ValueError):
-            simulate_ou_under(ds, [cfg], steps=100, burn_in=100, rngs=[RngStream(0)])
+            simulate_ou_under(ds, [cfg], steps=100, burn_in=100, rngs=[RngStream(0)], thin=10)
 
 
 class TestOuEnsembleMatchesOracle:
@@ -257,7 +257,7 @@ class TestOuEnsembleMatchesOracle:
                 for h in (0.05, 0.04)]
         with pytest.raises(ValueError, match="sde_step"):
             simulate_ou_under(ds, cfgs, steps=100, burn_in=0,
-                              rngs=[RngStream(0), RngStream(1)])
+                              rngs=[RngStream(0), RngStream(1)], thin=10)
 
 
 class TestCoupledMatchesOracle:

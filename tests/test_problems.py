@@ -89,6 +89,10 @@ def test_save_load_round_trip(tmp_path):
     path.write_text(lines[0].replace("over", "under") + "".join(lines[1:]))
     with pytest.raises(ValueError, match="regime"):
         load_dataset(path)
+    for text in ("", " \n\t\n"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="^malformed dataset header$"):
+            load_dataset(path)
 
 
 def test_underparam_has_no_planted_vector():
