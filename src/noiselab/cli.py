@@ -70,12 +70,11 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _report(rec) -> None:
-    print(f"experiment: {rec.config.experiment}  out: {rec.config.outdir()}")
-    for name in sorted(rec.checks):
-        mark = "ok  " if rec.checks[name] else "FAIL"
+def _report(checks: dict, scalars: dict) -> None:
+    """Print each check's verdict, then the scalars as sorted JSON."""
+    for name in sorted(checks):
+        mark = "ok  " if checks[name] else "FAIL"
         print(f"  [{mark}] {name}")
-    scalars = {k: rec.scalars[k] for k in sorted(rec.scalars)}
     print(json.dumps(scalars, indent=2, sort_keys=True))
 
 
@@ -92,38 +91,33 @@ def main(argv=None) -> int:
         print(f"wrote {args.kind} instance n={ds.n} d={ds.d} to {args.out}")
         return 0
 
+    if args.command == "analyze":
+        path = args.record
+        if os.path.isdir(path):
+            path = os.path.join(path, "summary.json")
+        with open(path) as fh:
+            summary = json.load(fh)
+        _report(summary["checks"], summary["scalars"])
+        return 0 if summary["passed"] else 1
+
     if args.command == "run":
         with open(args.config) as fh:
             cfg = parse_config(fh.read())
         cfg = apply_overrides(cfg, seed=args.seed, sigma=args.sigma,
                               alpha=args.alpha, steps=args.steps)
-        rec = run_experiment(cfg)
-        _report(rec)
-        return 0 if rec.passed() else 1
-
-    if args.command == "reproduce":
-        if args.name == "alpha-sweep":
-            recs = run_alpha_sweep(out=args.out, seed=args.seed, sigma=args.sigma,
-                                   alpha=args.alpha, steps=args.steps)
-        else:
-            cfg = bundled_config(_BUNDLES[args.name], out=args.out)
-            cfg = apply_overrides(cfg, seed=args.seed, sigma=args.sigma,
-                                  alpha=args.alpha, steps=args.steps)
-            recs = [run_experiment(cfg)]
-        for rec in recs:
-            _report(rec)
-        return 0 if all(r.passed() for r in recs) else 1
-
-    path = args.record
-    if os.path.isdir(path):
-        path = os.path.join(path, "summary.json")
-    with open(path) as fh:
-        summary = json.load(fh)
-    for name in sorted(summary["checks"]):
-        mark = "ok  " if summary["checks"][name] else "FAIL"
-        print(f"  [{mark}] {name}")
-    print(json.dumps(summary["scalars"], indent=2, sort_keys=True))
-    return 0 if summary["passed"] else 1
+        recs = [run_experiment(cfg)]
+    elif args.name == "alpha-sweep":  # the command left is reproduce
+        recs = run_alpha_sweep(out=args.out, seed=args.seed, sigma=args.sigma,
+                               alpha=args.alpha, steps=args.steps)
+    else:
+        cfg = bundled_config(_BUNDLES[args.name], out=args.out)
+        cfg = apply_overrides(cfg, seed=args.seed, sigma=args.sigma,
+                              alpha=args.alpha, steps=args.steps)
+        recs = [run_experiment(cfg)]
+    for rec in recs:
+        print(f"experiment: {rec.config.experiment}  out: {rec.config.outdir()}")
+        _report(rec.checks, rec.scalars)
+    return 0 if all(r.passed() for r in recs) else 1
 
 
 if __name__ == "__main__":

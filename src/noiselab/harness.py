@@ -375,11 +375,11 @@ def _align(traj: Trajectory, column: str, steps: int, stride: int) -> np.ndarray
     return out
 
 
-def _agg_trajectory(times, curves) -> Trajectory:
-    mean, std = aggregate(curves)
+def _curve(times, means, stds) -> Trajectory:
+    """An output curve with columns (t, mean, std)."""
     traj = Trajectory(("t", "mean", "std"))
-    for t, m, sd in zip(times, mean, std):
-        traj.append(t, m, sd)
+    for row in zip(times, means, stds):
+        traj.append(*row)
     return traj
 
 
@@ -418,8 +418,8 @@ def _run_discrete(cfg: ExperimentConfig, record: RunRecord, ds: Dataset) -> None
             dist_curves.append(_align(traj, "dist_to_beta_l0_sq", cfg.steps, cfg.stride))
             loss_curves.append(_align(traj, "loss", cfg.steps, cfg.stride))
             cell_finals.append(float(dist_curves[-1][-1]))
-        record.aggregates[f"dist_{label}"] = _agg_trajectory(times, dist_curves)
-        record.aggregates[f"loss_{label}"] = _agg_trajectory(times, loss_curves)
+        record.aggregates[f"dist_{label}"] = _curve(times, *aggregate(dist_curves))
+        record.aggregates[f"loss_{label}"] = _curve(times, *aggregate(loss_curves))
         record.per_seed[label] = cell_finals
         record.scalars[f"final_dist_sq_mean_{label}"] = float(np.mean(cell_finals))
         record.scalars[f"final_dist_sq_std_{label}"] = float(np.std(cell_finals))
@@ -480,7 +480,7 @@ def _run_sde_pipeline(cfg: ExperimentConfig, record: RunRecord, ds: Dataset) -> 
             raise DivergenceError(traj.step, label) from traj
         raise RuntimeError(f"{label}: no convergence within {cfg.steps} steps")
 
-    dist_rows = []
+    dist_means, dist_stds = [], []
     all_ok = True
     for c, sigma in enumerate(cfg.sigmas):
         tag = f"sigma{sigma:g}"
@@ -497,20 +497,17 @@ def _run_sde_pipeline(cfg: ExperimentConfig, record: RunRecord, ds: Dataset) -> 
             lhss.append(lhs)
             r_norms.append(float(np.linalg.norm(st.r_acc)))
             mus.append(mu)
-        dist_rows.append((sigma, float(np.mean(dists)), float(np.std(dists))))
+        dist_means.append(float(np.mean(dists)))
+        dist_stds.append(float(np.std(dists)))
         record.per_seed[tag] = dists
-        record.scalars[f"limit_distance_mean_{tag}"] = float(np.mean(dists))
-        record.scalars[f"limit_distance_std_{tag}"] = float(np.std(dists))
+        record.scalars[f"limit_distance_mean_{tag}"] = dist_means[-1]
+        record.scalars[f"limit_distance_std_{tag}"] = dist_stds[-1]
         record.scalars[f"tilt_norm_mean_{tag}"] = float(np.mean(r_norms))
         record.scalars[f"tilt_over_mu_mean_{tag}"] = float(np.mean(lhss))
         record.scalars[f"mu_mean_{tag}"] = float(np.mean(mus))
 
-    agg = Trajectory(("t", "mean", "std"))
-    for row in dist_rows:
-        agg.append(*row)
-    record.aggregates["limit_distance_vs_sigma"] = agg
-    ok, inv = trend_check([r[1] for r in dist_rows], [r[2] for r in dist_rows],
-                          direction=+1)
+    record.aggregates["limit_distance_vs_sigma"] = _curve(cfg.sigmas, dist_means, dist_stds)
+    ok, inv = trend_check(dist_means, dist_stds, direction=+1)
     record.scalars["trend_inversions"] = inv
     record.checks["distance_non_decreasing_in_sigma"] = ok
     record.checks["tilt_bound_every_run"] = all_ok
@@ -524,12 +521,11 @@ def _run_ou(cfg: ExperimentConfig, record: RunRecord, ds: Dataset) -> None:
     record.scalars["gamma"] = gamma
     A = ds.Xbar.T @ ds.Xbar
     lam, Q = np.linalg.eigh(A)
-    # every sigma is one row of the same integration, and each row restarts
-    # the stream RngStream(seed_base)
-    opts = [OptimizerConfig(kind="SGD", gamma=gamma, sigma=sigma, eps_floor=cfg.eps,
-                            sde_step=gamma) for sigma in cfg.sigmas]
-    results = simulate_ou_under(ds, opts, steps=cfg.steps, burn_in=cfg.burn_in,
-                                rngs=[RngStream(cfg.seed_base) for _ in opts],
+    # every sigma is one row of the same integration with step h = gamma, and
+    # each row restarts the stream RngStream(seed_base)
+    results = simulate_ou_under(ds, cfg.eps, cfg.sigmas, gamma, gamma, steps=cfg.steps,
+                                burn_in=cfg.burn_in,
+                                rngs=[RngStream(cfg.seed_base) for _ in cfg.sigmas],
                                 record_stride=cfg.stride, thin=OU_THIN)
     for sigma, (mean, cov, traj) in zip(cfg.sigmas, results):
         tag = f"sigma{sigma:g}"
@@ -540,16 +536,15 @@ def _run_ou(cfg: ExperimentConfig, record: RunRecord, ds: Dataset) -> None:
         target = (Q * (0.5 * gamma * cfg.eps**2 + 0.25 * sigma * sigma / lam)) @ Q.T
         rel_target = float(np.linalg.norm(cov - target) / np.linalg.norm(target))
         law = stationary_law_theory(ds, gamma, cfg.eps, sigma)
-        rel_law = float(np.linalg.norm(cov - law.cov) / np.linalg.norm(law.cov))
+        rel_law = float(np.linalg.norm(cov - law) / np.linalg.norm(law))
         record.scalars[f"mean_dev_se_units_{tag}"] = se_units
         record.scalars[f"cov_rel_frobenius_vs_target_{tag}"] = rel_target
         record.scalars[f"cov_rel_frobenius_vs_flow_law_{tag}"] = rel_law
         record.checks[f"mean_within_3se_{tag}"] = se_units <= 3.0
         record.checks[f"cov_within_15pct_{tag}"] = rel_target <= 0.15
-        agg = Trajectory(("t", "mean", "std"))
-        for t, v in zip(traj.column("t"), traj.column("theta_norm")):
-            agg.append(t, v, 0.0)
-        record.aggregates[f"theta_norm_{tag}"] = agg
+        norms = traj.column("theta_norm")
+        record.aggregates[f"theta_norm_{tag}"] = _curve(traj.column("t"), norms,
+                                                        np.zeros(len(norms)))
 
 
 def _run_coupling(cfg: ExperimentConfig, record: RunRecord, ds: Dataset) -> None:
@@ -560,13 +555,9 @@ def _run_coupling(cfg: ExperimentConfig, record: RunRecord, ds: Dataset) -> None
                                  record_stride=cfg.stride)
     for sigma, rep in zip(cfg.sigmas, reps):
         tag = f"sigma{sigma:g}"
-        eta = Trajectory(("t", "mean", "std"))
-        bound = Trajectory(("t", "mean", "std"))
-        for t, e, b in zip(rep.times, rep.eta_mean, rep.bound_rhs):
-            eta.append(t, e, 0.0)
-            bound.append(t, b, 0.0)
-        record.aggregates[f"eta_{tag}"] = eta
-        record.aggregates[f"bound_{tag}"] = bound
+        zeros = np.zeros(len(rep.times))
+        record.aggregates[f"eta_{tag}"] = _curve(rep.times, rep.eta_mean, zeros)
+        record.aggregates[f"bound_{tag}"] = _curve(rep.times, rep.bound_rhs, zeros)
         if sigma == 0.0:
             record.checks["zero_noise_deviation_identically_zero"] = bool(
                 np.all(rep.eta_mean == 0.0))

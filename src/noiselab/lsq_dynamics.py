@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
-from .core_math import Mat, RngStream, Trajectory, Vec, min_norm_solve
+from .core_math import Mat, RngStream, Trajectory, Vec
 from .problems import Dataset
 
 KINDS = ("GD", "SGD", "NoisySGD", "DPSGD")
@@ -35,45 +35,32 @@ class LsqState:
 
 @dataclass
 class OptimizerConfig:
-    """Knobs shared by all optimizer kinds.
+    """One discrete optimizer: its kind and step size gamma.
 
-    sigma is the added-noise scale (unused by GD/SGD), eps_floor the additive
-    isotropic floor of the underparametrized SDE, clip the per-sample norm
-    bound (DPSGD only, may be inf), sde_step the Euler-Maruyama step which
-    defaults to gamma.
+    sigma is the added-noise scale (unused by GD/SGD), batch the minibatch
+    size, clip the per-sample norm bound (DPSGD only, may be inf). The SDE
+    integrators take their parameters as arguments instead.
     """
 
     kind: str
     gamma: float
     sigma: float = 0.0
-    eps_floor: float = 0.0
     batch: int = 1
     clip: float = math.inf
-    sde_step: float | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
         if not self.gamma > 0:
             raise ValueError("gamma must be positive")
-        if not (0 <= self.sigma < math.inf and 0 <= self.eps_floor < math.inf):
-            raise ValueError("sigma and eps_floor must be finite and nonnegative")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be finite and nonnegative")
         if self.batch < 1:
             raise ValueError("batch must be at least 1")
         if not self.clip > 0:
             raise ValueError("clip must be positive (use inf to disable)")
         if self.kind == "DPSGD" and math.isinf(self.clip) and self.sigma > 0:
             raise ValueError("DPSGD noise scale C*sigma is undefined for clip=inf, sigma>0")
-        if self.sde_step is None:
-            self.sde_step = self.gamma
-        if not self.sde_step > 0:
-            raise ValueError("sde_step must be positive")
-
-
-@dataclass
-class StationaryLaw:
-    mean: Vec
-    cov: Mat
 
 
 @dataclass
@@ -89,19 +76,16 @@ class EtaReport:
     eta_mean: Vec
     loss_integral_mean: Vec
     bound_rhs: Vec
-    n_traj: int
-    traj: Trajectory = field(repr=False)
 
 
 def clip(g: Vec, C: float) -> Vec:
-    """Rescale g onto the ball of radius C when it is longer than C."""
+    """Rescale g, or each row of a (rows, d) array g, onto the ball of radius
+    C when it is longer than C."""
     if not C > 0:
         raise ValueError("clip threshold must be positive")
     g = np.asarray(g, dtype=float)
-    nrm = float(np.linalg.norm(g))
-    if nrm >= C:
-        return (C / nrm) * g
-    return g
+    norms = np.linalg.norm(g, axis=-1, keepdims=True)
+    return g * np.minimum(1.0, C / np.maximum(norms, 1e-300))
 
 
 def _full_gradient(ds: Dataset, theta: Vec) -> Vec:
@@ -134,11 +118,8 @@ def lsq_discrete_step(state: LsqState, ds: Dataset, cfg: OptimizerConfig, rng: R
         if cfg.kind == "DPSGD" and not math.isinf(cfg.clip):
             rows = ds.X if idx is None else ds.X[idx]
             ys = ds.Y if idx is None else ds.Y[idx]
-            res = rows @ theta - ys
-            per_sample = rows * res[:, None]
-            norms = np.linalg.norm(per_sample, axis=1)
-            scale = np.minimum(1.0, cfg.clip / np.maximum(norms, 1e-300))
-            g = (per_sample * scale[:, None]).sum(axis=0) / cfg.batch
+            per_sample = rows * (rows @ theta - ys)[:, None]
+            g = clip(per_sample, cfg.clip).sum(axis=0) / cfg.batch
         elif idx is None:
             g = _full_gradient(ds, theta)
         else:
@@ -153,47 +134,54 @@ def lsq_discrete_step(state: LsqState, ds: Dataset, cfg: OptimizerConfig, rng: R
                     time=state.time + cfg.gamma)
 
 
-def stationary_law_theory(ds: Dataset, gamma: float, eps: float, sigma: float) -> StationaryLaw:
-    """Limit law of the underparametrized Ornstein-Uhlenbeck iteration.
+def stationary_law_theory(ds: Dataset, gamma: float, eps: float, sigma: float) -> Mat:
+    """Covariance of the limit law of the underparametrized Ornstein-Uhlenbeck
+    iteration; its mean is the least-squares point ds.theta_ls().
 
-    Mean is the least-squares point. The covariance solves the Lyapunov
-    equation A W + W A = 2 D with A = Xbar^T Xbar and
-    D = (gamma eps^2 / 2) A + (sigma^2 / 2) I, which in closed form is
-    (gamma eps^2 / 2) I + (sigma^2 / 2) A^{-1}.
+    The covariance solves the Lyapunov equation A W + W A = 2 D with
+    A = Xbar^T Xbar and D = (gamma eps^2 / 2) A + (sigma^2 / 2) I, which in
+    closed form is (gamma eps^2 / 2) I + (sigma^2 / 2) A^{-1}.
     """
     if ds.regime != "under":
         raise ValueError("stationary law needs an underparametrized instance")
+    if not all(0 <= v < math.inf for v in (gamma, eps, sigma)):
+        raise ValueError("gamma, eps and sigma must be finite and nonnegative")
     A = ds.Xbar.T @ ds.Xbar
     lam, Q = np.linalg.eigh(A)
     if lam[0] <= 1e-12 * lam[-1]:
         raise ValueError("Xbar^T Xbar is singular")
     diag = 0.5 * gamma * eps * eps + 0.5 * sigma * sigma / lam
     cov = (Q * diag) @ Q.T
-    return StationaryLaw(mean=min_norm_solve(ds.X, ds.Y), cov=0.5 * (cov + cov.T))
+    return 0.5 * (cov + cov.T)
 
 
-def simulate_ou_under(ds: Dataset, cfgs, steps: int, burn_in: int, rngs,
-                      record_stride: int = 100, *, thin: int) -> list:
-    """Euler-Maruyama for d theta = -Xbar^T(Xbar theta - Ybar) dt
-    + sqrt(gamma) eps Xbar^T dW + sigma dW~, one row per (cfg, rng) pair.
+def simulate_ou_under(ds: Dataset, eps: float, sigmas, gamma: float, h: float,
+                      steps: int, burn_in: int, rngs, record_stride: int = 100, *,
+                      thin: int) -> list:
+    """Euler-Maruyama with step h for d theta = -Xbar^T(Xbar theta - Ybar) dt
+    + sqrt(gamma) eps Xbar^T dW + sigma dW~, one row per (sigma, rng) pair.
 
-    All rows step together as one (rows, d) state and must share sde_step.
-    Each row draws its noise from its own stream in blocks of 10,000 steps,
-    so every row is bitwise what it would be alone. Returns one (empirical
-    mean, empirical covariance, trajectory) per row. Mean and covariance are
-    time averages over post-burn-in iterates thinned by `thin`; the
-    trajectory meta carries batch-means standard errors of the mean
-    ("mean_se", 50 batches) and the sample count ("n_samples").
+    All rows step together as one (rows, d) state. Each row draws its noise
+    from its own stream in blocks of 10,000 steps, so every row is bitwise
+    what it would be alone. Returns one (empirical mean, empirical
+    covariance, trajectory) per row. Mean and covariance are time averages
+    over post-burn-in iterates thinned by `thin`. The trajectory records
+    (t, ||theta||) every record_stride steps; its meta carries batch-means
+    standard errors of the mean ("mean_se", 50 batches), the sample count
+    ("n_samples") and the final iterate ("final_theta").
     """
     if ds.regime != "under":
         raise ValueError("needs an underparametrized instance")
-    if burn_in >= steps:
-        raise ValueError("burn_in must be smaller than steps")
-    if not cfgs or len(cfgs) != len(rngs):
-        raise ValueError("need one stream per config and at least one config")
-    h = cfgs[0].sde_step
-    if any(cfg.sde_step != h for cfg in cfgs):
-        raise ValueError("rows must share sde_step")
+    if not (0 < gamma < math.inf and 0 < h < math.inf):
+        raise ValueError("gamma and h must be positive and finite")
+    if not all(0 <= v < math.inf for v in (eps, *sigmas)):
+        raise ValueError("eps and sigmas must be finite and nonnegative")
+    if not 0 <= burn_in < steps:
+        raise ValueError("burn_in must be nonnegative and smaller than steps")
+    if thin < 1 or record_stride < 1:
+        raise ValueError("thin and record_stride must be at least 1")
+    if not sigmas or len(sigmas) != len(rngs):
+        raise ValueError("need one stream per sigma and at least one sigma")
     A = ds.Xbar.T @ ds.Xbar
     b = ds.Xbar.T @ ds.Ybar
     lam = np.linalg.eigvalsh(A)
@@ -203,12 +191,12 @@ def simulate_ou_under(ds: Dataset, cfgs, steps: int, burn_in: int, rngs,
     d = ds.d
     # rows with noise first, so that each step adds one block to a leading
     # slice; a noise-free row adds nothing (adding 0.0 would turn -0.0 into 0.0)
-    has_noise = [cfg.eps_floor > 0 or cfg.sigma > 0 for cfg in cfgs]
-    order = sorted(range(len(cfgs)), key=lambda i: not has_noise[i])
-    cfgs = [cfgs[i] for i in order]
+    has_noise = [eps > 0 or sigma > 0 for sigma in sigmas]
+    order = sorted(range(len(sigmas)), key=lambda i: not has_noise[i])
+    sigmas = [sigmas[i] for i in order]
     rngs = [rngs[i] for i in order]
     noisy = sum(has_noise)
-    rows = len(cfgs)
+    rows = len(sigmas)
     b = np.tile(b, (rows, 1))  # same values; a same-shape subtract is cheaper
     theta = np.zeros((rows, d))
     upd3 = np.empty((rows, d, 1))
@@ -220,7 +208,7 @@ def simulate_ou_under(ds: Dataset, cfgs, steps: int, burn_in: int, rngs,
 
     n_samples = (steps - burn_in + thin - 1) // thin
     samples = np.empty((rows, n_samples, d))
-    trajs = [Trajectory(("t", "loss", "theta_norm")) for _ in cfgs]
+    trajs = [Trajectory(("t", "theta_norm")) for _ in sigmas]
 
     # the loop stops at every step where a block starts, or where the state
     # before the update is sampled or recorded, and runs plain steps between
@@ -234,14 +222,14 @@ def simulate_ou_under(ds: Dataset, cfgs, steps: int, burn_in: int, rngs,
         if k_next == k:
             continue
         if k % block == 0:
-            _draw_ou_noise(ds, cfgs[:noisy], rngs[:noisy], noise[:steps - k])
+            _draw_ou_noise(ds, eps, sigmas[:noisy], gamma, h, rngs[:noisy],
+                           noise[:steps - k])
         if k >= burn_in and (k - burn_in) % thin == 0:
             samples[:, si] = theta
             si += 1
         if k % record_stride == 0:
             for i, traj in enumerate(trajs):
-                r = ds.Xbar @ theta[i] - ds.Ybar
-                traj.append(k * h, 0.5 * float(r @ r), float(np.linalg.norm(theta[i])))
+                traj.append(k * h, float(np.linalg.norm(theta[i])))
         j0 = k % block
         for step_noise in noise[j0:j0 + k_next - k]:
             # theta <- theta - h * (A theta - b) + noise, one gemv per row
@@ -269,26 +257,25 @@ def simulate_ou_under(ds: Dataset, cfgs, steps: int, burn_in: int, rngs,
     return results
 
 
-def _draw_ou_noise(ds: Dataset, cfgs, rngs, out: np.ndarray) -> None:
+def _draw_ou_noise(ds: Dataset, eps: float, sigmas, gamma: float, h: float, rngs,
+                   out: np.ndarray) -> None:
     """Fill the (count, rows, d) block out with the noisy rows' increments,
     each row drawn from its own stream: data noise first, then isotropic."""
     count = out.shape[0]
-    for i, (cfg, rng) in enumerate(zip(cfgs, rngs)):
-        h = cfg.sde_step
-        amp_i = math.sqrt(h) * cfg.sigma
-        if cfg.eps_floor > 0:
+    for i, (sigma, rng) in enumerate(zip(sigmas, rngs)):
+        if eps > 0:
             noise = rng.normal((count, ds.n)) @ ds.Xbar
-            noise *= math.sqrt(h) * math.sqrt(cfg.gamma) * cfg.eps_floor
-            if cfg.sigma > 0:
-                noise += amp_i * rng.normal((count, ds.d))
+            noise *= math.sqrt(h) * math.sqrt(gamma) * eps
+            if sigma > 0:
+                noise += (math.sqrt(h) * sigma) * rng.normal((count, ds.d))
         else:
-            noise = amp_i * rng.normal((count, ds.d))
+            noise = (math.sqrt(h) * sigma) * rng.normal((count, ds.d))
         out[:, i] = noise
 
 
 def eta_bound_rhs(gamma: float, d: int, sigma: float, loss_integral: float) -> float:
     """Deviation bound gamma * d * sigma^2 * integral of the loss."""
-    if gamma < 0 or d < 0 or sigma < 0 or loss_integral < 0:
+    if not (gamma >= 0 and d >= 0 and sigma >= 0 and loss_integral >= 0):
         raise ValueError("all bound inputs must be nonnegative")
     return gamma * d * sigma * sigma * loss_integral
 
@@ -308,12 +295,12 @@ def simulate_coupled_over(ds: Dataset, gamma: float, sigmas, steps: int,
     if ds.regime != "over":
         raise ValueError("needs an overparametrized instance")
     trace = float(np.sum(ds.Xbar * ds.Xbar))
-    if gamma > 1.0 / trace + 1e-12:
-        raise ValueError("gamma exceeds 1 / Tr(Xbar^T Xbar)")
-    if n_traj < 1 or steps < 1:
-        raise ValueError("need at least one trajectory and one step")
-    if not sigmas or min(sigmas) < 0:
-        raise ValueError("need at least one sigma, all nonnegative")
+    if not 0 < gamma <= 1.0 / trace + 1e-12:
+        raise ValueError("gamma must be positive and at most 1 / Tr(Xbar^T Xbar)")
+    if n_traj < 1 or steps < 1 or record_stride < 1:
+        raise ValueError("need at least one trajectory and one step, and a stride of 1 or more")
+    if not sigmas or not all(0 <= v < math.inf for v in sigmas):
+        raise ValueError("need at least one sigma, all finite and nonnegative")
 
     h = gamma
     d, n = ds.d, ds.n
@@ -326,11 +313,9 @@ def simulate_coupled_over(ds: Dataset, gamma: float, sigmas, steps: int,
     for sigma in sigmas:
         beta = np.zeros((n_traj, d))
         r_b, l_b = _residual_loss(ds, beta)
-        traj = Trajectory(("t", "loss", "eta", "bound_rhs", "theta_norm"))
-        traj.append(0.0, float(np.mean(l_b)), 0.0, 0.0, 0.0)
         copies.append(SimpleNamespace(
             sigma=sigma, own=rng.child(1) if sigma > 0 else None, beta=beta, r_b=r_b,
-            l_b=l_b, loss_int=np.zeros(n_traj), traj=traj, eta=[0.0], li=[0.0], rhs=[0.0]))
+            l_b=l_b, loss_int=np.zeros(n_traj), eta=[0.0], li=[0.0], rhs=[0.0]))
 
     for k in range(steps):
         xi = shared.normal((n_traj, n)) @ ds.Xbar
@@ -346,23 +331,16 @@ def simulate_coupled_over(ds: Dataset, gamma: float, sigmas, steps: int,
         r_t, l_t = _residual_loss(ds, theta)
 
         if (k + 1) % record_stride == 0 or k + 1 == steps:
-            t = (k + 1) * h
-            times.append(t)
-            theta_norm = float(np.mean(np.linalg.norm(theta, axis=1)))
+            times.append((k + 1) * h)
             for c in copies:
                 diff = theta - c.beta
-                eta = float(np.mean(np.einsum("ij,ij->i", diff, diff)))
-                li = float(np.mean(c.loss_int))
-                rhs = eta_bound_rhs(gamma, d, c.sigma, li)
-                c.eta.append(eta)
-                c.li.append(li)
-                c.rhs.append(rhs)
-                # mean(0.5 * e) is 0.5 * mean(e) exactly: halving is exact
-                c.traj.append(t, float(np.mean(c.l_b)), eta, rhs, theta_norm)
+                c.eta.append(float(np.mean(np.einsum("ij,ij->i", diff, diff))))
+                c.li.append(float(np.mean(c.loss_int)))
+                c.rhs.append(eta_bound_rhs(gamma, d, c.sigma, c.li[-1]))
 
     return [EtaReport(times=np.array(times), eta_mean=np.array(c.eta),
-                      loss_integral_mean=np.array(c.li), bound_rhs=np.array(c.rhs),
-                      n_traj=n_traj, traj=c.traj) for c in copies]
+                      loss_integral_mean=np.array(c.li), bound_rhs=np.array(c.rhs))
+            for c in copies]
 
 
 def _residual_loss(ds: Dataset, batch: Mat):

@@ -25,6 +25,7 @@ from noiselab import (
     config_text,
     default_step_size,
     gen_sparse_regression,
+    gen_underparam_regression,
     parse_config,
     run_dln_discrete,
     run_experiment,
@@ -542,10 +543,25 @@ class TestCli:
         assert "[ok  ] distance_non_increasing_in_sigma" in capsys.readouterr().out
 
     def test_analyze_roundtrip(self, tmp_path, capsys):
-        main(["reproduce", "coupling", "--out", str(tmp_path), "--steps", "100"])
-        capsys.readouterr()
-        assert main(["analyze", str(tmp_path)]) == 0
-        assert "zero_noise_deviation_identically_zero" in capsys.readouterr().out
+        # analyze of a stored record prints what the run printed below its
+        # header line, and exits as the record's `passed` says: a passing
+        # coupling study, then a failing stationary-law study
+        cfgfile = tmp_path / "ou.cfg"
+        cfgfile.write_text(
+            "experiment = ou_stationary\nmode = ou\nn = 20\nd = 4\n"
+            "dataset_seed = 5\nsigmas = 0\neps = 0.5\nseeds = 1\nseed_base = 2\n"
+            f"steps = 20000\nburn_in = 2000\nstride = 1000\nout = {tmp_path / 'ou'}\n")
+        for argv, out, code, line in (
+                (["reproduce", "coupling", "--out", str(tmp_path / "c"), "--steps", "100"],
+                 tmp_path / "c", 0, "[ok  ] zero_noise_deviation_identically_zero"),
+                (["run", str(cfgfile)], tmp_path / "ou", 1, "[FAIL] cov_within_15pct_sigma0")):
+            assert main(argv) == code
+            header, run_report = capsys.readouterr().out.split("\n", 1)
+            assert header.startswith("experiment: ")
+            assert main(["analyze", str(out)]) == code
+            analyzed = capsys.readouterr().out
+            assert analyzed == run_report
+            assert line in analyzed
 
     def test_env_outdir(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(OUTDIR_ENV, str(tmp_path / "envout"))
@@ -567,10 +583,14 @@ class TestBenchmarkHooks:
         sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
         from tracer import Tracer
 
-        names = ("run_dln_discrete", "simulate_dln_sde", "solve_tilted", "_align", "aggregate")
+        names = ("run_dln_discrete", "simulate_dln_sde", "solve_tilted", "_align", "aggregate",
+                 "simulate_ou_under", "simulate_coupled_over")
         before = {name: getattr(harness, name) for name in names}
         ds = gen_sparse_regression(6, 10, 2, RngStream(3))
         gamma = default_step_size(ds)
+        ds_u = gen_underparam_regression(20, 3, 0.5, RngStream(4))
+        gamma_u = default_step_size(ds_u)
+        gamma_c = 1.0 / float(np.trace(ds.Xbar.T @ ds.Xbar))
         with Tracer().installed() as tracer:
             assert all(getattr(harness, name) is not fn for name, fn in before.items())
             harness.run_dln_discrete(ds, 0.1,
@@ -579,7 +599,12 @@ class TestBenchmarkHooks:
             harness.simulate_dln_sde(ds, 0.1, 0.0, gamma, gamma, 7, RngStream(0),
                                      early_stop=False)
             harness.solve_tilted(ds, PotentialParams(0.1), max_iters=3, tol=1.0)
+            harness.simulate_ou_under(ds_u, 0.5, [0.0, 0.3], gamma_u, gamma_u, 40, 10,
+                                      [RngStream(0), RngStream(0)], thin=5)
+            harness.simulate_coupled_over(ds, gamma_c, [0.0, 0.5], 9, 4, RngStream(0))
         assert all(getattr(harness, name) is fn for name, fn in before.items())
+        assert tracer.counts["ou_steps"] == 40
+        assert tracer.counts["coupled_row_steps"] == 4 * 9
         assert tracer.counts["discrete_steps"] == 5
         assert tracer.counts["sde_steps"] == 7
         assert tracer.counts["solve_iters"] >= 1

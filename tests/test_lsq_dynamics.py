@@ -55,6 +55,19 @@ class TestClip:
         with pytest.raises(ValueError):
             clip(np.ones(2), 0.0)
 
+    def test_rows_clipped_one_at_a_time(self):
+        # a (rows, d) input clips each row as the 1-d call does, bit for bit;
+        # the short row and the zero row pass untouched
+        rng = np.random.default_rng(1)
+        G = rng.standard_normal((6, 4)) * 3.0
+        G[2] *= 1e-3
+        G[4] = 0.0
+        got = clip(G, 1.0)
+        for g_row, got_row in zip(G, got):
+            assert same_bits(got_row, clip(g_row, 1.0))
+        assert same_bits(got[2], G[2]) and same_bits(got[4], G[4])
+        assert np.all(np.linalg.norm(got, axis=1) <= 1.0 + 1e-12)
+
 
 class TestDiscreteStep:
     def test_gd_scalar_case(self):
@@ -110,6 +123,24 @@ class TestDiscreteStep:
         s = lsq_discrete_step(LsqState(theta=theta0), ds, cfg, RngStream(1))
         assert np.linalg.norm(s.theta - theta0) <= C + 1e-12
 
+    def test_dpsgd_binding_clip_step_bitwise(self):
+        # minibatch, clipping that binds on some samples, and added noise:
+        # bitwise the per-sample clipping formula written out in full
+        ds = gen_underparam_regression(12, 3, 0.3, RngStream(17))
+        theta0 = np.array([4.0, -3.0, 2.5])
+        cfg = OptimizerConfig(kind="DPSGD", gamma=0.1, sigma=0.7, batch=5, clip=1.5)
+        got = lsq_discrete_step(LsqState(theta=theta0), ds, cfg, RngStream(8)).theta
+        rng = RngStream(8)
+        idx = rng.indices(ds.n, 5)
+        rows = ds.X[idx]
+        per_sample = rows * (rows @ theta0 - ds.Y[idx])[:, None]
+        norms = np.linalg.norm(per_sample, axis=1)
+        assert norms.min() < 1.5 < norms.max()
+        scale = np.minimum(1.0, 1.5 / np.maximum(norms, 1e-300))
+        g = (per_sample * scale[:, None]).sum(axis=0) / 5
+        g = g + (1.5 * 0.7 / 5) * rng.normal(3)
+        assert same_bits(got, theta0 - 0.1 * g)
+
     def test_dpsgd_noise_needs_finite_clip(self):
         with pytest.raises(ValueError):
             OptimizerConfig(kind="DPSGD", gamma=0.1, sigma=0.5, batch=4, clip=math.inf)
@@ -131,41 +162,47 @@ class TestDiscreteStep:
 class TestStationaryLawTheory:
     def test_sigma_zero_isotropic(self):
         ds = gen_underparam_regression(50, 5, 0.5, RngStream(2))
-        law = stationary_law_theory(ds, gamma=0.1, eps=0.5, sigma=0.0)
-        assert np.allclose(law.cov, (0.1 * 0.25 / 2) * np.eye(5), atol=1e-14)
-        assert np.allclose(law.mean, ds.theta_ls(), atol=1e-10)
+        cov = stationary_law_theory(ds, gamma=0.1, eps=0.5, sigma=0.0)
+        assert np.allclose(cov, (0.1 * 0.25 / 2) * np.eye(5), atol=1e-14)
 
     def test_identity_gram_closed_form(self):
         # Xbar^T Xbar = I exactly, so cov = (gamma eps^2 / 2 + sigma^2 / 2) I
         d = 3
         X = np.vstack([np.eye(d), np.eye(d)]) * np.sqrt(3.0)
         ds = Dataset(X=X, Y=np.zeros(2 * d), beta_star=None)
-        law = stationary_law_theory(ds, gamma=0.2, eps=1.0, sigma=0.4)
+        cov = stationary_law_theory(ds, gamma=0.2, eps=1.0, sigma=0.4)
         want = (0.2 / 2 + 0.16 / 2) * np.eye(d)
-        assert np.allclose(law.cov, want, atol=1e-12)
+        assert np.allclose(cov, want, atol=1e-12)
 
     def test_agrees_with_lyapunov_route(self):
         # independent route: solve A W + W A = 2 D for D = (gamma eps^2/2) A + (sigma^2/2) I
         ds = gen_underparam_regression(40, 4, 0.3, RngStream(31))
         gamma, eps, sigma = 0.15, 0.5, 0.3
         A = ds.Xbar.T @ ds.Xbar
-        law = stationary_law_theory(ds, gamma, eps, sigma)
+        cov = stationary_law_theory(ds, gamma, eps, sigma)
         D = (gamma * eps**2 / 2.0) * A + (sigma**2 / 2.0) * np.eye(4)
         W = solve_lyapunov(A, D)
-        assert np.abs(law.cov - W).max() < 1e-10
+        assert np.abs(cov - W).max() < 1e-10
 
     def test_overparam_rejected(self):
         ds = gen_sparse_regression(10, 20, 3, RngStream(1))
         with pytest.raises(ValueError):
             stationary_law_theory(ds, 0.1, 0.5, 0.0)
 
+    @pytest.mark.parametrize("gamma, eps, sigma", [
+        (0.1, math.nan, 0.3), (0.1, 0.5, math.inf), (-0.1, 0.5, 0.3), (math.nan, 0.5, 0.3),
+    ])
+    def test_bad_parameters_rejected(self, gamma, eps, sigma):
+        ds = gen_underparam_regression(20, 3, 0.1, RngStream(6))
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            stationary_law_theory(ds, gamma, eps, sigma)
+
 
 class TestSimulateOuUnder:
     def test_deterministic_flow_reaches_least_squares(self):
         ds = gen_underparam_regression(30, 4, 0.2, RngStream(5))
-        cfg = OptimizerConfig(kind="GD", gamma=0.2, eps_floor=0.0, sigma=0.0, sde_step=0.2)
-        [(mean, cov, traj)] = simulate_ou_under(ds, [cfg], steps=3000, burn_in=2500,
-                                                rngs=[RngStream(0)], thin=10)
+        [(mean, cov, traj)] = simulate_ou_under(ds, 0.0, [0.0], 0.2, 0.2, steps=3000,
+                                                burn_in=2500, rngs=[RngStream(0)], thin=10)
         assert np.abs(mean - ds.theta_ls()).max() < 1e-6
         assert np.abs(cov).max() < 1e-8
 
@@ -174,9 +211,8 @@ class TestSimulateOuUnder:
         ds = gen_underparam_regression(50, 1, 0.3, RngStream(8))
         lam = (ds.Xbar.T @ ds.Xbar).item()
         gamma = 0.4 / lam
-        cfg = OptimizerConfig(kind="SGD", gamma=gamma, eps_floor=0.7, sigma=0.0,
-                              sde_step=gamma / 20)
-        [(mean, cov, traj)] = simulate_ou_under(ds, [cfg], steps=400_000, burn_in=40_000,
+        [(mean, cov, traj)] = simulate_ou_under(ds, 0.7, [0.0], gamma, gamma / 20,
+                                                steps=400_000, burn_in=40_000,
                                                 rngs=[RngStream(99)], thin=10)
         want = gamma * 0.49 / 2
         assert abs(cov.item() - want) < 0.1 * want
@@ -190,9 +226,8 @@ class TestSimulateOuUnder:
         gamma = 1.0 / (1.3 * float(np.linalg.eigvalsh(A)[-1]))
         h = gamma / 8
         eps, sigma = 0.5, 0.3
-        cfg = OptimizerConfig(kind="SGD", gamma=gamma, eps_floor=eps, sigma=sigma, sde_step=h)
-        [(mean, cov, traj)] = simulate_ou_under(ds, [cfg], steps=600_000, burn_in=60_000,
-                                                rngs=[RngStream(7)], thin=10)
+        [(mean, cov, traj)] = simulate_ou_under(ds, eps, [sigma], gamma, h, steps=600_000,
+                                                burn_in=60_000, rngs=[RngStream(7)], thin=10)
         Sigma = gamma * eps**2 * A + sigma**2 * np.eye(5)
         W = em_stationary_cov(A, h, Sigma)
         assert np.linalg.norm(cov - W) / np.linalg.norm(W) < 0.10
@@ -203,44 +238,62 @@ class TestSimulateOuUnder:
         ds = gen_underparam_regression(40, 4, 0.2, RngStream(3))
         A = ds.Xbar.T @ ds.Xbar
         bad = 2.5 / float(np.linalg.eigvalsh(A)[-1])
-        cfg = OptimizerConfig(kind="SGD", gamma=0.1, eps_floor=0.5, sde_step=bad)
         with pytest.raises(ValueError):
-            simulate_ou_under(ds, [cfg], steps=10, burn_in=0, rngs=[RngStream(0)], thin=10)
+            simulate_ou_under(ds, 0.5, [0.0], 0.1, bad, steps=10, burn_in=0,
+                              rngs=[RngStream(0)], thin=10)
 
     def test_burn_in_must_leave_samples(self):
         ds = gen_underparam_regression(20, 2, 0.1, RngStream(4))
-        cfg = OptimizerConfig(kind="SGD", gamma=0.1, eps_floor=0.5, sde_step=0.05)
         with pytest.raises(ValueError):
-            simulate_ou_under(ds, [cfg], steps=100, burn_in=100, rngs=[RngStream(0)], thin=10)
+            simulate_ou_under(ds, 0.5, [0.0], 0.1, 0.05, steps=100, burn_in=100,
+                              rngs=[RngStream(0)], thin=10)
+        # a negative burn-in would average a sample taken before the start
+        with pytest.raises(ValueError, match="burn_in must be nonnegative"):
+            simulate_ou_under(ds, 0.5, [0.0], 0.1, 0.05, steps=50, burn_in=-5,
+                              rngs=[RngStream(0)], thin=5)
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(thin=0), "at least 1"),
+        (dict(record_stride=0), "at least 1"),
+        (dict(gamma=0.0), "positive and finite"),
+        (dict(h=math.nan), "positive and finite"),
+        (dict(eps=math.nan), "finite and nonnegative"),
+        (dict(sigmas=[0.3, -0.1]), "finite and nonnegative"),
+        (dict(sigmas=[math.inf, 0.0]), "finite and nonnegative"),
+    ])
+    def test_bad_inputs_rejected(self, change, message):
+        ds = gen_underparam_regression(20, 2, 0.1, RngStream(4))
+        kw = dict(eps=0.5, sigmas=[0.0, 0.3], gamma=0.1, h=0.05, steps=100, burn_in=10,
+                  rngs=[RngStream(0), RngStream(1)], record_stride=10, thin=5)
+        kw.update(change)
+        with pytest.raises(ValueError, match=message):
+            simulate_ou_under(ds, **kw)
 
 
 class TestOuEnsembleMatchesOracle:
     """Every row of one OU ensemble is bitwise the parent's single-row loop
     (tests/oracles.py::ou_reference) run alone on the row's own stream."""
 
-    @pytest.mark.parametrize("noise, steps, burn_in, stride, thin", [
-        pytest.param([(0.5, 0.0)], 3000, 1000, 100, 10, id="eps-sigma0"),
-        pytest.param([(0.5, 0.3)], 3000, 1000, 100, 10, id="eps-sigma"),
-        pytest.param([(0.0, 0.0)], 3000, 1000, 100, 10, id="noise-free"),
-        pytest.param([(0.5, 0.0), (0.0, 0.0), (0.5, 0.3), (0.0, 0.4)], 3000, 1000,
-                     100, 10, id="mixed-rows"),
-        pytest.param([(0.5, 0.0), (0.5, 0.3)], 23_457, 3000, 1000, 10,
-                     id="crosses-blocks"),
-        pytest.param([(0.5, 0.0), (0.0, 0.0)], 5000, 1003, 100, 7,
-                     id="burn-in-off-thin"),
-        pytest.param([(0.5, 0.3), (0.0, 0.0)], 2000, 500, 333, 10,
-                     id="stride-not-dividing"),
+    @pytest.mark.parametrize("eps, sigmas, h_div, steps, burn_in, stride, thin", [
+        pytest.param(0.5, (0.0,), 1, 3000, 1000, 100, 10, id="eps-sigma0"),
+        pytest.param(0.5, (0.3,), 1, 3000, 1000, 100, 10, id="eps-sigma"),
+        pytest.param(0.0, (0.0,), 1, 3000, 1000, 100, 10, id="noise-free"),
+        pytest.param(0.0, (0.0, 0.4), 1, 3000, 1000, 100, 10, id="noise-free-beside-noisy"),
+        pytest.param(0.5, (0.0, 0.3), 1, 23_457, 3000, 1000, 10, id="crosses-blocks"),
+        pytest.param(0.0, (0.3, 0.0), 1, 5000, 1003, 100, 7, id="burn-in-off-thin"),
+        pytest.param(0.5, (0.3, 0.0), 1, 2000, 500, 333, 10, id="stride-not-dividing"),
+        # h != gamma: the data-noise amplitude sqrt(h) sqrt(gamma) eps tells them apart
+        pytest.param(0.5, (0.0, 0.3), 8, 3000, 1000, 100, 10, id="h-gamma-over-8"),
     ])
-    def test_rows_bitwise(self, noise, steps, burn_in, stride, thin):
+    def test_rows_bitwise(self, eps, sigmas, h_div, steps, burn_in, stride, thin):
         ds = gen_underparam_regression(50, 5, 0.5, RngStream(7))
         gamma = default_step_size(ds)
-        cfgs = [OptimizerConfig(kind="SGD", gamma=gamma, eps_floor=eps, sigma=sigma,
-                                sde_step=gamma) for eps, sigma in noise]
-        got = simulate_ou_under(ds, cfgs, steps, burn_in,
-                                [RngStream(11 + i) for i in range(len(cfgs))],
+        h = gamma / h_div
+        got = simulate_ou_under(ds, eps, sigmas, gamma, h, steps, burn_in,
+                                [RngStream(11 + i) for i in range(len(sigmas))],
                                 record_stride=stride, thin=thin)
-        for i, ((eps, sigma), (mean, cov, traj)) in enumerate(zip(noise, got)):
-            ref = ou_reference(ds.Xbar, ds.Ybar, gamma, eps, sigma, gamma, steps,
+        for i, (sigma, (mean, cov, traj)) in enumerate(zip(sigmas, got)):
+            ref = ou_reference(ds.Xbar, ds.Ybar, gamma, eps, sigma, h, steps,
                                burn_in, RngStream(11 + i), record_stride=stride,
                                thin=thin)
             assert same_bits(mean, ref["mean"])
@@ -248,16 +301,8 @@ class TestOuEnsembleMatchesOracle:
             assert same_bits(traj.meta["mean_se"], ref["mean_se"])
             assert same_bits(traj.meta["final_theta"], ref["final_theta"])
             assert traj.meta["n_samples"] == ref["n_samples"]
-            assert traj.columns == ("t", "loss", "theta_norm")
-            assert same_bits(traj.rows, ref["rows"])
-
-    def test_rows_must_share_step(self):
-        ds = gen_underparam_regression(20, 2, 0.1, RngStream(4))
-        cfgs = [OptimizerConfig(kind="SGD", gamma=0.1, eps_floor=0.5, sde_step=h)
-                for h in (0.05, 0.04)]
-        with pytest.raises(ValueError, match="sde_step"):
-            simulate_ou_under(ds, cfgs, steps=100, burn_in=0,
-                              rngs=[RngStream(0), RngStream(1)], thin=10)
+            assert traj.columns == ("t", "theta_norm")
+            assert same_bits(traj.rows, [(t, norm) for t, _, norm in ref["rows"]])
 
 
 class TestCoupledMatchesOracle:
@@ -282,8 +327,6 @@ class TestCoupledMatchesOracle:
                                     RngStream(3), record_stride=stride)
             for key in ("times", "eta_mean", "loss_integral_mean", "bound_rhs"):
                 assert same_bits(getattr(rep, key), ref[key]), key
-            assert same_bits(rep.traj.rows, ref["rows"])
-            assert rep.n_traj == n_traj
 
 
 class TestCoupledOver:
@@ -326,6 +369,20 @@ class TestCoupledOver:
         with pytest.raises(ValueError):
             simulate_coupled_over(ds, gamma=gamma, sigmas=[0.1], steps=10,
                                   n_traj=1, rng=RngStream(0))
+        # a NaN or zero step would run and report NaN or all zeros
+        for bad in (math.nan, 0.0):
+            with pytest.raises(ValueError, match="gamma must be positive"):
+                simulate_coupled_over(ds, gamma=bad, sigmas=[0.1], steps=10,
+                                      n_traj=1, rng=RngStream(0))
+
+    @pytest.mark.parametrize("sigmas", [[math.nan], [0.0, math.inf], [-0.1]])
+    def test_bad_sigmas_rejected(self, sigmas):
+        # sigma NaN would run its copy without noise and report eta 0
+        ds = gen_sparse_regression(10, 20, 3, RngStream(54))
+        gamma = 1.0 / np.trace(ds.Xbar.T @ ds.Xbar)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            simulate_coupled_over(ds, gamma=gamma, sigmas=sigmas, steps=10,
+                                  n_traj=1, rng=RngStream(0))
 
     def test_underparam_rejected(self):
         ds = gen_underparam_regression(20, 3, 0.1, RngStream(6))
@@ -353,3 +410,5 @@ class TestEtaBoundRhs:
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):
             eta_bound_rhs(-0.1, 10, 1.0, 2.0)
+        with pytest.raises(ValueError):
+            eta_bound_rhs(math.nan, 10, 1.0, 2.0)

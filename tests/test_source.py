@@ -27,7 +27,35 @@ def unused_imports(path: Path) -> list:
                   if name not in used)
 
 
-@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
-                         ids=lambda p: p.name)
+def unused_private_names(path: Path) -> list:
+    """Private module-level names of `path` (a `_name` function, class or
+    assignment) that the module itself never reads."""
+    tree = ast.parse(path.read_text())
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = node.lineno
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{path.name}:{line}: {name}" for name, line in defined.items()
+                  if name.startswith("_") and not name.startswith("__")
+                  and name not in loaded)
+
+
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_private_names(path):
+    assert unused_private_names(path) == []
