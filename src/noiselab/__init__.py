@@ -20,8 +20,6 @@ from .problems import (
     default_step_size,
     gen_sparse_regression,
     gen_underparam_regression,
-    load_dataset,
-    save_dataset,
 )
 from .mirror import (
     ConvergenceError,

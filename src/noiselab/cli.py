@@ -1,4 +1,4 @@
-"""Command line front end: generate datasets, run configs, reproduce bundles."""
+"""Command line front end: run configs, reproduce bundles, analyze records."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import json
 import os
 import sys
 
-from .core_math import RngStream
 from .harness import (
     apply_overrides,
     bundled_config,
@@ -15,7 +14,6 @@ from .harness import (
     run_alpha_sweep,
     run_experiment,
 )
-from .problems import gen_sparse_regression, gen_underparam_regression, save_dataset
 
 _BUNDLES = {
     "bias-order": "bias_order",
@@ -44,17 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "grade the runs against their closed-form limits.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("generate", help="write a synthetic dataset file")
-    g.add_argument("--kind", choices=("sparse", "tall"), default="sparse",
-                   help="sparse: wide matrix with a planted sparse vector; "
-                        "tall: skinny matrix with noisy labels")
-    g.add_argument("--n", type=int, default=40)
-    g.add_argument("--d", type=int, default=100)
-    g.add_argument("--s", type=int, default=5, help="planted support size")
-    g.add_argument("--label-noise", type=float, default=0.5)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--out", required=True)
-
     r = sub.add_parser("run", help="run an experiment described by a config file")
     r.add_argument("config")
     _add_overrides(r)
@@ -80,16 +67,6 @@ def _report(checks: dict, scalars: dict) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-
-    if args.command == "generate":
-        rng = RngStream(args.seed)
-        if args.kind == "sparse":
-            ds = gen_sparse_regression(args.n, args.d, args.s, rng)
-        else:
-            ds = gen_underparam_regression(args.n, args.d, args.label_noise, rng)
-        save_dataset(ds, args.out)
-        print(f"wrote {args.kind} instance n={ds.n} d={ds.d} to {args.out}")
-        return 0
 
     if args.command == "analyze":
         path = args.record

@@ -45,8 +45,8 @@ class DlnState:
     """Weight pair and running diagnostics of one DLN trajectory.
 
     loss_integral is the left Riemann sum of the loss, r_acc the out-of-row-span
-    noise that the SDE accumulates (zero for a discrete run). Both ensembles
-    return each row's end state as meta["final_state"].
+    noise that the SDE accumulates; a discrete run keeps the zero default. Both
+    ensembles return each row's end state as meta["final_state"].
     """
 
     w_plus: Vec
@@ -98,7 +98,7 @@ def effective_alpha(alpha0: Vec, ds: Dataset, gamma: float, sigma: float,
     )
 
 
-_COLUMNS = ("t", "loss", "dist_to_beta_l0_sq", "loss_integral", "r_acc_norm")
+_COLUMNS = ("t", "loss", "dist_to_beta_l0_sq")
 
 
 def _rows(order, alpha, d: int, **arrays) -> Rows:
@@ -111,7 +111,6 @@ def _rows(order, alpha, d: int, **arrays) -> Rows:
         w_p=np.tile(start.w_plus, (rows, 1)),
         w_m=np.tile(start.w_minus, (rows, 1)),
         li=np.zeros(rows),
-        r_acc=np.zeros((rows, d)),
         **arrays,
     )
 
@@ -142,14 +141,13 @@ def _drive(ds: Dataset, model, steps: int, record_stride: int, early_stop: bool)
 
     def record(j, k, beta, loss):
         traj = trajs[s.row[j]]
-        li = float(s.li[j])
         diff = beta - ref
-        traj.append(s.time[j], loss, float(diff @ diff), li, float(np.linalg.norm(s.r_acc[j])))
+        traj.append(s.time[j], loss, float(diff @ diff))
         traj.meta["steps"].append(k)
         if model.snapshot:
             traj.meta.setdefault("checkpoints", []).append({
                 "step": k, "time": float(s.time[j]), "beta": beta.copy(),
-                **snapshot(j), "loss_integral": li,
+                **snapshot(j), "loss_integral": float(s.li[j]),
             })
 
     def fail_at(j, k):
@@ -167,9 +165,11 @@ def _drive(ds: Dataset, model, steps: int, record_stride: int, early_stop: bool)
             return
         record(j, done, beta, loss)
         traj = trajs[s.row[j]]
+        # only the SDE rows carry r_acc; a discrete row keeps DlnState's zeros
+        r_acc = s.r_acc[j].copy() if hasattr(s, "r_acc") else None
         state = DlnState(w_plus=s.w_p[j].copy(), w_minus=s.w_m[j].copy(),
                          step=done, time=float(s.time[j]),
-                         loss_integral=float(s.li[j]), r_acc=s.r_acc[j].copy())
+                         loss_integral=float(s.li[j]), r_acc=r_acc)
         traj.meta.update(final_state=state, **snapshot(j), converged=stopped,
                          steps_run=done)
         out[s.row[j]] = traj
@@ -380,6 +380,7 @@ class _Sde:
         self.chunk = max(1, DRAW_AHEAD // R)
         self.s = _rows(range(R), alpha, d, rng=np.array(rngs, dtype=object),
                        eta=np.zeros((R, d)), delta=np.zeros((R, d)),
+                       r_acc=np.zeros((R, d)),
                        xi=None)  # drawn noise chunk, (rows, steps, n + d)
         self.keep = self.s.keep  # no row groups to rebuild
 
@@ -436,12 +437,12 @@ def simulate_dln_sde_ensemble(ds: Dataset, alpha, sigma: float, gamma: float,
     the run dissipates at the same rate as the algorithm it models. Stepping
     in log space keeps the product w_+ w_- exactly on the decayed-scale law
     and never flips a weight sign, which a linear multiplier does at O(h).
-    A row's trajectory records t, loss, squared distance to the planted
-    vector, the loss integral, and ||r_acc||, with the integer step indices
-    in meta["steps"]. meta["checkpoints"] keeps, at every recorded step, the
-    iterate beta together with the linearly re-accumulated exponents (eta
-    from the drift and data-noise block, delta from the isotropic block) so
-    the hyperbolic closed form can be checked externally.
+    A row's trajectory records t, loss and the squared distance to the
+    planted vector, with the integer step indices in meta["steps"].
+    meta["checkpoints"] keeps, at every recorded step, the iterate beta
+    together with the linearly re-accumulated exponents (eta from the drift
+    and data-noise block, delta from the isotropic block) so the hyperbolic
+    closed form can be checked externally.
 
     Each row draws its xi ahead in chunks from its own stream. A stream is
     one sequence of normals however it is chunked, so the chunks hold

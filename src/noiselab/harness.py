@@ -262,14 +262,7 @@ class RunRecord:
     def passed(self) -> bool:
         return all(self.checks.values())
 
-    def write(self, outdir=None) -> list:
-        out = outdir or self.config.outdir()
-        os.makedirs(out, exist_ok=True)
-        paths = []
-        for label, traj in sorted(self.aggregates.items()):
-            p = os.path.join(out, f"{label}.csv")
-            traj.write_csv(p)
-            paths.append(p)
+    def write(self) -> list:
         summary = {
             "experiment": self.config.experiment,
             "config": {f.name: getattr(self.config, f.name)
@@ -279,10 +272,18 @@ class RunRecord:
             "checks": self.checks,
             "passed": self.passed(),
         }
+        # serialized first: a NaN or an infinity raises before any file is written
+        text = json.dumps(_plain(summary), indent=2, sort_keys=True, allow_nan=False)
+        out = self.config.outdir()
+        os.makedirs(out, exist_ok=True)
+        paths = []
+        for label, traj in sorted(self.aggregates.items()):
+            p = os.path.join(out, f"{label}.csv")
+            traj.write_csv(p)
+            paths.append(p)
         p = os.path.join(out, "summary.json")
         with open(p, "w", newline="\n") as fh:
-            json.dump(_plain(summary), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text + "\n")
         paths.append(p)
         return paths
 
@@ -360,19 +361,16 @@ def _grid_steps(steps: int, stride: int) -> list:
 
 
 def _align(traj: Trajectory, column: str, steps: int, stride: int) -> np.ndarray:
-    """Resample a recorded curve onto the common step grid, holding the final
-    value past an early stop; rows are placed by their integer step indices
-    (meta["steps"])."""
+    """A recorded curve on the step grid, holding its last value past an early
+    stop: a run records each grid step before its last step, then its last."""
     vals = traj.column(column)
-    rec_steps = traj.meta["steps"]
+    rec = traj.meta["steps"]
     grid = _grid_steps(steps, stride)
-    out = np.empty(len(grid))
-    vi = 0
-    for gi, g in enumerate(grid):
-        while vi + 1 < len(rec_steps) and rec_steps[vi + 1] <= g:
-            vi += 1
-        out[gi] = vals[vi]
-    return out
+    n = len(rec)
+    if not (0 < n <= len(grid) and rec[:-1] == grid[:n - 1]
+            and (n == 1 or rec[-2] < rec[-1]) and rec[-1] <= grid[n - 1]):
+        raise ValueError(f"recorded steps do not follow the stride-{stride} grid")
+    return np.concatenate((vals, np.full(len(grid) - n, vals[-1])))
 
 
 def _curve(times, means, stds) -> Trajectory:

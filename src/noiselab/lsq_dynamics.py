@@ -180,7 +180,7 @@ def simulate_ou_under(ds: Dataset, eps: float, sigmas, gamma: float, h: float,
         raise ValueError("burn_in must be nonnegative and smaller than steps")
     if thin < 1 or record_stride < 1:
         raise ValueError("thin and record_stride must be at least 1")
-    if not sigmas or len(sigmas) != len(rngs):
+    if len(sigmas) == 0 or len(sigmas) != len(rngs):
         raise ValueError("need one stream per sigma and at least one sigma")
     A = ds.Xbar.T @ ds.Xbar
     b = ds.Xbar.T @ ds.Ybar
@@ -299,7 +299,7 @@ def simulate_coupled_over(ds: Dataset, gamma: float, sigmas, steps: int,
         raise ValueError("gamma must be positive and at most 1 / Tr(Xbar^T Xbar)")
     if n_traj < 1 or steps < 1 or record_stride < 1:
         raise ValueError("need at least one trajectory and one step, and a stride of 1 or more")
-    if not sigmas or not all(0 <= v < math.inf for v in sigmas):
+    if len(sigmas) == 0 or not all(0 <= v < math.inf for v in sigmas):
         raise ValueError("need at least one sigma, all finite and nonnegative")
 
     h = gamma

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core_math import Mat, RngStream, Vec, fmt17, min_norm_solve, spectral_norm
+from .core_math import Mat, RngStream, Vec, min_norm_solve, spectral_norm
 
 
 @dataclass
@@ -96,37 +96,3 @@ def default_step_size(ds: Dataset) -> float:
         raise ValueError("zero feature matrix has no step size")
     return 1.0 / (1.3 * nrm)
 
-
-def save_dataset(ds: Dataset, path) -> None:
-    """Flat text serialization: header 'n d regime', X rows, Y, optional beta_star."""
-    lines = [f"{ds.n} {ds.d} {ds.regime}"]
-    for row in ds.X:
-        lines.append(" ".join(fmt17(v) for v in row))
-    lines.append(" ".join(fmt17(v) for v in ds.Y))
-    if ds.beta_star is not None:
-        lines.append(" ".join(fmt17(v) for v in ds.beta_star))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_dataset(path) -> Dataset:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    head = lines[0].split() if lines else []
-    if len(head) != 3:
-        raise ValueError("malformed dataset header")
-    n, d, regime = int(head[0]), int(head[1]), head[2]
-    body = lines[1:]
-    if len(body) not in (n + 1, n + 2):
-        raise ValueError("unexpected number of dataset lines")
-    X = np.array([[float(v) for v in body[i].split()] for i in range(n)])
-    if X.shape != (n, d):
-        raise ValueError("feature block has wrong shape")
-    Y = np.array([float(v) for v in body[n].split()])
-    beta_star = None
-    if len(body) == n + 2:
-        beta_star = np.array([float(v) for v in body[n + 1].split()])
-    ds = Dataset(X=X, Y=Y, beta_star=beta_star)
-    if regime != ds.regime:
-        raise ValueError(f"header regime {regime!r} does not match an {n} x {d} instance")
-    return ds

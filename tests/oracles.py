@@ -201,8 +201,8 @@ def sde_reference(Xbar, Ybar, ref, P, alpha, sigma, gamma, h, steps, rng,
     N(0, I_{n+d}), and the run stops once the loss stays at or below 1e-12
     for 100 straight steps. A loss that is not finite, before a step or at
     the final iterate, raises Diverged at that step. Returns a dict with the
-    trajectory rows (t, loss, squared distance to ref, loss integral,
-    ||r_acc||), their step indices, the checkpoints and the final state.
+    trajectory rows (t, loss, squared distance to ref), their step indices,
+    the checkpoints and the final state.
     """
     n, d = Xbar.shape
     w_p = np.full(d, float(alpha))
@@ -220,9 +220,7 @@ def sde_reference(Xbar, Ybar, ref, P, alpha, sigma, gamma, h, steps, rng,
     def record(k, beta, loss):
         nonlocal last_recorded
         diff = beta - ref
-        rows.append(tuple(float(v) for v in (k * h, loss, float(diff @ diff),
-                                             loss_integral,
-                                             float(np.linalg.norm(r_acc)))))
+        rows.append(tuple(float(v) for v in (k * h, loss, float(diff @ diff))))
         rec_steps.append(k)
         checkpoints.append({"step": k, "time": k * h, "beta": beta.copy(),
                             "eta": eta.copy(), "delta": delta.copy(),
@@ -442,8 +440,7 @@ def coupled_reference(Xbar, Ybar, gamma, sigma, steps, n_traj, rng, record_strid
     grid in one pass: clean and noisy copies share the increments drawn from
     rng.child(2), the noisy copy adds its own from rng.child(1), and both
     start at zero with step size gamma. Returns a dict with the recorded
-    times, mean deviations, mean loss integrals, bound values and rows
-    (t, mean loss of the noisy copy, eta, bound, mean ||theta||).
+    times, mean deviations, mean loss integrals and bound values.
     """
     n, d = Xbar.shape
     h = gamma
@@ -454,12 +451,7 @@ def coupled_reference(Xbar, Ybar, gamma, sigma, steps, n_traj, rng, record_strid
     shared = rng.child(2)
     own = rng.child(1)
 
-    def mean_loss(batch):
-        r = batch @ Xbar.T - Ybar
-        return 0.5 * float(np.mean(np.einsum("ij,ij->i", r, r)))
-
     times, eta_mean, li_mean, rhs = [0.0], [0.0], [0.0], [0.0]
-    rows = [(0.0, mean_loss(beta), 0.0, 0.0, 0.0)]
     for k in range(steps):
         r_t = theta @ Xbar.T - Ybar
         r_b = beta @ Xbar.T - Ybar
@@ -480,8 +472,5 @@ def coupled_reference(Xbar, Ybar, gamma, sigma, steps, n_traj, rng, record_strid
             eta_mean.append(eta)
             li_mean.append(li)
             rhs.append(gamma * d * sigma * sigma * li)
-            rows.append((t, mean_loss(beta), eta, rhs[-1],
-                         float(np.mean(np.linalg.norm(theta, axis=1)))))
     return {"times": np.array(times), "eta_mean": np.array(eta_mean),
-            "loss_integral_mean": np.array(li_mean), "bound_rhs": np.array(rhs),
-            "rows": rows}
+            "loss_integral_mean": np.array(li_mean), "bound_rhs": np.array(rhs)}

@@ -265,8 +265,7 @@ def sequential_discrete(ds, alpha, cfg, seed, steps, record_stride, early_stop=T
     def record(st):
         beta = st.beta()
         diff = beta - ds.beta_star
-        rows.append(tuple(float(v) for v in (st.time, dln_loss(beta, ds), diff @ diff,
-                                             st.loss_integral, np.linalg.norm(st.r_acc))))
+        rows.append(tuple(float(v) for v in (st.time, dln_loss(beta, ds), diff @ diff)))
         rec.append(st.step)
 
     streak, done, stopped = 0, 0, False

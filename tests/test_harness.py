@@ -1,5 +1,6 @@
 """Orchestration layer: aggregation, config parsing, determinism, CLI."""
 
+import bisect
 import json
 import math
 import os
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from noiselab import (
     EXPERIMENTS,
     ConvergenceError,
+    Dataset,
     DivergenceError,
     ExperimentConfig,
     OptimizerConfig,
@@ -28,14 +30,22 @@ from noiselab import (
     gen_underparam_regression,
     parse_config,
     run_dln_discrete,
+    run_dln_discrete_ensemble,
     run_experiment,
     trend_check,
 )
 from noiselab import harness
 from noiselab.cli import main
 from noiselab.core_math import Trajectory
-from noiselab.harness import MODE_KINDS, OUTDIR_ENV, STUDY_MODES, _align, _dataset_for
-from noiselab.problems import load_dataset
+from noiselab.harness import (
+    MODE_KINDS,
+    OUTDIR_ENV,
+    STUDY_MODES,
+    RunRecord,
+    _align,
+    _dataset_for,
+    _grid_steps,
+)
 
 
 class TestAggregate:
@@ -310,15 +320,44 @@ class TestOverrides:
 
 
 class TestAlign:
-    def test_holds_final_value_past_early_stop(self):
-        # rows are placed by their recorded step index, not by t
+    def test_pads_real_rows_with_their_last_value(self):
+        # GD stops early at step 3109; SGD and NoisySGD run all 4000 steps;
+        # stride 7 divides neither
+        rng = RngStream(3)
+        X = rng.normal((6, 10))
+        beta_star = np.zeros(10)
+        beta_star[1], beta_star[5] = 0.6, -0.45
+        ds = Dataset(X=X, Y=X @ beta_star, beta_star=beta_star)
+        gamma = default_step_size(ds)
+        cfgs = [OptimizerConfig(kind=kind, gamma=gamma, sigma=sigma)
+                for kind, sigma in (("GD", 0.0), ("SGD", 0.0), ("NoisySGD", 0.3))]
+        steps, stride = 4000, 7
+        trajs = run_dln_discrete_ensemble(ds, 0.2, cfgs, [RngStream(1)] * 3, steps,
+                                          record_stride=stride)
+        assert [t.meta["steps_run"] for t in trajs] == [3109, 4000, 4000]
+        grid = _grid_steps(steps, stride)
+        for traj in trajs:
+            vals, rec = traj.column("loss"), traj.meta["steps"]
+            out = _align(traj, "loss", steps, stride)
+            assert np.array_equal(
+                out, np.concatenate((vals, np.full(len(grid) - len(vals), vals[-1]))))
+            # each grid step holds the value recorded at the last step at or before it
+            assert np.array_equal(out, [vals[bisect.bisect_right(rec, g) - 1] for g in grid])
+
+    @pytest.mark.parametrize("rec", [
+        pytest.param([0, 100, 200, 350], id="skips-300"),
+        pytest.param([0, 200, 250], id="skips-100"),
+        pytest.param([100, 200], id="no-step-0"),
+        pytest.param([0, 100, 100], id="repeats-a-step"),
+        pytest.param([0, 100, 200, 300, 400, 500, 600, 700], id="past-the-budget"),
+    ])
+    def test_records_off_the_grid_raise(self, rec):
         traj = Trajectory(("t", "v"))
-        traj.meta["steps"] = []
-        for step, v in [(0, 1.0), (100, 2.0), (200, 3.0), (350, 4.0)]:
-            traj.append(step * 0.1, v)
-            traj.meta["steps"].append(step)
-        out = _align(traj, "v", steps=600, stride=100)
-        assert np.array_equal(out, [1.0, 2.0, 3.0, 3.0, 4.0, 4.0, 4.0])
+        traj.meta["steps"] = rec
+        for step in rec:
+            traj.append(step * 0.1, float(step))
+        with pytest.raises(ValueError, match="do not follow the stride-100 grid"):
+            _align(traj, "v", steps=600, stride=100)
 
 
 class TestFailureOrder:
@@ -480,21 +519,27 @@ class TestRunExperiment:
         for name in first:
             assert first[name] == second[name], name
 
+    def test_non_finite_summary_refused_before_writing(self, tmp_path):
+        # per-seed distances 3.5e19 and 6.2e167 overflow the cell's std to
+        # infinity, which JSON cannot hold
+        out = tmp_path / "rec"
+        cfg = ExperimentConfig(experiment="alpha_sweep", kinds=("SGD",), sigmas=(0.0,),
+                               n=2, d=3, s=3, dataset_seed=3, alpha0=0.25, seeds=2,
+                               seed_base=1, steps=7, out=str(out))
+        with pytest.raises(ValueError, match="JSON"):
+            run_experiment(cfg)
+        assert not out.exists()
+
 
 class TestCli:
-    def test_generate_sparse(self, tmp_path, capsys):
-        path = tmp_path / "ds.npz"
-        assert main(["generate", "--kind", "sparse", "--n", "8", "--d", "12",
-                     "--s", "2", "--seed", "5", "--out", str(path)]) == 0
-        ds = load_dataset(path)
-        assert ds.n == 8 and ds.d == 12 and ds.regime == "over"
-        assert "wrote sparse instance" in capsys.readouterr().out
-
-    def test_generate_tall(self, tmp_path):
-        path = tmp_path / "tall.npz"
-        assert main(["generate", "--kind", "tall", "--n", "30", "--d", "4",
-                     "--seed", "2", "--out", str(path)]) == 0
-        assert load_dataset(path).regime == "under"
+    def test_commands(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "{run,reproduce,analyze}" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--out", "ds.txt"])
+        assert exc.value.code == 2
 
     def test_run_config_file(self, tmp_path, capsys):
         cfgfile = tmp_path / "exp.cfg"
@@ -576,7 +621,7 @@ class TestCli:
 
 
 class TestBenchmarkHooks:
-    def test_tracer_wraps_and_restores(self):
+    def test_tracer_wraps_and_restores(self, tmp_path):
         """perfbench/tracer.py wraps harness and mirror names and reads the
         arguments and results of some; renaming any of them fails here, not
         only in the benchmark's own tests."""
@@ -584,8 +629,9 @@ class TestBenchmarkHooks:
         from tracer import Tracer
 
         names = ("run_dln_discrete", "simulate_dln_sde", "solve_tilted", "_align", "aggregate",
-                 "simulate_ou_under", "simulate_coupled_over")
+                 "simulate_ou_under", "simulate_coupled_over", "gen_sparse_regression")
         before = {name: getattr(harness, name) for name in names}
+        write = RunRecord.write
         ds = gen_sparse_regression(6, 10, 2, RngStream(3))
         gamma = default_step_size(ds)
         ds_u = gen_underparam_regression(20, 3, 0.5, RngStream(4))
@@ -602,7 +648,17 @@ class TestBenchmarkHooks:
             harness.simulate_ou_under(ds_u, 0.5, [0.0, 0.3], gamma_u, gamma_u, 40, 10,
                                       [RngStream(0), RngStream(0)], thin=5)
             harness.simulate_coupled_over(ds, gamma_c, [0.0, 0.5], 9, 4, RngStream(0))
+            assert RunRecord.write is not write
+            harness.gen_sparse_regression(6, 10, 2, RngStream(3))
+            traj = Trajectory(("t", "mean", "std"))
+            traj.append(0.0, 1.0, 0.0)
+            paths = RunRecord(config=ExperimentConfig(out=str(tmp_path)),
+                              aggregates={"loss": traj}, scalars={"gamma": gamma}).write()
         assert all(getattr(harness, name) is fn for name, fn in before.items())
+        assert RunRecord.write is write
+        assert len(paths) == 2
+        assert tracer.counts["write_bytes"] == sum(os.path.getsize(p) for p in paths)
+        assert "problems.dataset" in tracer.totals()
         assert tracer.counts["ou_steps"] == 40
         assert tracer.counts["coupled_row_steps"] == 4 * 9
         assert tracer.counts["discrete_steps"] == 5

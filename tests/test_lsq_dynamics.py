@@ -269,6 +269,20 @@ class TestSimulateOuUnder:
         with pytest.raises(ValueError, match=message):
             simulate_ou_under(ds, **kw)
 
+    def test_array_sigmas_match_tuple_bitwise(self):
+        # a numpy array of sigmas runs exactly as the same tuple does
+        ds = gen_underparam_regression(20, 2, 0.1, RngStream(4))
+        runs = [simulate_ou_under(ds, 0.5, sigmas, 0.1, 0.05, steps=100, burn_in=10,
+                                  rngs=[RngStream(0), RngStream(1)], record_stride=10,
+                                  thin=5)
+                for sigmas in ((0.0, 0.5), np.array([0.0, 0.5]))]
+        for (mean, cov, traj), (mean_a, cov_a, traj_a) in zip(*runs):
+            assert same_bits(mean, mean_a)
+            assert same_bits(cov, cov_a)
+            assert same_bits(traj.rows, traj_a.rows)
+            assert same_bits(traj.meta["mean_se"], traj_a.meta["mean_se"])
+            assert same_bits(traj.meta["final_theta"], traj_a.meta["final_theta"])
+
 
 class TestOuEnsembleMatchesOracle:
     """Every row of one OU ensemble is bitwise the parent's single-row loop
@@ -383,6 +397,16 @@ class TestCoupledOver:
         with pytest.raises(ValueError, match="finite and nonnegative"):
             simulate_coupled_over(ds, gamma=gamma, sigmas=sigmas, steps=10,
                                   n_traj=1, rng=RngStream(0))
+
+    def test_array_sigmas_match_tuple_bitwise(self):
+        # a numpy array of sigmas runs exactly as the same tuple does
+        ds = gen_sparse_regression(10, 20, 3, RngStream(53))
+        gamma = 1.0 / np.trace(ds.Xbar.T @ ds.Xbar)
+        runs = [simulate_coupled_over(ds, gamma, sigmas, 20, 3, RngStream(3))
+                for sigmas in ((0.0, 0.5), np.array([0.0, 0.5]))]
+        for rep, rep_a in zip(*runs):
+            for key in ("times", "eta_mean", "loss_integral_mean", "bound_rhs"):
+                assert same_bits(getattr(rep, key), getattr(rep_a, key)), key
 
     def test_underparam_rejected(self):
         ds = gen_underparam_regression(20, 3, 0.1, RngStream(6))

@@ -1,16 +1,13 @@
-"""Dataset generation, normalization, and round-trip serialization."""
+"""Dataset generation, normalization, and step-size defaults."""
 
 import numpy as np
 import pytest
 
 from noiselab import (
-    Dataset,
     RngStream,
     default_step_size,
     gen_sparse_regression,
     gen_underparam_regression,
-    load_dataset,
-    save_dataset,
     spectral_norm,
 )
 
@@ -72,27 +69,6 @@ def test_default_step_size_matches_dense_oracle():
     G = ds.Xbar @ ds.Xbar.T
     lam_top = np.linalg.eigvalsh(0.5 * (G + G.T))[-1]
     assert np.isclose(default_step_size(ds), 1.0 / (1.3 * lam_top), rtol=1e-8)
-
-
-def test_save_load_round_trip(tmp_path):
-    ds = gen_sparse_regression(10, 20, 2, RngStream(77))
-    path = tmp_path / "ds.npz"
-    save_dataset(ds, path)
-    back = load_dataset(path)
-    assert isinstance(back, Dataset)
-    assert np.array_equal(back.X, ds.X)
-    assert np.array_equal(back.Y, ds.Y)
-    assert np.array_equal(back.beta_star, ds.beta_star)
-    assert back.regime == ds.regime
-    # the header is outside input: a regime that contradicts the shape is refused
-    lines = path.read_text().splitlines(keepends=True)
-    path.write_text(lines[0].replace("over", "under") + "".join(lines[1:]))
-    with pytest.raises(ValueError, match="regime"):
-        load_dataset(path)
-    for text in ("", " \n\t\n"):
-        path.write_text(text)
-        with pytest.raises(ValueError, match="^malformed dataset header$"):
-            load_dataset(path)
 
 
 def test_underparam_has_no_planted_vector():
