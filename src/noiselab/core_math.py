@@ -50,11 +50,15 @@ class RngStream:
     def child(self, k: int) -> "RngStream":
         return RngStream(self.seed, self.path + (k,))
 
-    def normal(self, size=None):
-        return self._gen.standard_normal(size)
+    def normal(self, size=None, out=None):
+        return self._gen.standard_normal(size, out=out)
 
     def indices(self, n: int, batch: int):
         """Uniform draw of `batch` distinct indices from range(n)."""
+        if batch == 1:
+            # the same value and generator state as choice(n, 1, replace=False),
+            # at a fraction of its cost; tests pin the equivalence
+            return np.array([self._gen.integers(0, n)])
         return self._gen.choice(n, size=batch, replace=False)
 
 

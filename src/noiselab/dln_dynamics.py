@@ -3,7 +3,7 @@
 Discrete updates are exact minibatch SGD on the reparametrized risk, written in
 multiplicative form, with optional loss-scaled Gaussian noise multiplying the
 weights; an OptimizerConfig (kind, gamma, sigma, batch) fixes a discrete run,
-and the SDE takes its sigma as an argument. The SDE integrator drives both
+and the SDE takes one sigma per row. The SDE integrator drives both
 weight signs with one shared Brownian path, mirrored, which is what makes the
 hyperbolic closed form of the iterate hold along the trajectory. The loss is
 the normalized empirical risk L(beta) = (1/2n) sum_i (<beta, x_i> - y_i)^2.
@@ -113,6 +113,13 @@ def _rows(order, alpha, d: int, **arrays) -> Rows:
         li=np.zeros(rows),
         **arrays,
     )
+
+
+def _span(mask) -> slice | None:
+    """The slice of the True entries of a mask whose True entries are
+    contiguous, or None if there are none."""
+    idx = np.flatnonzero(mask)
+    return slice(idx[0], idx[-1] + 1) if idx.size else None
 
 
 def _drive(ds: Dataset, model, steps: int, record_stride: int, early_stop: bool) -> list:
@@ -259,8 +266,8 @@ class _Discrete:
                        noisy=np.array([noisy[r] for r in order]),
                        sigma=np.array([cfgs[r].sigma for r in order]))
         self.picks = np.zeros((len(cfgs), batch), dtype=np.int64)
-        self.z_p = np.empty((len(cfgs), ds.d))
-        self.z_m = np.empty((len(cfgs), ds.d))
+        # Z_+ and Z_- of a row are the two halves of one draw of 2d normals
+        self.z = np.empty((len(cfgs), 2 * ds.d))
         self.keep(slice(None))
 
     def keep(self, mask) -> None:
@@ -269,23 +276,20 @@ class _Discrete:
         s = self.s
         s.keep(mask)
         nf = int(s.full.sum())
-        noisy = np.flatnonzero(s.noisy)
         self.full, self.mini = slice(0, nf), slice(nf, s.row.size)
-        self.noisy = slice(noisy[0], noisy[-1] + 1) if noisy.size else None
+        self.noisy = _span(s.noisy)
         self.mini_rows = np.arange(s.row.size - nf)
         self.plan = list(zip(s.rng, (~s.full).tolist(), s.noisy.tolist()))
 
     def step(self, k, beta, rbar, loss) -> None:
         s, n, d, gamma, batch = self.s, self.n, self.d, self.gamma, self.batch
-        full, mini, ls, picks, z_p, z_m = (self.full, self.mini, self.noisy,
-                                           self.picks, self.z_p, self.z_m)
+        full, mini, ls, picks, z = self.full, self.mini, self.noisy, self.picks, self.z
         # per-row draws, in the order indices, Z_+, Z_-
         for j, (rng, draws_idx, noisy) in enumerate(self.plan):
             if draws_idx:
                 picks[j] = rng.indices(n, batch)
             if noisy:
-                z_p[j] = rng.normal(d)
-                z_m[j] = rng.normal(d)
+                rng.normal(out=z[j])
 
         if self.mini_rows.size:
             idx = picks[mini]
@@ -306,8 +310,8 @@ class _Discrete:
         if ls is not None:
             sigma_t = 2.0 * s.sigma[ls] * np.sqrt(loss[ls])
             coef = (gamma * sigma_t)[:, None]
-            mult_p[ls] += coef * z_p[ls]
-            mult_m[ls] -= coef * z_m[ls]
+            mult_p[ls] += coef * z[ls, :d]
+            mult_m[ls] -= coef * z[ls, d:]
         s.w_p = s.w_p * mult_p
         s.w_m = s.w_m * mult_m
         s.time = s.time + gamma
@@ -363,29 +367,45 @@ DRAW_AHEAD = 1024
 
 
 class _Sde:
-    """The geometric Euler-Maruyama step of simulate_dln_sde_ensemble."""
+    """The geometric Euler-Maruyama step of simulate_dln_sde_ensemble, with
+    one sigma per row.
+
+    Rows are held noise-free first, so that the sigma > 0 rows are one
+    contiguous slice and a sigma-0 row skips the isotropic block entirely, as
+    a lone run does; s.row maps back to the caller's order.
+    """
 
     stops_before_step = True
     snapshot = ("eta", "delta")
 
-    def __init__(self, ds: Dataset, alpha, sigma: float, gamma: float, h: float,
+    def __init__(self, ds: Dataset, alpha, sigmas: list, gamma: float, h: float,
                  steps: int, rngs: list):
         R, d = len(rngs), ds.d
-        self.sigma, self.gamma, self.h, self.steps = sigma, gamma, h, steps
+        self.gamma, self.h, self.steps = gamma, h, steps
         self.n, self.d, self.XbarT = ds.n, d, ds.Xbar.T
         self.P = row_space_projector(ds.X)
         self.sqh = math.sqrt(h)
-        # per-coordinate noise variance of the shared path is 4 gamma L h (diag + sigma^2)
-        self.var_fac = 4.0 * gamma * h * (np.sum(ds.Xbar * ds.Xbar, axis=0) + sigma * sigma)
         self.chunk = max(1, DRAW_AHEAD // R)
-        self.s = _rows(range(R), alpha, d, rng=np.array(rngs, dtype=object),
+        col = np.sum(ds.Xbar * ds.Xbar, axis=0)
+        order = sorted(range(R), key=lambda r: sigmas[r] > 0)
+        self.s = _rows(order, alpha, d, rng=np.array([rngs[r] for r in order], dtype=object),
+                       sigma=np.array([sigmas[r] for r in order], dtype=float),
+                       # per-coordinate noise variance of the shared path is
+                       # 4 gamma L h (diag + sigma^2)
+                       var_fac=np.array([4.0 * gamma * h * (col + sigmas[r] * sigmas[r])
+                                         for r in order]),
                        eta=np.zeros((R, d)), delta=np.zeros((R, d)),
                        r_acc=np.zeros((R, d)),
                        xi=None)  # drawn noise chunk, (rows, steps, n + d)
-        self.keep = self.s.keep  # no row groups to rebuild
+        self.keep(slice(None))
+
+    def keep(self, mask) -> None:
+        """Drop rows, then find the slice of the noisy rows again."""
+        self.s.keep(mask)
+        self.noisy = _span(self.s.sigma > 0)
 
     def step(self, k, beta, rbar, loss) -> None:
-        s, n, d, h, sigma, sqh = self.s, self.n, self.d, self.h, self.sigma, self.sqh
+        s, n, d, h, ls, sqh = self.s, self.n, self.d, self.h, self.noisy, self.sqh
         XbarT = self.XbarT
         j = k % self.chunk
         if j == 0:
@@ -402,14 +422,15 @@ class _Sde:
         xi = s.xi[:, j]
         m_x = amp[:, None] * matvecs(XbarT, xi[:, :n])
         c = g - m_x
-        v = self.var_fac * loss[:, None]
+        v = s.var_fac * loss[:, None]
         s.eta = s.eta - g + m_x
-        if sigma > 0:
-            m_i = (amp * sigma)[:, None] * xi[:, n:]
-            inc = sqh * xi[:, n:]
-            s.r_acc = s.r_acc + (sigma * root)[:, None] * (inc - matvecs(self.P, inc))
-            c = c - m_i
-            s.delta = s.delta + m_i
+        if ls is not None:
+            sigma, xi_i = s.sigma[ls], xi[ls, n:]
+            m_i = (amp[ls] * sigma)[:, None] * xi_i
+            inc = sqh * xi_i
+            s.r_acc[ls] += (sigma * root[ls])[:, None] * (inc - matvecs(self.P, inc))
+            c[ls] -= m_i
+            s.delta[ls] += m_i
         fade = np.exp(-0.5 * v)
         grow = np.exp(-c)
         s.w_p = s.w_p * (fade * grow)
@@ -418,15 +439,16 @@ class _Sde:
         s.time[:] = (k + 1) * h  # k h exactly, as the records state it
 
 
-def simulate_dln_sde_ensemble(ds: Dataset, alpha, sigma: float, gamma: float,
+def simulate_dln_sde_ensemble(ds: Dataset, alpha, sigmas, gamma: float,
                               h: float, steps: int, rngs, record_stride: int = 100,
                               early_stop: bool = True) -> list:
-    """Geometric Euler-Maruyama for the mirrored weight SDE, one row per stream.
+    """Geometric Euler-Maruyama for the mirrored weight SDE, one row per
+    (sigma, stream) pair.
 
-    sigma scales the isotropic block sigma I_d of the diffusion, which the
-    loss multiplies like the data block. Each row integrates from the same
-    start and sigma with its own stream
-    and shared Brownian path, bitwise as simulate_dln_sde would alone. The
+    A row's sigma scales the isotropic block sigma I_d of its diffusion, which
+    the loss multiplies like the data block. Each row integrates from the same
+    start with its own sigma, stream and shared Brownian path, bitwise as
+    simulate_dln_sde would alone, whatever the other rows' sigmas. The
     scheme steps the logarithms of the weights, which stay positive in the
     exact SDE. Per step, with xi ~ N(0, I_{n+d}) and A = (Xbar | sigma I_d):
         c = 2 h Xbar^T rbar - 2 sqrt(gamma L) sqrt(h) A^T xi
@@ -453,13 +475,16 @@ def simulate_dln_sde_ensemble(ds: Dataset, alpha, sigma: float, gamma: float,
     finite. Returns one Trajectory per row, in order; a row that fails ends
     the list with its DivergenceError, as for run_dln_discrete_ensemble.
     """
-    if steps < 0 or h <= 0 or gamma <= 0 or not 0 <= sigma < math.inf:
-        raise ValueError("need positive gamma and h, a finite nonnegative sigma "
+    sigmas, rngs = list(sigmas), list(rngs)
+    if len(sigmas) != len(rngs):
+        raise ValueError("need one sigma per stream")
+    if (steps < 0 or h <= 0 or gamma <= 0
+            or not all(0 <= sigma < math.inf for sigma in sigmas)):
+        raise ValueError("need positive gamma and h, finite nonnegative sigmas "
                          "and nonnegative steps")
-    rngs = list(rngs)
     if not rngs:
         return []
-    model = _Sde(ds, alpha, sigma, gamma, h, steps, rngs)
+    model = _Sde(ds, alpha, sigmas, gamma, h, steps, rngs)
     return _drive(ds, model, steps, record_stride, early_stop)
 
 
@@ -467,7 +492,7 @@ def simulate_dln_sde(ds: Dataset, alpha, sigma: float, gamma: float, h: float,
                      steps: int, rng: RngStream, record_stride: int = 100,
                      early_stop: bool = True) -> Trajectory:
     """One row of simulate_dln_sde_ensemble; raises its DivergenceError."""
-    traj = simulate_dln_sde_ensemble(ds, alpha, sigma, gamma, h, steps, [rng],
+    traj = simulate_dln_sde_ensemble(ds, alpha, [sigma], gamma, h, steps, [rng],
                                      record_stride=record_stride,
                                      early_stop=early_stop)[0]
     if isinstance(traj, DivergenceError):

@@ -444,30 +444,29 @@ def _run_sde_pipeline(cfg: ExperimentConfig, record: RunRecord, ds: Dataset) -> 
     """Limit pipeline, per run: integrate to convergence, read off the decayed
     scale and the accumulated tilt, solve the limit problem, compare.
 
-    Each sigma's seeds integrate as one SDE ensemble, and the limit problems
-    of all runs are then solved as one solver ensemble. Failures are raised in
+    All (sigma, seed) runs integrate as one SDE ensemble, in (sigma, seed)
+    order, and the limit problems of all runs are then solved as one solver
+    ensemble. The pipeline reads only each run's final state and convergence,
+    so the integrator records no steps in between. Failures are raised in
     (sigma, seed) order: the first run that diverges, does not converge, or
     whose limit problem fails is the one reported.
     """
     gamma = default_step_size(ds)
     record.scalars["gamma"] = gamma
+    runs = [(sigma, cfg.seed_base + i) for sigma in cfg.sigmas for i in range(cfg.seeds)]
+    trajs = simulate_dln_sde_ensemble(
+        ds, cfg.alpha0, [sigma for sigma, _ in runs], gamma, gamma, cfg.steps,
+        [RngStream(seed) for _, seed in runs], record_stride=cfg.steps)
     states, pots = [], []  # per run, in (sigma, seed) order
     failed = None  # (label, trajectory or DivergenceError) of the first failing run
-    for sigma in cfg.sigmas:
-        trajs = simulate_dln_sde_ensemble(
-            ds, cfg.alpha0, sigma, gamma, gamma, cfg.steps,
-            [RngStream(cfg.seed_base + i) for i in range(cfg.seeds)],
-            record_stride=cfg.stride)
-        for i, traj in enumerate(trajs):
-            if isinstance(traj, DivergenceError) or not traj.meta["converged"]:
-                failed = (f"sigma{sigma:g} seed {cfg.seed_base + i}", traj)
-                break
-            st = traj.meta["final_state"]
-            states.append(st)
-            pots.append(PotentialParams(
-                effective_alpha(cfg.alpha0, ds, gamma, sigma, st.loss_integral)))
-        if failed:
+    for (sigma, seed), traj in zip(runs, trajs):
+        if isinstance(traj, DivergenceError) or not traj.meta["converged"]:
+            failed = (f"sigma{sigma:g} seed {seed}", traj)
             break
+        st = traj.meta["final_state"]
+        states.append(st)
+        pots.append(PotentialParams(
+            effective_alpha(cfg.alpha0, ds, gamma, sigma, st.loss_integral)))
     preds = solve_tilted_ensemble(ds, pots, [None] * len(pots))
     for pred in preds:
         if isinstance(pred, ConvergenceError):

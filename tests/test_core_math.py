@@ -53,6 +53,27 @@ class TestRngStream:
         idx = RngStream(11).indices(10, 10)
         assert sorted(idx.tolist()) == list(range(10))
 
+    @pytest.mark.parametrize("n", [2, 40, 41, 1000, 2**31 + 7])
+    def test_single_index_draw_matches_choice(self, n):
+        # indices(n, 1) draws with integers(0, n): the values, and the state it
+        # leaves for the normals drawn in between, must be choice's, or every
+        # batch-1 stream would change
+        for seed in range(3):
+            got, ref = RngStream(seed), RngStream(seed)
+            for _ in range(2000):
+                idx = got.indices(n, 1)
+                assert idx.shape == (1,)
+                assert idx[0] == ref._gen.choice(n, 1, replace=False)[0]
+                got.normal(3)
+                ref.normal(3)
+            assert got._gen.bit_generator.state == ref._gen.bit_generator.state
+
+    def test_normal_into_buffer_continues_the_sequence(self):
+        buf = np.empty(10)
+        assert RngStream(5).normal(out=buf) is buf
+        halves = RngStream(5)
+        assert np.array_equal(buf, np.concatenate((halves.normal(5), halves.normal(5))))
+
     def test_draws_do_not_disturb_siblings(self):
         # consuming one child stream must not shift another
         root = RngStream(9)

@@ -11,6 +11,7 @@ from noiselab import (
     DlnState,
     OptimizerConfig,
     RngStream,
+    Trajectory,
     default_step_size,
     dln_init,
     dln_loss,
@@ -22,6 +23,7 @@ from noiselab import (
     simulate_dln_sde,
     simulate_dln_sde_ensemble,
 )
+from noiselab.dln_dynamics import DRAW_AHEAD
 from oracles import QUARTER_ASINH_ONE, Diverged, discrete_step_reference, sde_reference
 
 
@@ -419,7 +421,7 @@ class TestSdeEnsemble:
         seeds = (0, 1, 2, 3)
 
         def ensemble(stride):
-            return simulate_dln_sde_ensemble(ds, 0.2, sigma, g, g,
+            return simulate_dln_sde_ensemble(ds, 0.2, [sigma] * len(seeds), g, g,
                                              4000, [RngStream(s) for s in seeds],
                                              record_stride=stride, early_stop=early_stop)
 
@@ -449,7 +451,7 @@ class TestSdeEnsemble:
             except Diverged as exc:
                 refs.append(exc.step)
         assert isinstance(refs[0], dict) and refs[2] < refs[1]
-        out = simulate_dln_sde_ensemble(ds, 0.2, 0.5, g, 10 * g,
+        out = simulate_dln_sde_ensemble(ds, 0.2, [0.5] * len(seeds), g, 10 * g,
                                         2000, [RngStream(s) for s in seeds])
         assert len(out) == 2
         assert_same_sde(out[0], refs[0])
@@ -459,6 +461,87 @@ class TestSdeEnsemble:
             simulate_dln_sde(ds, 0.2, 0.5, g, 10 * g, 2000,
                              RngStream(7))
         assert exc.value.step == refs[1]
+
+
+def assert_same_run(traj, alone):
+    """Two SDE trajectories are bitwise the same run."""
+    assert traj.rows == alone.rows
+    assert traj.meta["steps"] == alone.meta["steps"]
+    assert len(traj.meta["checkpoints"]) == len(alone.meta["checkpoints"])
+    for got, want in zip(traj.meta["checkpoints"], alone.meta["checkpoints"]):
+        assert got.keys() == want.keys()
+        for key in want:
+            assert np.array_equal(got[key], want[key]), key
+    st, want = traj.meta["final_state"], alone.meta["final_state"]
+    for key in ("w_plus", "w_minus", "r_acc"):
+        assert np.array_equal(getattr(st, key), getattr(want, key)), key
+    assert (st.step, st.time, st.loss_integral) == (want.step, want.time, want.loss_integral)
+    for key in ("eta", "delta", "converged", "steps_run"):
+        assert np.array_equal(traj.meta[key], alone.meta[key]), key
+
+
+class TestSdePerRowSigma:
+    """Rows with their own sigmas, held noise-free first, are each bitwise
+    the run simulate_dln_sde makes alone."""
+
+    @pytest.mark.parametrize("early_stop", [True, False])
+    def test_rows_match_lone_runs(self, early_stop):
+        ds = tiny_instance()
+        g = default_step_size(ds)
+        sigmas, seeds = (0.5, 0.0, 0.25, 0.0), (0, 1, 2, 3)
+        out = simulate_dln_sde_ensemble(ds, 0.2, sigmas, g, g, 4000,
+                                        [RngStream(s) for s in seeds],
+                                        record_stride=70, early_stop=early_stop)
+        assert len(out) == len(seeds)
+        for traj, sigma, seed in zip(out, sigmas, seeds):
+            assert_same_run(traj, simulate_dln_sde(ds, 0.2, sigma, g, g, 4000,
+                                                   RngStream(seed), record_stride=70,
+                                                   early_stop=early_stop))
+        runs = [t.meta["steps_run"] for t in out]
+        if early_stop:
+            # rows stop at different steps, some inside a draw chunk, while
+            # the others go on drawing from the compacted chunk
+            chunk = DRAW_AHEAD // len(seeds)
+            assert len(set(runs)) == len(seeds)
+            assert any(r % chunk and r < max(runs) for r in runs)
+            assert all(t.meta["converged"] for t in out)
+        else:
+            assert runs == [4000] * len(seeds)
+        assert np.linalg.norm(out[0].meta["final_state"].r_acc) > 0
+        assert not out[1].meta["final_state"].r_acc.any()
+
+    def test_first_failing_row_in_order_is_reported(self):
+        # at h = 10 gamma the sigma-0 run of seed 7 diverges at step 1394, and
+        # later rows sooner: sigma 0.5 seed 1 at step 2, sigma 0 seed 3 at
+        # step 3, though that noise-free row is held ahead of the noisy ones
+        ds = tiny_instance()
+        g = default_step_size(ds)
+        sigmas, seeds = (0.5, 0.0, 0.0, 0.5, 0.0), (0, 8, 7, 1, 3)
+        refs = []
+        for sigma, seed in zip(sigmas, seeds):
+            try:
+                refs.append(simulate_dln_sde(ds, 0.2, sigma, g, 10 * g, 2000,
+                                             RngStream(seed)))
+            except DivergenceError as exc:
+                refs.append(exc.step)
+        assert all(isinstance(r, Trajectory) for r in refs[:2])
+        assert isinstance(refs[2], int) and max(refs[3:]) < refs[2]
+        out = simulate_dln_sde_ensemble(ds, 0.2, sigmas, g, 10 * g, 2000,
+                                        [RngStream(s) for s in seeds])
+        assert len(out) == 3
+        assert_same_run(out[0], refs[0])
+        assert_same_run(out[1], refs[1])
+        assert isinstance(out[2], DivergenceError) and out[2].step == refs[2]
+
+    def test_bad_sigmas(self):
+        ds = tiny_instance()
+        with pytest.raises(ValueError, match="one sigma per stream"):
+            simulate_dln_sde_ensemble(ds, 0.2, [0.1], 0.1, 0.01, 10,
+                                      [RngStream(0), RngStream(1)])
+        for sigmas in ([0.1, -0.1], [math.nan, 0.0], [0.0, math.inf]):
+            with pytest.raises(ValueError, match="sigma"):
+                simulate_dln_sde_ensemble(ds, 0.2, sigmas, 0.1, 0.01, 10,
+                                          [RngStream(0), RngStream(1)])
 
 
 @pytest.fixture(scope="module")

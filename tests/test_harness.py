@@ -425,11 +425,10 @@ class TestFailureOrder:
         real_sde, real_alpha = harness.simulate_dln_sde_ensemble, harness.effective_alpha
 
         def integrate(*args, **kwargs):
-            c = len(sde_calls)
-            sde_calls.append(c)
+            sde_calls.append(args)
             trajs = real_sde(*args, **kwargs)
             for i, traj in enumerate(trajs):
-                fault = faults.get(2 * c + i)
+                fault = faults.get(i)
                 if fault == "diverge":
                     return trajs[:i] + [DivergenceError(7)]
                 if fault == "stall":
@@ -460,8 +459,8 @@ class TestFailureOrder:
             with pytest.raises(RuntimeError,
                                match="^sigma0 seed 41: no convergence within 50000 steps$"):
                 run_experiment(cfg)
-        # no SDE ensemble runs past the sigma of a failing SDE run
-        assert len(sde_calls) == (2 if first == "solver" else 1)
+        # the whole (sigma, seed) grid integrates as one SDE ensemble
+        assert len(sde_calls) == 1
 
     def test_sde_budget_too_small_names_first_seed(self, tmp_path):
         cfg = ExperimentConfig(experiment="limit_distance", mode="sde", n=6, d=10, s=2,

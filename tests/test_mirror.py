@@ -224,7 +224,7 @@ class TestSolveTiltedEnsemble:
         alphas = []
         for sigma in (0.0, 0.5):
             trajs = simulate_dln_sde_ensemble(
-                ds, cfg.alpha0, sigma, gamma, gamma, cfg.steps,
+                ds, cfg.alpha0, [sigma] * 2, gamma, gamma, cfg.steps,
                 [RngStream(cfg.seed_base + i) for i in range(2)])
             for traj in trajs:
                 li = traj.meta["final_state"].loss_integral
