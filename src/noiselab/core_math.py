@@ -8,6 +8,8 @@ replayable bit for bit.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 # Row-major dense carriers. All kernels expect finite float64 entries.
@@ -18,6 +20,8 @@ Vec = np.ndarray
 PINV_CUTOFF = 1e-12
 
 _MASK64 = (1 << 64) - 1
+_TWO32 = 1 << 32
+_MASK32 = _TWO32 - 1
 
 
 def _require_finite(name: str, arr: np.ndarray) -> None:
@@ -33,9 +37,15 @@ class RngStream:
     derives a sub-stream, so one experiment seed fans out into per-trajectory
     and per-role streams (index draws vs Gaussian noise vs shared Brownian
     increments) without any cross-talk.
+
+    indices is the stream's only consumer of 32-bit outputs. It reads whole
+    PCG64 words and holds the pending upper half of the last one in _half,
+    as numpy's next_uint32 holds it in the generator; normal reads whole
+    words only and leaves that half alone. So the stream emits what one
+    numpy Generator would for the same calls to choice and standard_normal.
     """
 
-    __slots__ = ("seed", "path", "_gen")
+    __slots__ = ("seed", "path", "_gen", "_half")
 
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
         self.seed = int(seed) & _MASK64
@@ -43,6 +53,7 @@ class RngStream:
         self._gen = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence((self.seed,) + self.path))
         )
+        self._half = None
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, path={self.path})"
@@ -54,12 +65,93 @@ class RngStream:
         return self._gen.standard_normal(size, out=out)
 
     def indices(self, n: int, batch: int):
-        """Uniform draw of `batch` distinct indices from range(n)."""
-        if batch == 1:
-            # the same value and generator state as choice(n, 1, replace=False),
-            # at a fraction of its cost; tests pin the equivalence
-            return np.array([self._gen.integers(0, n)])
-        return self._gen.choice(n, size=batch, replace=False)
+        """Uniform draw of `batch` distinct indices from range(n), as an int64
+        array: the values and the stream state that
+        Generator.choice(n, batch, replace=False) leaves (numpy >= 1.17).
+
+        Like choice, this runs Floyd's algorithm and then shuffles the picks,
+        or, for n > 10000 and batch > n // 50, shuffles the tail of range(n).
+        """
+        n, batch = operator.index(n), operator.index(batch)
+        if batch < 0 or batch > n or (n <= 0 and batch):
+            raise ValueError(f"cannot draw {batch} distinct indices from range({n})")
+        bounded = self._bounded
+        if n > 10000 and batch > n // 50:
+            # Fisher-Yates down to the last `batch` slots of range(n), held
+            # sparsely: only the moved entries are stored
+            moved = {}
+            for i in range(n - 1, max(n - batch, 1) - 1, -1):
+                j = bounded(i)
+                moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
+            return np.array([moved.get(i, i) for i in range(n - batch, n)], dtype=np.int64)
+        # Both loops below write out bounded(top) for its common case: one
+        # 32-bit output that Lemire's method accepts. Every other draw goes
+        # through bounded, with the pending half handed over in self._half.
+        raw, half = self._gen.bit_generator.random_raw, self._half
+        picks, seen = [], set()
+        for top in range(n - batch, n):
+            # Floyd: a uniform value on [0, top], or top if it is taken
+            v = None
+            if 0 < top <= _MASK32:
+                if half is None:
+                    u = raw()
+                    half, u = u >> 32, u & _MASK32
+                else:
+                    u, half = half, None
+                m = u * (top + 1)
+                if m & _MASK32 > top or m & _MASK32 >= _TWO32 % (top + 1):
+                    v = m >> 32
+            if v is None:
+                self._half = half
+                v = bounded(top)
+                half = self._half
+            if v in seen:
+                v = top
+            seen.add(v)
+            picks.append(v)
+        # Fisher-Yates: swap slot i with a uniform slot j in [0, i]; every
+        # i < 2^32, since more picks than that would not fit in memory
+        for i in range(batch - 1, 0, -1):
+            if half is None:
+                u = raw()
+                half, u = u >> 32, u & _MASK32
+            else:
+                u, half = half, None
+            m = u * (i + 1)
+            if m & _MASK32 > i or m & _MASK32 >= _TWO32 % (i + 1):
+                j = m >> 32
+            else:
+                self._half = half
+                j = bounded(i)
+                half = self._half
+            picks[i], picks[j] = picks[j], picks[i]
+        self._half = half
+        return np.array(picks, dtype=np.int64)
+
+    def _bounded(self, top: int) -> int:
+        """Uniform integer in [0, top], as numpy's random_bounded_uint64 draws
+        it by Lemire's method: from 32-bit outputs for top < 2^32, from whole
+        words above; top 0 reads nothing.
+
+        A 32-bit output is the low half of a fresh word, or else the upper
+        half that the last fresh word left pending, as next_uint32 reads PCG64.
+        """
+        if not top:
+            return 0
+        bits = 32 if top <= _MASK32 else 64
+        excl, mask = top + 1, (1 << bits) - 1
+        while True:
+            if bits == 64:
+                u = self._gen.bit_generator.random_raw()
+            elif self._half is None:
+                u = self._gen.bit_generator.random_raw()
+                self._half, u = u >> 32, u & _MASK32
+            else:
+                u, self._half = self._half, None
+            m = u * excl
+            # the 2^bits mod excl lowest products are rejected: they would bias
+            if m & mask >= (mask + 1) % excl:
+                return m >> bits
 
 
 def min_norm_solve(X: Mat, Y: Vec) -> Vec:

@@ -214,6 +214,8 @@ def _drive(ds: Dataset, model, steps: int, record_stride: int, early_stop: bool)
                     record(j, k, beta[j], loss[j])
             if keep is not None:
                 model.keep(keep)
+                if not s.row.size:
+                    break
                 beta, rbar, loss = beta[keep], rbar[keep], loss[keep]
             model.step(k, beta, rbar, loss)
             if not before:
@@ -414,7 +416,7 @@ class _Sde:
             s.xi = None  # release the spent chunk before drawing
             s.xi = np.empty((s.row.size, count, n + d))
             for i, rng in enumerate(s.rng):
-                s.xi[i] = rng.normal((count, n + d))
+                rng.normal(out=s.xi[i])
 
         g = 2.0 * h * matvecs(XbarT, rbar)
         root = np.sqrt(self.gamma * loss)

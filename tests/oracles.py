@@ -150,9 +150,11 @@ def discrete_step_reference(X, Y, Xbar, Ybar, state, kind, gamma, sigma, batch, 
     with independent Z_- for w_-, where a_t is the minibatch gradient
     estimate and sigma_t = 2 sigma sqrt(L(w_t)) scales the isotropic noise by
     the loss. GD drops both stochastic terms, SGD drops the Z term, and a full
-    batch uses the GD gradient and draws no indices. Draw order:
-    rng.indices(n, batch), then Z_+, then Z_- from rng.normal(d). A pre-step
-    loss or an updated weight that is not finite raises Diverged(step).
+    batch uses the GD gradient and draws no indices. Draw order: the
+    minibatch from numpy's choice(n, batch, replace=False) on the stream's
+    generator, so that RngStream.indices is checked against numpy and not
+    against itself, then Z_+, then Z_- from rng.normal(d). A pre-step loss or
+    an updated weight that is not finite raises Diverged(step).
     """
     n, d = X.shape
     w_p, w_m = state["w_plus"], state["w_minus"]
@@ -165,10 +167,10 @@ def discrete_step_reference(X, Y, Xbar, Ybar, state, kind, gamma, sigma, batch, 
     if kind == "GD" or batch == n:
         a = Xbar.T @ rbar
     elif batch == 1:
-        i = int(rng.indices(n, 1)[0])
+        i = int(rng._gen.choice(n, 1, replace=False)[0])
         a = X[i] * (np.sqrt(n) * rbar[i])
     else:
-        idx = rng.indices(n, batch)
+        idx = rng._gen.choice(n, batch, replace=False)
         rows = X[idx]
         a = rows.T @ (rows @ beta - Y[idx]) / batch
     drift = 2.0 * gamma * a

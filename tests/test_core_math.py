@@ -30,6 +30,17 @@ def random_spd(rng, d, lo=0.2, hi=3.0):
     return (Q * lam) @ Q.T
 
 
+# (n, batch) shapes of the index draw: both branches of choice, ranges that
+# take a 32-bit output and ranges that take a whole word, ranges where Lemire's
+# method rejects about half (n = 2^31 + 7) or a quarter (n = 2^62 + 1) of all
+# outputs, and one tail-shuffle shape. A batch-1 shape keeps the id n.
+DRAW_SHAPES = sorted(
+    {(n, b) for n in (1, 2, 3, 4, 5, 6, 7, 40, 41, 100, 1000, 10000, 10001, 20000, 50000,
+                      2**31 + 7, 2**32 - 1, 2**32, 2**32 + 1, 2**32 + 5, 2**40, 2**62 + 1)
+     for b in (1, 2, 4, 40, n) if b <= min(n, 50000)} | {(20000, 401)})
+DRAW_IDS = [str(n) if b == 1 else f"{n}-{b}" for n, b in DRAW_SHAPES]
+
+
 class TestRngStream:
     def test_same_address_same_samples(self):
         a = RngStream(42).normal(16)
@@ -53,20 +64,45 @@ class TestRngStream:
         idx = RngStream(11).indices(10, 10)
         assert sorted(idx.tolist()) == list(range(10))
 
-    @pytest.mark.parametrize("n", [2, 40, 41, 1000, 2**31 + 7])
-    def test_single_index_draw_matches_choice(self, n):
-        # indices(n, 1) draws with integers(0, n): the values, and the state it
+    @pytest.mark.parametrize("n, batch", DRAW_SHAPES, ids=DRAW_IDS)
+    def test_single_index_draw_matches_choice(self, n, batch):
+        # indices(n, batch) reads raw PCG64 words: the values, and the state it
         # leaves for the normals drawn in between, must be choice's, or every
-        # batch-1 stream would change
+        # minibatch stream would change
+        draws = max(2, 4000 // batch)
         for seed in range(3):
             got, ref = RngStream(seed), RngStream(seed)
-            for _ in range(2000):
-                idx = got.indices(n, 1)
-                assert idx.shape == (1,)
-                assert idx[0] == ref._gen.choice(n, 1, replace=False)[0]
-                got.normal(3)
-                ref.normal(3)
-            assert got._gen.bit_generator.state == ref._gen.bit_generator.state
+            for _ in range(draws):
+                idx = got.indices(n, batch)
+                assert idx.dtype == np.int64 and idx.shape == (batch,)
+                assert np.array_equal(idx, ref._gen.choice(n, batch, replace=False))
+                assert np.array_equal(got.normal(3), ref.normal(3))
+            # Equal in all that later draws read: the PCG64 state and
+            # increment, and the pending upper half, which numpy holds in the
+            # generator and the stream in _half. A spent half stays behind in
+            # numpy's uinteger, where no draw reads it.
+            theirs, ours = ref._gen.bit_generator.state, got._gen.bit_generator.state
+            assert ours["state"] == theirs["state"]
+            assert ours["has_uint32"] == 0
+            assert got._half == (theirs["uinteger"] if theirs["has_uint32"] else None)
+            for _ in range(min(100, draws)):
+                assert np.array_equal(got.indices(n, batch),
+                                      ref._gen.choice(n, batch, replace=False))
+                assert np.array_equal(got.normal(3), ref.normal(3))
+
+    def test_rejected_shuffle_draw_matches_choice(self):
+        # seed 628's first draw rejects a 32-bit output in the shuffle of the
+        # picks, where Lemire's method rejects fewer than 10^-5 of all draws
+        got, ref = RngStream(628), RngStream(628)
+        assert np.array_equal(got.indices(10000, 10000),
+                              ref._gen.choice(10000, 10000, replace=False))
+        assert np.array_equal(got.normal(3), ref.normal(3))
+
+    def test_invalid_draws_rejected(self):
+        for n, batch in ((3, 4), (3, -1), (0, 1), (-2, 1)):
+            with pytest.raises(ValueError):
+                RngStream(0).indices(n, batch)
+        assert RngStream(0).indices(0, 0).shape == (0,)
 
     def test_normal_into_buffer_continues_the_sequence(self):
         buf = np.empty(10)

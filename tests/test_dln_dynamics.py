@@ -23,6 +23,7 @@ from noiselab import (
     simulate_dln_sde,
     simulate_dln_sde_ensemble,
 )
+from noiselab import dln_dynamics
 from noiselab.dln_dynamics import DRAW_AHEAD
 from oracles import QUARTER_ASINH_ONE, Diverged, discrete_step_reference, sde_reference
 
@@ -112,7 +113,7 @@ class TestDiscreteStep:
         probe = RngStream(42)
         out, _ = run_dln_discrete(ds, 0.3, OptimizerConfig(kind="SGD", gamma=gamma, batch=1),
                                   1, RngStream(42), early_stop=False)
-        i = int(probe.indices(ds.n, 1)[0])
+        i = int(probe._gen.choice(ds.n, 1, replace=False)[0])
         beta = st.beta()
         res_i = float(ds.X[i] @ beta - ds.Y[i])
         a = ds.X[i] * res_i
@@ -532,6 +533,26 @@ class TestSdePerRowSigma:
         assert_same_run(out[0], refs[0])
         assert_same_run(out[1], refs[1])
         assert isinstance(out[2], DivergenceError) and out[2].step == refs[2]
+
+    def test_loop_ends_with_the_last_row(self, monkeypatch):
+        # the loop steps the ensemble once per step of its longest row, and
+        # never on zero rows once the last one has stopped
+        calls = []
+        step = dln_dynamics._Sde.step
+
+        def counted(model, k, beta, rbar, loss):
+            calls.append(loss.size)
+            step(model, k, beta, rbar, loss)
+
+        monkeypatch.setattr(dln_dynamics._Sde, "step", counted)
+        ds = tiny_instance()
+        g = default_step_size(ds)
+        out = simulate_dln_sde_ensemble(ds, 0.2, (0.5, 0.0), g, g, 6000,
+                                        [RngStream(0), RngStream(1)])
+        runs = [t.meta["steps_run"] for t in out]
+        assert all(t.meta["converged"] for t in out) and runs[0] != runs[1]
+        assert len(calls) == max(runs)
+        assert min(calls) == 1
 
     def test_bad_sigmas(self):
         ds = tiny_instance()

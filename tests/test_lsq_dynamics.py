@@ -131,7 +131,7 @@ class TestDiscreteStep:
         cfg = OptimizerConfig(kind="DPSGD", gamma=0.1, sigma=0.7, batch=5, clip=1.5)
         got = lsq_discrete_step(LsqState(theta=theta0), ds, cfg, RngStream(8)).theta
         rng = RngStream(8)
-        idx = rng.indices(ds.n, 5)
+        idx = rng._gen.choice(ds.n, 5, replace=False)  # numpy's draw, not the stream's own
         rows = ds.X[idx]
         per_sample = rows * (rows @ theta0 - ds.Y[idx])[:, None]
         norms = np.linalg.norm(per_sample, axis=1)

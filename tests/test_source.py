@@ -59,3 +59,25 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_private_names(path):
     assert unused_private_names(path) == []
+
+
+# RngStream.indices holds PCG64's pending 32-bit half itself, outside numpy's
+# generator. Only core_math may reach that generator, so that no other code
+# draws a 32-bit output past the held half.
+RAW_GENERATOR = {"_gen", "bit_generator", "random_raw"}
+
+
+def raw_generator_uses(path: Path) -> list:
+    """Attribute reads of the generator beneath an RngStream in `path`."""
+    tree = ast.parse(path.read_text())
+    return sorted(f"{path.name}:{node.lineno}: {node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in RAW_GENERATOR)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_core_math_reads_the_raw_generator(path):
+    uses = raw_generator_uses(path)
+    if path.name == "core_math.py":
+        assert uses  # else the check reads nothing
+    else:
+        assert uses == []
