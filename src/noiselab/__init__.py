@@ -40,6 +40,7 @@ from .lsq_dynamics import (
     clip,
     eta_bound_rhs,
     lsq_discrete_step,
+    minibatch_gradients,
     simulate_coupled_over,
     simulate_ou_under,
     stationary_law_theory,

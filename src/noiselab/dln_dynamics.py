@@ -24,12 +24,15 @@ import numpy as np
 from .core_math import (
     RngStream, Rows, Trajectory, Vec, dots, matvecs, min_norm_solve, row_space_projector,
 )
-from .lsq_dynamics import OptimizerConfig
+from .lsq_dynamics import OptimizerConfig, minibatch_gradients
 from .problems import Dataset
 
 # convergence detection for discrete and SDE runs
 CONVERGED_LOSS = 1e-12
 CONVERGED_STREAK = 100
+
+# the optimizer kinds the discrete model (and so harness mode "discrete") takes
+DISCRETE_KINDS = ("GD", "SGD", "NoisySGD")
 
 
 class DivergenceError(RuntimeError):
@@ -134,6 +137,8 @@ def _drive(ds: Dataset, model, steps: int, record_stride: int, early_stop: bool)
     it ended. The row arrays named in model.snapshot are copied into
     meta["checkpoints"] at every record, and into meta at the end.
     """
+    if record_stride < 1:
+        raise ValueError("record_stride must be at least 1")
     s = model.s
     ref = ds.beta_star if ds.beta_star is not None else min_norm_solve(ds.X, ds.Y)
     trajs = [Trajectory(_COLUMNS) for _ in s.row]
@@ -233,10 +238,11 @@ class _Discrete:
     """The multiplicative update of the weight pair, on every row at once.
 
     w_{+} <- w_{+} (1 - 2 gamma a_t + gamma sigma_t Z_+), and mirrored with
-    independent Z_- for w_{-}, where a_t is the minibatch gradient estimate
-    and sigma_t = 2 sigma sqrt(L(w_t)) scales the isotropic noise by the
-    loss. GD drops both stochastic terms, SGD drops the Z term. Draw order
-    per row: batch indices (none for a full batch), then Z_+, then Z_-.
+    independent Z_- for w_{-}, where a_t is minibatch_gradients' estimate at
+    beta = w_+^2 - w_-^2, the one the least-squares step takes, and sigma_t =
+    2 sigma sqrt(L(w_t)) scales the isotropic noise by the loss. GD drops
+    both stochastic terms, SGD drops the Z term. Draw order per row: batch
+    indices (none for a full batch), then Z_+, then Z_-.
     """
 
     stops_before_step = False
@@ -245,18 +251,15 @@ class _Discrete:
     def __init__(self, ds: Dataset, alpha, cfgs: list, rngs: list):
         gamma, batch = cfgs[0].gamma, cfgs[0].batch
         for cfg in cfgs:
-            if cfg.kind not in ("GD", "SGD", "NoisySGD"):
+            if cfg.kind not in DISCRETE_KINDS:
                 raise ValueError(f"unsupported optimizer kind for this model: {cfg.kind!r}")
             if cfg.gamma != gamma or cfg.batch != batch:
                 raise ValueError("ensemble rows must share gamma and batch")
         if batch > ds.n:
             raise ValueError("batch exceeds dataset size")
-        self.gamma, self.batch = gamma, batch
-        # the dataset's arrays, bound once for the step loop
-        self.n, self.d, self.X, self.Y, self.XbarT = ds.n, ds.d, ds.X, ds.Y, ds.Xbar.T
-        self.sqrt_n = math.sqrt(ds.n)
+        self.ds, self.gamma, self.batch = ds, gamma, batch
         noisy = [cfg.kind == "NoisySGD" and cfg.sigma > 0 for cfg in cfgs]
-        full = [cfg.kind == "GD" or batch == ds.n for cfg in cfgs]
+        full = [cfg.full_batch(ds.n) for cfg in cfgs]
         # Rows are held full-batch first, then noise-free before noisy, so
         # that each branch is a contiguous slice of the arrays: noisy rows are
         # minibatch rows unless every row is full-batch. s.row maps back to
@@ -274,18 +277,18 @@ class _Discrete:
 
     def keep(self, mask) -> None:
         """Drop rows, then regroup: the slices of the full-batch, minibatch
-        and noisy rows, the minibatch row numbers, and each row's draws."""
+        and noisy rows, and each row's draws."""
         s = self.s
         s.keep(mask)
         nf = int(s.full.sum())
         self.full, self.mini = slice(0, nf), slice(nf, s.row.size)
         self.noisy = _span(s.noisy)
-        self.mini_rows = np.arange(s.row.size - nf)
         self.plan = list(zip(s.rng, (~s.full).tolist(), s.noisy.tolist()))
 
     def step(self, k, beta, rbar, loss) -> None:
-        s, n, d, gamma, batch = self.s, self.n, self.d, self.gamma, self.batch
+        s, ds, gamma, batch = self.s, self.ds, self.gamma, self.batch
         full, mini, ls, picks, z = self.full, self.mini, self.noisy, self.picks, self.z
+        n, d = ds.n, ds.d
         # per-row draws, in the order indices, Z_+, Z_-
         for j, (rng, draws_idx, noisy) in enumerate(self.plan):
             if draws_idx:
@@ -293,19 +296,12 @@ class _Discrete:
             if noisy:
                 rng.normal(out=z[j])
 
-        if self.mini_rows.size:
-            idx = picks[mini]
-            if batch == 1:
-                i = idx[:, 0]
-                a = self.X[i] * (self.sqrt_n * rbar[mini][self.mini_rows, i])[:, None]
-            else:
-                rows = self.X[idx]
-                a = matvecs(rows.transpose(0, 2, 1),
-                            matvecs(rows, beta[mini]) - self.Y[idx]) / batch
-            if full.stop:
-                a = np.concatenate((matvecs(self.XbarT, rbar[full]), a))
+        if mini.start == mini.stop:
+            a = minibatch_gradients(ds, beta, rbar)
         else:
-            a = matvecs(self.XbarT, rbar)
+            a = minibatch_gradients(ds, beta[mini], rbar[mini], picks[mini])
+            if full.stop:
+                a = np.concatenate((minibatch_gradients(ds, beta[full], rbar[full]), a))
         drift = 2.0 * gamma * a
         mult_p = 1.0 - drift
         mult_m = 1.0 + drift

@@ -22,6 +22,7 @@ import numpy as np
 
 from .core_math import RngStream, Trajectory
 from .dln_dynamics import (
+    DISCRETE_KINDS,
     DivergenceError,
     effective_alpha,
     run_dln_discrete,  # noqa: F401 -- perfbench/tracer.py wraps this name here
@@ -59,7 +60,7 @@ EXPERIMENTS = (*STUDY_MODES, "custom")
 # the optimizer kinds each mode integrates; any other kind would fail mid-run
 # or run another kind's dynamics under its label
 MODE_KINDS = {
-    "discrete": ("GD", "SGD", "NoisySGD"),
+    "discrete": DISCRETE_KINDS,
     "sde": ("NoisySGD",),
     "ou": ("NoisySGD",),
     "coupling": ("NoisySGD",),
@@ -273,7 +274,8 @@ class RunRecord:
             "passed": self.passed(),
         }
         # serialized first: a NaN or an infinity raises before any file is written
-        text = json.dumps(_plain(summary), indent=2, sort_keys=True, allow_nan=False)
+        text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False,
+                          default=lambda o: o.tolist())
         out = self.config.outdir()
         os.makedirs(out, exist_ok=True)
         paths = []
@@ -286,22 +288,6 @@ class RunRecord:
             fh.write(text + "\n")
         paths.append(p)
         return paths
-
-
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
 
 
 def aggregate(curves):

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .core_math import Mat, RngStream, Trajectory, Vec
+from .core_math import Mat, RngStream, Trajectory, Vec, matvecs
 from .problems import Dataset
 
 KINDS = ("GD", "SGD", "NoisySGD", "DPSGD")
@@ -62,6 +62,11 @@ class OptimizerConfig:
         if self.kind == "DPSGD" and math.isinf(self.clip) and self.sigma > 0:
             raise ValueError("DPSGD noise scale C*sigma is undefined for clip=inf, sigma>0")
 
+    def full_batch(self, n: int) -> bool:
+        """Whether a step takes all n samples in natural order, drawing no
+        indices: GD, or a batch of size n."""
+        return self.kind == "GD" or self.batch == n
+
 
 @dataclass
 class EtaReport:
@@ -88,19 +93,38 @@ def clip(g: Vec, C: float) -> Vec:
     return g * np.minimum(1.0, C / np.maximum(norms, 1e-300))
 
 
-def _full_gradient(ds: Dataset, theta: Vec) -> Vec:
-    return ds.Xbar.T @ (ds.Xbar @ theta - ds.Ybar)
+def minibatch_gradients(ds: Dataset, beta: Mat, rbar: Mat, picks=None,
+                        C: float = math.inf) -> Mat:
+    """One gradient estimate per row of the (rows, d) array beta, where
+    rbar[j] = Xbar beta[j] - Ybar.
+
+    With picks None it is the full gradient Xbar^T rbar[j]. Otherwise it is
+    the mean over the samples picks[j] of the per-sample gradients
+    x_i (<x_i, beta[j]> - y_i), each first clipped to norm C when C is
+    finite; an unclipped single sample reads its residual off rbar.
+    """
+    if picks is None:
+        return matvecs(ds.Xbar.T, rbar)
+    batch = picks.shape[1]
+    if batch == 1 and math.isinf(C):
+        i = picks[:, 0]
+        return ds.X[i] * (math.sqrt(ds.n) * rbar[np.arange(i.size), i])[:, None]
+    rows = ds.X[picks]
+    r = matvecs(rows, beta) - ds.Y[picks]
+    if math.isinf(C):
+        return matvecs(rows.transpose(0, 2, 1), r) / batch
+    return clip(rows * r[:, :, None], C).sum(axis=1) / batch
 
 
 def lsq_discrete_step(state: LsqState, ds: Dataset, cfg: OptimizerConfig, rng: RngStream) -> LsqState:
     """One update theta <- theta - gamma * g_tilde.
 
-    g_tilde is the full gradient (GD), a without-replacement minibatch gradient
-    (SGD), the SGD gradient plus N(0, sigma^2/B^2 I) (NoisySGD), or the
-    per-sample-clipped minibatch mean plus N(0, C^2 sigma^2 / B^2 I) (DPSGD).
-    Batches of size n use the dataset in natural order through the same
-    full-batch expression as GD. Draw order within a step is fixed: indices
-    first, then the Gaussian; absent terms draw nothing.
+    g_tilde is minibatch_gradients' estimate: the full gradient (GD), a
+    without-replacement minibatch gradient (SGD), the SGD gradient plus
+    N(0, sigma^2/B^2 I) (NoisySGD), or the per-sample-clipped minibatch mean
+    plus N(0, C^2 sigma^2 / B^2 I) (DPSGD). A full batch (cfg.full_batch)
+    uses the dataset in natural order. Draw order within a step is fixed:
+    indices first, then the Gaussian; absent terms draw nothing.
     """
     if cfg.batch > ds.n:
         raise ValueError("batch exceeds dataset size")
@@ -108,27 +132,17 @@ def lsq_discrete_step(state: LsqState, ds: Dataset, cfg: OptimizerConfig, rng: R
     if not np.all(np.isfinite(theta)):
         raise ValueError(f"non-finite iterate at step {state.step}")
 
-    if cfg.kind == "GD":
-        g = _full_gradient(ds, theta)
+    C = cfg.clip if cfg.kind == "DPSGD" else math.inf
+    if not cfg.full_batch(ds.n):
+        picks = rng.indices(ds.n, cfg.batch)[None]
     else:
-        if cfg.batch == ds.n:
-            idx = None
-        else:
-            idx = rng.indices(ds.n, cfg.batch)
-        if cfg.kind == "DPSGD" and not math.isinf(cfg.clip):
-            rows = ds.X if idx is None else ds.X[idx]
-            ys = ds.Y if idx is None else ds.Y[idx]
-            per_sample = rows * (rows @ theta - ys)[:, None]
-            g = clip(per_sample, cfg.clip).sum(axis=0) / cfg.batch
-        elif idx is None:
-            g = _full_gradient(ds, theta)
-        else:
-            rows = ds.X[idx]
-            g = rows.T @ (rows @ theta - ds.Y[idx]) / cfg.batch
-        if cfg.kind == "NoisySGD" and cfg.sigma > 0:
-            g = g + (cfg.sigma / cfg.batch) * rng.normal(ds.d)
-        elif cfg.kind == "DPSGD" and cfg.sigma > 0:
-            g = g + (cfg.clip * cfg.sigma / cfg.batch) * rng.normal(ds.d)
+        picks = None if math.isinf(C) else np.arange(ds.n)[None]
+    beta = theta[None]
+    g = minibatch_gradients(ds, beta, matvecs(ds.Xbar, beta) - ds.Ybar, picks, C)[0]
+    if cfg.kind == "NoisySGD" and cfg.sigma > 0:
+        g = g + (cfg.sigma / cfg.batch) * rng.normal(ds.d)
+    elif cfg.kind == "DPSGD" and cfg.sigma > 0:
+        g = g + (cfg.clip * cfg.sigma / cfg.batch) * rng.normal(ds.d)
 
     return LsqState(theta=theta - cfg.gamma * g, step=state.step + 1,
                     time=state.time + cfg.gamma)
@@ -180,6 +194,9 @@ def simulate_ou_under(ds: Dataset, eps: float, sigmas, gamma: float, h: float,
         raise ValueError("burn_in must be nonnegative and smaller than steps")
     if thin < 1 or record_stride < 1:
         raise ValueError("thin and record_stride must be at least 1")
+    n_samples = (steps - burn_in + thin - 1) // thin
+    if n_samples < 2:  # the batch-means standard error needs two
+        raise ValueError("steps, burn_in and thin must leave at least two samples")
     if len(sigmas) == 0 or len(sigmas) != len(rngs):
         raise ValueError("need one stream per sigma and at least one sigma")
     A = ds.Xbar.T @ ds.Xbar
@@ -206,7 +223,6 @@ def simulate_ou_under(ds: Dataset, eps: float, sigmas, gamma: float, h: float,
     block = 10_000
     noise = np.empty((min(block, steps), noisy, d))
 
-    n_samples = (steps - burn_in + thin - 1) // thin
     samples = np.empty((rows, n_samples, d))
     trajs = [Trajectory(("t", "theta_norm")) for _ in sigmas]
 

@@ -381,6 +381,11 @@ class TestDiscreteEnsemble:
         cfgs = [cfg for cfg, _ in grid_runs(ds, 1)]
         with pytest.raises(ValueError, match="one stream per"):
             run_dln_discrete_ensemble(ds, 0.2, cfgs, [RngStream(0)] * (len(cfgs) - 1), 10)
+        # a zero stride is refused before any step, not at the first record
+        for stride in (0, -1):
+            with pytest.raises(ValueError, match="record_stride"):
+                run_dln_discrete_ensemble(ds, 0.2, cfgs, [RngStream(0)] * len(cfgs), 10,
+                                          record_stride=stride)
 
 
 def sde_oracle(ds, alpha, sigma, gamma, h, steps, seed, stride, early_stop=True):
@@ -634,6 +639,8 @@ class TestSdeIntegrator:
         for sigma in (-0.1, math.nan, math.inf):
             with pytest.raises(ValueError, match="sigma"):
                 simulate_dln_sde(ds, 0.2, sigma, 0.1, 0.01, 10, RngStream(0))
+        with pytest.raises(ValueError, match="record_stride"):
+            simulate_dln_sde(ds, 0.2, 0.0, 0.1, 0.01, 10, RngStream(0), record_stride=0)
 
 
 class TestScaleFormulas:

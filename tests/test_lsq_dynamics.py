@@ -16,6 +16,7 @@ from noiselab import (
     gen_sparse_regression,
     gen_underparam_regression,
     lsq_discrete_step,
+    minibatch_gradients,
     simulate_coupled_over,
     simulate_ou_under,
     solve_lyapunov,
@@ -141,6 +142,16 @@ class TestDiscreteStep:
         g = g + (1.5 * 0.7 / 5) * rng.normal(3)
         assert same_bits(got, theta0 - 0.1 * g)
 
+    def test_sgd_batch_one_step_bitwise(self):
+        # a single sample's gradient reads its residual off Xbar theta - Ybar
+        ds = gen_underparam_regression(12, 3, 0.3, RngStream(17))
+        theta0 = np.array([4.0, -3.0, 2.5])
+        cfg = OptimizerConfig(kind="SGD", gamma=0.1, batch=1)
+        got = lsq_discrete_step(LsqState(theta=theta0), ds, cfg, RngStream(8)).theta
+        i = RngStream(8)._gen.choice(ds.n, 1, replace=False)[0]
+        rbar = ds.Xbar @ theta0 - ds.Ybar
+        assert same_bits(got, theta0 - 0.1 * (ds.X[i] * (math.sqrt(ds.n) * rbar[i])))
+
     def test_dpsgd_noise_needs_finite_clip(self):
         with pytest.raises(ValueError):
             OptimizerConfig(kind="DPSGD", gamma=0.1, sigma=0.5, batch=4, clip=math.inf)
@@ -157,6 +168,51 @@ class TestDiscreteStep:
         state = step_n(ds, cfg, RngStream(0), np.zeros(2), 3)
         assert state.step == 3
         assert state.time == pytest.approx(0.15, rel=1e-12)
+
+
+class TestMinibatchGradients:
+    @staticmethod
+    def instance(rows=5):
+        ds = gen_underparam_regression(12, 3, 0.3, RngStream(17))
+        beta = np.random.default_rng(4).standard_normal((rows, ds.d)) * 3.0
+        return ds, beta, beta @ ds.Xbar.T - ds.Ybar
+
+    @pytest.mark.parametrize("batch, C", [
+        pytest.param(None, math.inf, id="full"),
+        pytest.param(1, math.inf, id="batch1"),
+        pytest.param(4, math.inf, id="batch4"),
+        pytest.param(4, 2.0, id="batch4-clipped"),
+    ])
+    def test_stacked_rows_match_rows_alone(self, batch, C):
+        ds, beta, rbar = self.instance()
+        gen = np.random.default_rng(5)
+        picks = None if batch is None else np.array(
+            [gen.choice(ds.n, batch, replace=False) for _ in beta])
+        got = minibatch_gradients(ds, beta, rbar, picks, C)
+        assert got.shape == beta.shape
+        for j in range(len(beta)):
+            alone = minibatch_gradients(ds, beta[j:j + 1], rbar[j:j + 1],
+                                        None if picks is None else picks[j:j + 1], C)
+            assert same_bits(got[j], alone[0])
+        if batch is None:
+            assert np.allclose(got, rbar @ ds.Xbar, rtol=1e-12, atol=0.0)
+        else:
+            per = ds.X[picks] * (np.einsum("jbd,jd->jb", ds.X[picks], beta)
+                                 - ds.Y[picks])[:, :, None]
+            norms = np.linalg.norm(per, axis=2)
+            if not math.isinf(C):
+                assert norms.min() < C < norms.max()
+            scale = np.minimum(1.0, C / norms)[:, :, None]
+            assert np.allclose(got, (per * scale).mean(axis=1), rtol=1e-12, atol=0.0)
+
+    def test_batch_one_agrees_with_stacked_formula(self):
+        # the shortcut x_i (sqrt(n) rbar_i) is the formula x_i (<x_i, beta> - y_i)
+        ds, beta, rbar = self.instance(rows=12)
+        picks = np.arange(ds.n)[:, None]  # row j takes sample j
+        got = minibatch_gradients(ds, beta, rbar, picks)
+        want = ds.X * (np.einsum("jd,jd->j", ds.X, beta) - ds.Y)[:, None]
+        assert np.all(np.linalg.norm(got - want, axis=1)
+                      <= 1e-12 * np.linalg.norm(want, axis=1))
 
 
 class TestStationaryLawTheory:
@@ -238,8 +294,8 @@ class TestSimulateOuUnder:
         ds = gen_underparam_regression(40, 4, 0.2, RngStream(3))
         A = ds.Xbar.T @ ds.Xbar
         bad = 2.5 / float(np.linalg.eigvalsh(A)[-1])
-        with pytest.raises(ValueError):
-            simulate_ou_under(ds, 0.5, [0.0], 0.1, bad, steps=10, burn_in=0,
+        with pytest.raises(ValueError, match="unstable step size"):
+            simulate_ou_under(ds, 0.5, [0.0], 0.1, bad, steps=20, burn_in=0,
                               rngs=[RngStream(0)], thin=10)
 
     def test_burn_in_must_leave_samples(self):
@@ -251,6 +307,16 @@ class TestSimulateOuUnder:
         with pytest.raises(ValueError, match="burn_in must be nonnegative"):
             simulate_ou_under(ds, 0.5, [0.0], 0.1, 0.05, steps=50, burn_in=-5,
                               rngs=[RngStream(0)], thin=5)
+
+    def test_fewer_than_two_samples_rejected(self):
+        # one sample has no batch-means standard error
+        ds = gen_underparam_regression(20, 2, 0.1, RngStream(4))
+        with pytest.raises(ValueError, match="at least two samples"):
+            simulate_ou_under(ds, 0.5, [0.0], 0.1, 0.05, steps=15, burn_in=10,
+                              rngs=[RngStream(0)], thin=10)
+        [(_, _, traj)] = simulate_ou_under(ds, 0.5, [0.0], 0.1, 0.05, steps=21, burn_in=10,
+                                           rngs=[RngStream(0)], thin=10)
+        assert traj.meta["n_samples"] == 2 and np.all(np.isfinite(traj.meta["mean_se"]))
 
     @pytest.mark.parametrize("change, message", [
         (dict(thin=0), "at least 1"),
