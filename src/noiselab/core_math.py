@@ -38,11 +38,12 @@ class RngStream:
     and per-role streams (index draws vs Gaussian noise vs shared Brownian
     increments) without any cross-talk.
 
-    indices is the stream's only consumer of 32-bit outputs. It reads whole
-    PCG64 words and holds the pending upper half of the last one in _half,
-    as numpy's next_uint32 holds it in the generator; normal reads whole
-    words only and leaves that half alone. So the stream emits what one
-    numpy Generator would for the same calls to choice and standard_normal.
+    indices is the stream's only consumer of 32-bit outputs. Between calls
+    it holds the pending upper half of the last PCG64 word it split in
+    _half, where numpy's next_uint32 would hold it in the generator, whose
+    own has_uint32 stays 0; normal reads whole words only and leaves that
+    half alone. So the stream emits what one numpy Generator would for the
+    same calls to choice and standard_normal.
     """
 
     __slots__ = ("seed", "path", "_gen", "_half")
@@ -69,30 +70,36 @@ class RngStream:
         array: the values and the stream state that
         Generator.choice(n, batch, replace=False) leaves (numpy >= 1.17).
 
-        Like choice, this runs Floyd's algorithm and then shuffles the picks,
-        or, for n > 10000 and batch > n // 50, shuffles the tail of range(n).
+        For n <= 2^32 outside choice's tail shuffle (n > 10000 and
+        batch > n // 50), which covers every minibatch the studies draw, this
+        runs choice's own algorithm on 32-bit outputs in plain Python: Floyd's
+        loop, then the Fisher-Yates shuffle of the picks, each value drawn by
+        Lemire's method. Every other shape calls choice itself, with the
+        pending half handed over in the generator's state.
         """
         n, batch = operator.index(n), operator.index(batch)
         if batch < 0 or batch > n or (n <= 0 and batch):
             raise ValueError(f"cannot draw {batch} distinct indices from range({n})")
-        bounded = self._bounded
-        if n > 10000 and batch > n // 50:
-            # Fisher-Yates down to the last `batch` slots of range(n), held
-            # sparsely: only the moved entries are stored
-            moved = {}
-            for i in range(n - 1, max(n - batch, 1) - 1, -1):
-                j = bounded(i)
-                moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
-            return np.array([moved.get(i, i) for i in range(n - batch, n)], dtype=np.int64)
-        # Both loops below write out bounded(top) for its common case: one
-        # 32-bit output that Lemire's method accepts. Every other draw goes
-        # through bounded, with the pending half handed over in self._half.
+        if n > _TWO32 or (n > 10000 and batch > n // 50):
+            bg = self._gen.bit_generator
+            if self._half is not None:
+                bg.state = {**bg.state, "has_uint32": 1, "uinteger": self._half}
+            picks = self._gen.choice(n, batch, replace=False)
+            state = bg.state
+            self._half = state["uinteger"] if state["has_uint32"] else None
+            bg.state = {**state, "has_uint32": 0}
+            return picks
+        # Each 32-bit output u below is the low half of a fresh word, or else
+        # the half it left pending. Lemire's method maps it to
+        # (u * (top + 1)) >> 32 on [0, top], and redraws when the product's
+        # low 32 bits fall below 2^32 mod (top + 1), which would bias it; top
+        # 0 reads nothing.
         raw, half = self._gen.bit_generator.random_raw, self._half
         picks, seen = [], set()
         for top in range(n - batch, n):
             # Floyd: a uniform value on [0, top], or top if it is taken
-            v = None
-            if 0 < top <= _MASK32:
+            v = 0
+            while top:
                 if half is None:
                     u = raw()
                     half, u = u >> 32, u & _MASK32
@@ -101,57 +108,26 @@ class RngStream:
                 m = u * (top + 1)
                 if m & _MASK32 > top or m & _MASK32 >= _TWO32 % (top + 1):
                     v = m >> 32
-            if v is None:
-                self._half = half
-                v = bounded(top)
-                half = self._half
+                    break
             if v in seen:
                 v = top
             seen.add(v)
             picks.append(v)
-        # Fisher-Yates: swap slot i with a uniform slot j in [0, i]; every
-        # i < 2^32, since more picks than that would not fit in memory
+        # Fisher-Yates: swap slot i with a uniform slot j in [0, i]
         for i in range(batch - 1, 0, -1):
-            if half is None:
-                u = raw()
-                half, u = u >> 32, u & _MASK32
-            else:
-                u, half = half, None
-            m = u * (i + 1)
-            if m & _MASK32 > i or m & _MASK32 >= _TWO32 % (i + 1):
-                j = m >> 32
-            else:
-                self._half = half
-                j = bounded(i)
-                half = self._half
+            while True:
+                if half is None:
+                    u = raw()
+                    half, u = u >> 32, u & _MASK32
+                else:
+                    u, half = half, None
+                m = u * (i + 1)
+                if m & _MASK32 > i or m & _MASK32 >= _TWO32 % (i + 1):
+                    j = m >> 32
+                    break
             picks[i], picks[j] = picks[j], picks[i]
         self._half = half
         return np.array(picks, dtype=np.int64)
-
-    def _bounded(self, top: int) -> int:
-        """Uniform integer in [0, top], as numpy's random_bounded_uint64 draws
-        it by Lemire's method: from 32-bit outputs for top < 2^32, from whole
-        words above; top 0 reads nothing.
-
-        A 32-bit output is the low half of a fresh word, or else the upper
-        half that the last fresh word left pending, as next_uint32 reads PCG64.
-        """
-        if not top:
-            return 0
-        bits = 32 if top <= _MASK32 else 64
-        excl, mask = top + 1, (1 << bits) - 1
-        while True:
-            if bits == 64:
-                u = self._gen.bit_generator.random_raw()
-            elif self._half is None:
-                u = self._gen.bit_generator.random_raw()
-                self._half, u = u >> 32, u & _MASK32
-            else:
-                u, self._half = self._half, None
-            m = u * excl
-            # the 2^bits mod excl lowest products are rejected: they would bias
-            if m & mask >= (mask + 1) % excl:
-                return m >> bits
 
 
 def min_norm_solve(X: Mat, Y: Vec) -> Vec:

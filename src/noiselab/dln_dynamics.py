@@ -137,8 +137,8 @@ def _drive(ds: Dataset, model, steps: int, record_stride: int, early_stop: bool)
     it ended. The row arrays named in model.snapshot are copied into
     meta["checkpoints"] at every record, and into meta at the end.
     """
-    if record_stride < 1:
-        raise ValueError("record_stride must be at least 1")
+    if steps < 0 or record_stride < 1:
+        raise ValueError("need nonnegative steps and a record_stride of at least 1")
     s = model.s
     ref = ds.beta_star if ds.beta_star is not None else min_norm_solve(ds.X, ds.Y)
     trajs = [Trajectory(_COLUMNS) for _ in s.row]

@@ -293,7 +293,7 @@ class RunRecord:
 def aggregate(curves):
     """Pointwise mean and population std over equal-length curves.
 
-    Summation runs over sorted values, so the result is independent of the
+    math.fsum rounds each sum correctly, so the result is independent of the
     input order down to the last bit.
     """
     arrs = [np.asarray(c, dtype=float) for c in curves]
@@ -307,7 +307,7 @@ def aggregate(curves):
     mean = np.empty(length)
     std = np.empty(length)
     for j in range(length):
-        col = np.sort(stacked[:, j], kind="stable")
+        col = stacked[:, j]
         m = math.fsum(col) / k
         mean[j] = m
         std[j] = math.sqrt(math.fsum((v - m) ** 2 for v in col) / k)

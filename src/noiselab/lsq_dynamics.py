@@ -302,10 +302,11 @@ def simulate_coupled_over(ds: Dataset, gamma: float, sigmas, steps: int,
 
     Every copy shares the clean path's Brownian increments of the data-noise
     term sqrt(gamma L(.)) Xbar^T dB, drawn from rng.child(2); a copy with
-    sigma > 0 adds sqrt(gamma L(beta)) sigma dB~ with independent increments
-    from its own rng.child(1). The clean path is integrated once for all
-    copies, and each returned report is bitwise what a run with that sigma
-    alone gives. Trajectories start at zero and are averaged pointwise;
+    sigma > 0 adds sqrt(gamma L(beta)) sigma dB~, whose increments all noisy
+    copies share, drawn from rng.child(1) as a run with that sigma alone
+    draws them. The clean path is integrated once for all copies, and each
+    returned report is bitwise what a run with that sigma alone gives.
+    Trajectories start at zero and are averaged pointwise;
     eta_t = ||theta_t - beta_t||^2. Step size is gamma.
     """
     if ds.regime != "over":
@@ -321,7 +322,8 @@ def simulate_coupled_over(ds: Dataset, gamma: float, sigmas, steps: int,
     h = gamma
     d, n = ds.d, ds.n
     sq = math.sqrt(h * gamma)
-    shared = rng.child(2)
+    shared, isotropic = rng.child(2), rng.child(1)
+    noisy = any(sigma > 0 for sigma in sigmas)
     theta = np.zeros((n_traj, d))
     r_t, l_t = _residual_loss(ds, theta)
     times = [0.0]
@@ -330,17 +332,18 @@ def simulate_coupled_over(ds: Dataset, gamma: float, sigmas, steps: int,
         beta = np.zeros((n_traj, d))
         r_b, l_b = _residual_loss(ds, beta)
         copies.append(SimpleNamespace(
-            sigma=sigma, own=rng.child(1) if sigma > 0 else None, beta=beta, r_b=r_b,
-            l_b=l_b, loss_int=np.zeros(n_traj), eta=[0.0], li=[0.0], rhs=[0.0]))
+            sigma=sigma, beta=beta, r_b=r_b, l_b=l_b, loss_int=np.zeros(n_traj),
+            eta=[0.0], li=[0.0], rhs=[0.0]))
 
     for k in range(steps):
         xi = shared.normal((n_traj, n)) @ ds.Xbar
+        if noisy:
+            iso = isotropic.normal((n_traj, d))
         for c in copies:
             c.loss_int += h * c.l_b
             beta = c.beta - h * (c.r_b @ ds.Xbar) + sq * np.sqrt(c.l_b)[:, None] * xi
             if c.sigma > 0:
-                beta = beta + ((sq * c.sigma) * np.sqrt(c.l_b)[:, None]
-                               * c.own.normal((n_traj, d)))
+                beta = beta + (sq * c.sigma) * np.sqrt(c.l_b)[:, None] * iso
             c.beta = beta
             c.r_b, c.l_b = _residual_loss(ds, beta)
         theta = theta - h * (r_t @ ds.Xbar) + sq * np.sqrt(l_t)[:, None] * xi

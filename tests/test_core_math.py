@@ -98,6 +98,23 @@ class TestRngStream:
                               ref._gen.choice(10000, 10000, replace=False))
         assert np.array_equal(got.normal(3), ref.normal(3))
 
+    def test_draws_across_the_choice_boundary_keep_the_pending_half(self):
+        # a batch-1 draw leaves a 32-bit half pending; numpy's choice must read
+        # it first in the tail-shuffle and 64-bit shapes, and the shapes drawn
+        # by hand after them must read what choice leaves pending
+        shapes = ((40, 1), (20000, 401), (2**40, 4), (40, 4), (40, 1), (2**40, 1))
+        for seed in range(5):
+            got, ref = RngStream(seed), RngStream(seed)
+            for _ in range(3):
+                for n, batch in shapes:
+                    assert np.array_equal(got.indices(n, batch),
+                                          ref._gen.choice(n, batch, replace=False))
+                    assert np.array_equal(got.normal(3), ref.normal(3))
+            theirs, ours = ref._gen.bit_generator.state, got._gen.bit_generator.state
+            assert ours["state"] == theirs["state"]
+            assert ours["has_uint32"] == 0
+            assert got._half == (theirs["uinteger"] if theirs["has_uint32"] else None)
+
     def test_invalid_draws_rejected(self):
         for n, batch in ((3, 4), (3, -1), (0, 1), (-2, 1)):
             with pytest.raises(ValueError):

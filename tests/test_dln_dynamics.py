@@ -386,6 +386,11 @@ class TestDiscreteEnsemble:
             with pytest.raises(ValueError, match="record_stride"):
                 run_dln_discrete_ensemble(ds, 0.2, cfgs, [RngStream(0)] * len(cfgs), 10,
                                           record_stride=stride)
+        # a negative step count is refused, not run as zero steps
+        with pytest.raises(ValueError, match="nonnegative steps"):
+            run_dln_discrete_ensemble(ds, 0.2, cfgs, [RngStream(0)] * len(cfgs), -5)
+        with pytest.raises(ValueError, match="nonnegative steps"):
+            run_dln_discrete(ds, 0.2, cfgs[0], -5, RngStream(0))
 
 
 def sde_oracle(ds, alpha, sigma, gamma, h, steps, seed, stride, early_stop=True):
