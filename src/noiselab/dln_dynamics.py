@@ -10,8 +10,10 @@ the normalized empirical risk L(beta) = (1/2n) sum_i (<beta, x_i> - y_i)^2.
 
 Both models step many runs at once as the rows of one (rows, d) weight pair,
 each row started at w_+ = w_- = alpha, through one time loop, _drive. It owns
-the per-row records, the early stop, the first failure in the caller's order
-and the dropping of finished rows; each model supplies only its draws and update.
+the per-row records, the early stop, divergence detection and the dropping of
+finished rows; each model supplies only its draws and update. An ensemble
+returns one entry per row, in order: the row's Trajectory, or its
+DivergenceError if it left the finite range; a failed row never stops the others.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_math import (
-    RngStream, Rows, Trajectory, Vec, dots, matvecs, min_norm_solve, row_space_projector,
+    RngStream, Rows, Trajectory, Vec, dots, matvecs, row_space_projector,
 )
 from .lsq_dynamics import OptimizerConfig, minibatch_gradients
 from .problems import Dataset
@@ -126,7 +128,8 @@ def _span(mask) -> slice | None:
 
 
 def _drive(ds: Dataset, model, steps: int, record_stride: int, early_stop: bool) -> list:
-    """The time loop of both DLN ensembles; returns their list of rows.
+    """The time loop of both DLN ensembles; returns one entry per row, in the
+    caller's order: its Trajectory, or, if the row failed, its DivergenceError.
 
     model.s holds the rows (see _rows). The model supplies only its draws and
     update of step k, step(k, beta, rbar, loss), in place on model.s from the
@@ -140,19 +143,17 @@ def _drive(ds: Dataset, model, steps: int, record_stride: int, early_stop: bool)
     if steps < 0 or record_stride < 1:
         raise ValueError("need nonnegative steps and a record_stride of at least 1")
     s = model.s
-    ref = ds.beta_star if ds.beta_star is not None else min_norm_solve(ds.X, ds.Y)
-    trajs = [Trajectory(_COLUMNS) for _ in s.row]
-    for traj in trajs:
+    ref = ds.beta_star if ds.beta_star is not None else ds.theta_ls()
+    out = [Trajectory(_COLUMNS) for _ in s.row]
+    for traj in out:
         traj.meta["steps"] = []  # integer step index of every row
-    out = [None] * len(trajs)
-    fail = len(trajs)  # first row, in the caller's order, that diverged
-    s.streak = np.zeros(len(trajs), dtype=int)
+    s.streak = np.zeros(len(out), dtype=int)
 
     def snapshot(j):
         return {key: getattr(s, key)[j].copy() for key in model.snapshot}
 
     def record(j, k, beta, loss):
-        traj = trajs[s.row[j]]
+        traj = out[s.row[j]]
         diff = beta - ref
         traj.append(s.time[j], loss, float(diff @ diff))
         traj.meta["steps"].append(k)
@@ -162,29 +163,20 @@ def _drive(ds: Dataset, model, steps: int, record_stride: int, early_stop: bool)
                 **snapshot(j), "loss_integral": float(s.li[j]),
             })
 
-    def fail_at(j, k):
-        """Row j fails at step k unless an earlier row in the caller's order did."""
-        nonlocal fail
-        if s.row[j] < fail:
-            fail = s.row[j]
-            out[fail] = DivergenceError(k)
-
     def finish(j, done, stopped):
         beta = s.w_p[j] * s.w_p[j] - s.w_m[j] * s.w_m[j]
         loss = dln_loss(beta, ds)
         if not math.isfinite(loss):  # finite weights can still overflow the loss
-            fail_at(j, done)
+            out[s.row[j]] = DivergenceError(done)
             return
         record(j, done, beta, loss)
-        traj = trajs[s.row[j]]
         # only the SDE rows carry r_acc; a discrete row keeps DlnState's zeros
         r_acc = s.r_acc[j].copy() if hasattr(s, "r_acc") else None
         state = DlnState(w_plus=s.w_p[j].copy(), w_minus=s.w_m[j].copy(),
                          step=done, time=float(s.time[j]),
                          loss_integral=float(s.li[j]), r_acc=r_acc)
-        traj.meta.update(final_state=state, **snapshot(j), converged=stopped,
-                         steps_run=done)
-        out[s.row[j]] = traj
+        out[s.row[j]].meta.update(final_state=state, **snapshot(j), converged=stopped,
+                                  steps_run=done)
 
     def settle(ok, k, done, loss):
         """Mask of the rows that go on past step k, or None if all do: a row
@@ -193,8 +185,7 @@ def _drive(ds: Dataset, model, steps: int, record_stride: int, early_stop: bool)
         drop = not ok.all()
         if drop:
             for j in np.flatnonzero(~ok):
-                fail_at(j, k)
-            ok &= s.row < fail
+                out[s.row[j]] = DivergenceError(k)
         if early_stop:
             s.streak = (s.streak + 1) * (loss <= CONVERGED_LOSS)
             if s.streak.max() >= CONVERGED_STREAK:
@@ -231,7 +222,7 @@ def _drive(ds: Dataset, model, steps: int, record_stride: int, early_stop: bool)
             k += 1
         for j in range(s.row.size):
             finish(j, k, False)
-    return out[:fail + 1]
+    return out
 
 
 class _Discrete:
@@ -332,10 +323,9 @@ def run_dln_discrete_ensemble(ds: Dataset, alpha, cfgs, rngs, steps: int,
     step that completes the streak is still applied.
 
     Returns one entry per row, in order. A row that leaves the finite range
-    ends the list with its DivergenceError in place of a Trajectory, naming
-    the step whose update (or final loss) left the range, and the rows after
-    it are dropped: the list stops where a sequential loop over the rows
-    would have raised first.
+    has its DivergenceError in place of a Trajectory, naming the step whose
+    update (or final loss) left the range, the error its run alone raises;
+    the other rows run on.
     """
     cfgs, rngs = list(cfgs), list(rngs)
     if len(cfgs) != len(rngs):
@@ -470,8 +460,8 @@ def simulate_dln_sde_ensemble(ds: Dataset, alpha, sigmas, gamma: float,
 
     Each step first judges the pre-step loss: a row stops, unstepped, once it
     sits at or below 1e-12 for 100 straight steps, and fails if it is not
-    finite. Returns one Trajectory per row, in order; a row that fails ends
-    the list with its DivergenceError, as for run_dln_discrete_ensemble.
+    finite. Returns one entry per row, in order: its Trajectory, or, for a
+    row that fails, its DivergenceError, as for run_dln_discrete_ensemble.
     """
     sigmas, rngs = list(sigmas), list(rngs)
     if len(sigmas) != len(rngs):

@@ -2,13 +2,14 @@
 
 Every experiment is pure given its config, so reruns are byte-identical. The
 runs of a DLN study are integrated together as the rows of one ensemble: all
-cells of a discrete study at once; in the limit pipeline one sigma's seeds at
-a time, after which the limit problems of all its runs are solved as one
-solver ensemble. Each row is bitwise what it would be alone. Results are read
-back in (kind, sigma, seed) order, so the first failing run in that order is
-the one reported. The lsq studies integrate their whole sigma grid in one
-pass: an ou study as the rows of one OU ensemble, a coupling study with the
-clean path integrated once for every sigma's noisy copy.
+cells of a discrete study, or the whole (sigma, seed) grid of the limit
+pipeline, after which the limit problems of all its runs are solved as one
+solver ensemble. Each row is bitwise what it would be alone, and every row is
+reported, a failed one by its error. Results are read back in (kind, sigma,
+seed) order, so the first failing run in that order is the one reported. The
+lsq studies integrate their whole sigma grid in one pass: an ou study as the
+rows of one OU ensemble, a coupling study with the clean path integrated once
+for every sigma's noisy copy.
 """
 
 from __future__ import annotations
@@ -141,9 +142,13 @@ class ExperimentConfig:
             raise ValueError("mode ou needs an underparametrized instance, n > d")
         if self.mode == "coupling" and self.d < self.n:
             raise ValueError("mode coupling needs an overparametrized instance, d >= n")
-        # without noise the stationary law is a point mass: nothing to grade
-        if self.mode == "ou" and self.eps == 0 and 0.0 in self.sigmas:
-            raise ValueError("mode ou with eps 0 has no noise in its sigma 0 cell")
+        # without noise the stationary law is a point mass: nothing to grade;
+        # its relative error squares its entries, of order eps^2 + sigma^2, and
+        # below 1.5e-154, the root of the smallest normal float, they underflow
+        if self.mode == "ou" and any(self.eps * self.eps + v * v < 2.0**-511
+                                     for v in self.sigmas):
+            raise ValueError("mode ou has no noise to grade in a cell whose "
+                             "eps^2 + sigma^2 is below 1.5e-154")
         if self.seeds < 1 or self.stride < 1 or self.steps < 1:
             raise ValueError("seeds, stride, and steps must all be at least 1")
         if self.batch < 1 or self.n_traj < 1:
@@ -294,7 +299,9 @@ def aggregate(curves):
     """Pointwise mean and population std over equal-length curves.
 
     math.fsum rounds each sum correctly, so the result is independent of the
-    input order down to the last bit.
+    input order down to the last bit. Each point is taken over its values
+    scaled by 2^-e, e the exponent of their largest magnitude, which is exact
+    and keeps every sum and square of values near 1e154 in range.
     """
     arrs = [np.asarray(c, dtype=float) for c in curves]
     if not arrs:
@@ -304,14 +311,24 @@ def aggregate(curves):
         raise ValueError("curves must be 1-d and of equal length")
     k = len(arrs)
     stacked = np.stack(arrs)
+    e = np.frexp(np.max(np.abs(stacked), axis=0))[1]
+    scaled = np.ldexp(stacked, -e)
     mean = np.empty(length)
     std = np.empty(length)
     for j in range(length):
-        col = stacked[:, j]
+        col = scaled[:, j]
         m = math.fsum(col) / k
         mean[j] = m
         std[j] = math.sqrt(math.fsum((v - m) ** 2 for v in col) / k)
-    return mean, std
+    return np.ldexp(mean, e), np.ldexp(std, e)
+
+
+def _spread(*groups) -> float:
+    """Population std of one group of values, or the pooled std of several
+    (the root of their mean variance), scaled as in aggregate."""
+    e = np.frexp(max(np.max(np.abs(g)) for g in groups))[1]
+    var = sum(np.var(np.ldexp(g, -e)) for g in groups) / len(groups)
+    return float(np.ldexp(np.sqrt(var), e))
 
 
 def trend_check(means, stds, direction: int):
@@ -406,13 +423,12 @@ def _run_discrete(cfg: ExperimentConfig, record: RunRecord, ds: Dataset) -> None
         record.aggregates[f"loss_{label}"] = _curve(times, *aggregate(loss_curves))
         record.per_seed[label] = cell_finals
         record.scalars[f"final_dist_sq_mean_{label}"] = float(np.mean(cell_finals))
-        record.scalars[f"final_dist_sq_std_{label}"] = float(np.std(cell_finals))
+        record.scalars[f"final_dist_sq_std_{label}"] = _spread(cell_finals)
 
     if cfg.experiment == "bias_order":
         m = {k: record.scalars[f"final_dist_sq_mean_{k}"]
              for k in ("GD", "SGD", "NoisySGD")}
-        pooled = math.sqrt((np.var(record.per_seed["SGD"])
-                            + np.var(record.per_seed["NoisySGD"])) / 2.0)
+        pooled = _spread(record.per_seed["SGD"], record.per_seed["NoisySGD"])
         record.scalars["pooled_std_gap"] = pooled
         record.scalars["noisy_sgd_gap"] = m["SGD"] - m["NoisySGD"]
         record.checks["order_noisy_below_sgd"] = m["NoisySGD"] < m["SGD"]
@@ -481,7 +497,7 @@ def _run_sde_pipeline(cfg: ExperimentConfig, record: RunRecord, ds: Dataset) -> 
             r_norms.append(float(np.linalg.norm(st.r_acc)))
             mus.append(mu)
         dist_means.append(float(np.mean(dists)))
-        dist_stds.append(float(np.std(dists)))
+        dist_stds.append(_spread(dists))
         record.per_seed[tag] = dists
         record.scalars[f"limit_distance_mean_{tag}"] = dist_means[-1]
         record.scalars[f"limit_distance_std_{tag}"] = dist_stds[-1]

@@ -350,28 +350,30 @@ class TestDiscreteEnsemble:
         else:
             assert stops == set()
 
-    def test_first_failing_row_in_order_is_reported(self):
-        # row 1 diverges at step 72, row 2 already at step 11: a sequential
-        # loop over the rows raises for row 1, and so must the ensemble
+    def test_every_row_reports_its_own_outcome(self):
+        # row 1 diverges at step 72, row 2 already at step 11: each failed
+        # row carries its own run's error, and the rows around them, row 3
+        # after both included, are bitwise their runs alone
         ds = tiny_instance()
         runs = (grid_runs(ds, 1, kinds=("SGD",), sigmas=(0.0,), seeds=(1,))
                 + grid_runs(ds, 1, kinds=("NoisySGD",), sigmas=(3.0,), seeds=(1, 0))
                 + grid_runs(ds, 1, kinds=("SGD",), sigmas=(0.0,), seeds=(2,)))
-        steps = []
-        for cfg, seed in runs[1:3]:
-            with pytest.raises(DivergenceError) as exc:
-                sequential_discrete(ds, 0.2, cfg, seed, 300, 50)
-            steps.append(exc.value.step)
-        assert steps[1] < steps[0]
         out = run_grid(ds, 0.2, runs, 300, record_stride=50)
-        assert len(out) == 2
-        assert_same_discrete(out[0], sequential_discrete(ds, 0.2, *runs[0], 300, 50))
-        assert isinstance(out[1], DivergenceError)
-        assert out[1].step == steps[0]
-        cfg, seed = runs[1]
-        with pytest.raises(DivergenceError) as exc:
-            run_dln_discrete(ds, 0.2, cfg, 300, RngStream(seed))
-        assert exc.value.step == steps[0]
+        assert len(out) == len(runs)
+        steps = []
+        for traj, (cfg, seed) in zip(out, runs):
+            try:
+                ref = sequential_discrete(ds, 0.2, cfg, seed, 300, 50)
+            except DivergenceError as exc:
+                assert isinstance(traj, DivergenceError) and traj.step == exc.step
+                with pytest.raises(DivergenceError) as alone:
+                    run_dln_discrete(ds, 0.2, cfg, 300, RngStream(seed))
+                assert alone.value.step == exc.step
+                steps.append(exc.step)
+            else:
+                assert_same_discrete(traj, ref)
+        assert [isinstance(t, DivergenceError) for t in out] == [False, True, True, False]
+        assert steps[1] < steps[0]
 
     def test_rows_must_share_gamma_and_batch(self):
         ds = tiny_instance()
@@ -449,9 +451,9 @@ class TestSdeEnsemble:
         if sigma > 0:
             assert np.linalg.norm(out[0].meta["final_state"].r_acc) > 0
 
-    def test_first_failing_row_in_order_is_reported(self):
-        # at h = 10 gamma seed 7 diverges at step 1443 and seed 1 at step 2;
-        # in the order (0, 7, 1) the sequential loop raises for seed 7
+    def test_every_row_reports_its_own_outcome(self):
+        # at h = 10 gamma seed 7 diverges at step 1443 and seed 1 at step 2:
+        # each failed row carries its own run's step, whatever the order
         ds = tiny_instance()
         g = default_step_size(ds)
         seeds = (0, 7, 1)
@@ -464,14 +466,13 @@ class TestSdeEnsemble:
         assert isinstance(refs[0], dict) and refs[2] < refs[1]
         out = simulate_dln_sde_ensemble(ds, 0.2, [0.5] * len(seeds), g, 10 * g,
                                         2000, [RngStream(s) for s in seeds])
-        assert len(out) == 2
+        assert len(out) == len(seeds)
         assert_same_sde(out[0], refs[0])
-        assert isinstance(out[1], DivergenceError)
-        assert out[1].step == refs[1]
-        with pytest.raises(DivergenceError) as exc:
-            simulate_dln_sde(ds, 0.2, 0.5, g, 10 * g, 2000,
-                             RngStream(7))
-        assert exc.value.step == refs[1]
+        for traj, seed, step in zip(out[1:], seeds[1:], refs[1:]):
+            assert isinstance(traj, DivergenceError) and traj.step == step
+            with pytest.raises(DivergenceError) as exc:
+                simulate_dln_sde(ds, 0.2, 0.5, g, 10 * g, 2000, RngStream(seed))
+            assert exc.value.step == step
 
 
 def assert_same_run(traj, alone):
@@ -521,10 +522,11 @@ class TestSdePerRowSigma:
         assert np.linalg.norm(out[0].meta["final_state"].r_acc) > 0
         assert not out[1].meta["final_state"].r_acc.any()
 
-    def test_first_failing_row_in_order_is_reported(self):
+    def test_every_row_reports_its_own_outcome(self):
         # at h = 10 gamma the sigma-0 run of seed 7 diverges at step 1394, and
         # later rows sooner: sigma 0.5 seed 1 at step 2, sigma 0 seed 3 at
-        # step 3, though that noise-free row is held ahead of the noisy ones
+        # step 3, though that noise-free row is held ahead of the noisy ones;
+        # every row carries its own run's outcome
         ds = tiny_instance()
         g = default_step_size(ds)
         sigmas, seeds = (0.5, 0.0, 0.0, 0.5, 0.0), (0, 8, 7, 1, 3)
@@ -536,13 +538,14 @@ class TestSdePerRowSigma:
             except DivergenceError as exc:
                 refs.append(exc.step)
         assert all(isinstance(r, Trajectory) for r in refs[:2])
-        assert isinstance(refs[2], int) and max(refs[3:]) < refs[2]
+        assert all(isinstance(r, int) for r in refs[2:]) and max(refs[3:]) < refs[2]
         out = simulate_dln_sde_ensemble(ds, 0.2, sigmas, g, 10 * g, 2000,
                                         [RngStream(s) for s in seeds])
-        assert len(out) == 3
+        assert len(out) == len(seeds)
         assert_same_run(out[0], refs[0])
         assert_same_run(out[1], refs[1])
-        assert isinstance(out[2], DivergenceError) and out[2].step == refs[2]
+        for traj, step in zip(out[2:], refs[2:]):
+            assert isinstance(traj, DivergenceError) and traj.step == step
 
     def test_loop_ends_with_the_last_row(self, monkeypatch):
         # the loop steps the ensemble once per step of its longest row, and

@@ -72,6 +72,31 @@ class TestAggregate:
             assert np.array_equal(mean, ref_mean)
             assert np.array_equal(std, ref_std)
 
+    def test_unscaled_formula_to_the_last_bit(self):
+        # the power-of-two scaling is exact: wherever nothing under- or
+        # overflows, each point is the plain fsum formula's
+        gen = np.random.default_rng(12)
+        curves = [gen.normal(size=40) * 10.0 ** gen.integers(-30, 30, size=40)
+                  for _ in range(7)]
+        mean, std = aggregate(curves)
+        for j, col in enumerate(np.stack(curves).T):
+            m = math.fsum(col) / len(col)
+            assert mean[j] == m
+            assert std[j] == math.sqrt(math.fsum((v - m) ** 2 for v in col) / len(col))
+
+    def test_huge_values_do_not_overflow(self):
+        # the squares of 1e154 and the sum of two values near 1.7e308
+        # overflow; the mean and std are finite, and are the values of the
+        # same curves scaled down by 2^600, scaled back
+        curves = [np.array([1e154, 1.5e308]), np.array([5e154, 1.7e308])]
+        mean, std = aggregate(curves)
+        assert np.all(np.isfinite(mean)) and np.all(np.isfinite(std))
+        small_mean, small_std = aggregate([np.ldexp(c, -600) for c in curves])
+        assert np.array_equal(mean, np.ldexp(small_mean, 600))
+        assert np.array_equal(std, np.ldexp(small_std, 600))
+        assert mean[0] == pytest.approx(3e154, rel=1e-15)
+        assert std[0] == pytest.approx(2e154, rel=1e-15)
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             aggregate([np.zeros(3), np.zeros(4)])
@@ -519,15 +544,104 @@ class TestRunExperiment:
             assert first[name] == second[name], name
 
     def test_non_finite_summary_refused_before_writing(self, tmp_path):
-        # per-seed distances 3.5e19 and 6.2e167 overflow the cell's std to
-        # infinity, which JSON cannot hold
+        # JSON cannot hold a NaN or an infinity: the record refuses it before
+        # it writes any file, its curves' CSVs included
         out = tmp_path / "rec"
+        curve = Trajectory(("t", "mean", "std"))
+        curve.append(0.0, 1.0, 0.0)
+        for bad in (math.inf, -math.inf, math.nan):
+            rec = RunRecord(config=ExperimentConfig(out=str(out)),
+                            aggregates={"dist_SGD": curve}, scalars={"x": bad})
+            with pytest.raises(ValueError, match="JSON"):
+                rec.write()
+            assert not out.exists()
+
+
+def finite_summary(out) -> dict:
+    """A record's summary.json, refusing the NaN and infinity literals."""
+    def refuse(token):
+        raise AssertionError(f"summary holds {token}")
+    return json.loads((out / "summary.json").read_text(), parse_constant=refuse)
+
+
+class TestOutOfRangeFigures:
+    """Figures whose plain float formula under- or overflows: a config either
+    runs and writes a finite record, or is rejected at validation."""
+
+    def test_huge_per_seed_distances_spread_finitely(self, tmp_path):
+        # per-seed distances 3.5e19 and 6.2e167: their squares overflow, their
+        # std is half their difference
         cfg = ExperimentConfig(experiment="alpha_sweep", kinds=("SGD",), sigmas=(0.0,),
                                n=2, d=3, s=3, dataset_seed=3, alpha0=0.25, seeds=2,
-                               seed_base=1, steps=7, out=str(out))
-        with pytest.raises(ValueError, match="JSON"):
-            run_experiment(cfg)
-        assert not out.exists()
+                               seed_base=1, steps=7, out=str(tmp_path))
+        run_experiment(cfg)
+        summary = finite_summary(tmp_path)
+        a, b = summary["per_seed"]["SGD"]
+        assert b > 1e167 and a < 1e20
+        assert summary["scalars"]["final_dist_sq_std_SGD"] == pytest.approx((b - a) / 2,
+                                                                             rel=1e-15)
+        lines = (tmp_path / "dist_SGD.csv").read_text().splitlines()
+        assert "inf" not in lines[-1] and "nan" not in lines[-1]
+
+    def test_discrete_spreads_near_1e154(self, tmp_path, monkeypatch):
+        # each run ends at its cell's distances; the cell std, the pooled std
+        # and the aggregate std all square values near 1e154
+        finals = {"GD": (6e154, 6e154), "SGD": (1e154, 5e154), "NoisySGD": (1e154, 3e154)}
+        cfg = ExperimentConfig(experiment="bias_order", kinds=("GD", "SGD", "NoisySGD"),
+                               sigmas=(0.5,), n=6, d=10, s=2, seeds=2, steps=10,
+                               stride=10, out=str(tmp_path))
+
+        def integrate(ds, alpha, opts, rngs, steps, record_stride):
+            trajs = []
+            for kind in cfg.kinds:
+                for dist in finals[kind]:
+                    traj = Trajectory(("t", "loss", "dist_to_beta_l0_sq"))
+                    traj.append(0.0, 1.0, 1.0)
+                    traj.append(1.0, 0.5, dist)
+                    traj.meta["steps"] = [0, steps]
+                    trajs.append(traj)
+            return trajs
+
+        monkeypatch.setattr(harness, "run_dln_discrete_ensemble", integrate)
+        run_experiment(cfg)
+        scalars = finite_summary(tmp_path)["scalars"]
+        assert scalars["final_dist_sq_std_GD"] == 0.0
+        assert scalars["final_dist_sq_std_SGD"] == pytest.approx(2e154, rel=1e-15)
+        assert scalars["final_dist_sq_std_NoisySGD"] == pytest.approx(1e154, rel=1e-15)
+        assert scalars["pooled_std_gap"] == pytest.approx(math.sqrt(2.5) * 1e154, rel=1e-15)
+        last = (tmp_path / "dist_SGD.csv").read_text().splitlines()[-1]
+        assert [float(v) for v in last.split(",")][1:] == pytest.approx([3e154, 2e154],
+                                                                         rel=1e-15)
+
+    # configs whose relative covariance error was inf: at sigma 1e-100 and
+    # 1e-160 the reference's squared entries underflow, and where sigma^2 or
+    # eps^2 underflows the reference is 0
+    OU_BASE = dict(experiment="ou_stationary", mode="ou", n=2, d=1, dataset_seed=0,
+                   label_noise=0.0, eps=0.0, seeds=1, seed_base=0, steps=11,
+                   burn_in=0, stride=1)
+
+    @pytest.mark.parametrize("kw", [
+        pytest.param(dict(sigmas=(1.5881938741247467e-230,)), id="sigma-squares-to-0"),
+        pytest.param(dict(sigmas=(1e-100,)), id="sigma-1e-100"),
+        pytest.param(dict(sigmas=(1e-160,)), id="sigma-1e-160"),
+        pytest.param(dict(eps=1e-200, sigmas=(0.0,)), id="eps-squares-to-0"),
+        pytest.param(dict(sigmas=(1e-100,), n=12, d=3, label_noise=0.5),
+                     id="sigma-1e-100-n12-d3"),
+    ])
+    def test_ou_noise_too_small_to_grade_is_rejected(self, kw):
+        with pytest.raises(ValueError, match="no noise"):
+            ExperimentConfig(**{**self.OU_BASE, **kw})
+
+    @pytest.mark.parametrize("kw", [
+        pytest.param(dict(sigmas=(1.3e-77,)), id="sigma"),
+        pytest.param(dict(eps=1.3e-77, sigmas=(0.0,)), id="eps"),
+        pytest.param(dict(sigmas=(1.3e-77,), n=12, d=3, label_noise=0.5), id="n12-d3"),
+    ])
+    def test_ou_smallest_accepted_noise_writes_a_finite_record(self, tmp_path, kw):
+        # eps^2 + sigma^2 of 1.69e-154, just above the 1.5e-154 floor
+        run_experiment(ExperimentConfig(**{**self.OU_BASE, **kw, "out": str(tmp_path)}))
+        scalars = finite_summary(tmp_path)["scalars"]
+        assert all(v > 1e100 for k, v in scalars.items() if k.startswith("cov_rel"))
 
 
 class TestCli:
