@@ -50,8 +50,9 @@ class DlnState:
     """Weight pair and running diagnostics of one DLN trajectory.
 
     loss_integral is the left Riemann sum of the loss, r_acc the out-of-row-span
-    noise that the SDE accumulates; a discrete run keeps the zero default. Both
-    ensembles return each row's end state as meta["final_state"].
+    noise that the SDE accumulates, (1/2)(I - P) delta with P the projector onto
+    the row span of X; a discrete run keeps the zero default. Both ensembles
+    return each row's end state as meta["final_state"].
     """
 
     w_plus: Vec
@@ -120,29 +121,24 @@ def _rows(order, alpha, d: int, **arrays) -> Rows:
     )
 
 
-def _span(mask) -> slice | None:
-    """The slice of the True entries of a mask whose True entries are
-    contiguous, or None if there are none."""
-    idx = np.flatnonzero(mask)
-    return slice(idx[0], idx[-1] + 1) if idx.size else None
-
-
 def _drive(ds: Dataset, model, steps: int, record_stride: int, early_stop: bool) -> list:
     """The time loop of both DLN ensembles; returns one entry per row, in the
     caller's order: its Trajectory, or, if the row failed, its DivergenceError.
 
     model.s holds the rows (see _rows). The model supplies only its draws and
     update of step k, step(k, beta, rbar, loss), in place on model.s from the
-    pre-step (rows, d) arrays, and keep(mask), which drops rows. Its
-    stops_before_step fixes the convention: the discrete model judges a row
-    after stepping it, the SDE judges the pre-step loss and stops a row
-    unstepped; either way a row whose final loss is not finite fails where
-    it ended. The row arrays named in model.snapshot are copied into
-    meta["checkpoints"] at every record, and into meta at the end.
+    pre-step (rows, d) arrays; keep(mask), which drops rows, if it regroups
+    them (else the rows' own keep drops them); and r_acc(j), if its rows
+    carry one. Its stops_before_step fixes the convention: the discrete
+    model judges a row after stepping it, the SDE judges the pre-step loss
+    and stops a row unstepped; either way a row whose final loss is not
+    finite fails where it ended. The row arrays named in model.snapshot are
+    copied into meta["checkpoints"] at every record, and into meta at the end.
     """
     if steps < 0 or record_stride < 1:
         raise ValueError("need nonnegative steps and a record_stride of at least 1")
     s = model.s
+    drop_rows = getattr(model, "keep", s.keep)
     ref = ds.beta_star if ds.beta_star is not None else ds.theta_ls()
     out = [Trajectory(_COLUMNS) for _ in s.row]
     for traj in out:
@@ -171,7 +167,7 @@ def _drive(ds: Dataset, model, steps: int, record_stride: int, early_stop: bool)
             return
         record(j, done, beta, loss)
         # only the SDE rows carry r_acc; a discrete row keeps DlnState's zeros
-        r_acc = s.r_acc[j].copy() if hasattr(s, "r_acc") else None
+        r_acc = model.r_acc(j) if hasattr(model, "r_acc") else None
         state = DlnState(w_plus=s.w_p[j].copy(), w_minus=s.w_m[j].copy(),
                          step=done, time=float(s.time[j]),
                          loss_integral=float(s.li[j]), r_acc=r_acc)
@@ -209,7 +205,7 @@ def _drive(ds: Dataset, model, steps: int, record_stride: int, early_stop: bool)
                 for j in np.flatnonzero(ok):
                     record(j, k, beta[j], loss[j])
             if keep is not None:
-                model.keep(keep)
+                drop_rows(keep)
                 if not s.row.size:
                     break
                 beta, rbar, loss = beta[keep], rbar[keep], loss[keep]
@@ -218,7 +214,7 @@ def _drive(ds: Dataset, model, steps: int, record_stride: int, early_stop: bool)
                 ok &= np.isfinite(s.w_p).all(1) & np.isfinite(s.w_m).all(1)
                 keep = settle(ok, k, k + 1, loss)
                 if keep is not None:
-                    model.keep(keep)
+                    drop_rows(keep)
             k += 1
         for j in range(s.row.size):
             finish(j, k, False)
@@ -273,7 +269,8 @@ class _Discrete:
         s.keep(mask)
         nf = int(s.full.sum())
         self.full, self.mini = slice(0, nf), slice(nf, s.row.size)
-        self.noisy = _span(s.noisy)
+        idx = np.flatnonzero(s.noisy)  # contiguous, as the rows are ordered
+        self.noisy = slice(idx[0], idx[-1] + 1) if idx.size else None
         self.plan = list(zip(s.rng, (~s.full).tolist(), s.noisy.tolist()))
 
     def step(self, k, beta, rbar, loss) -> None:
@@ -356,12 +353,8 @@ DRAW_AHEAD = 1024
 
 class _Sde:
     """The geometric Euler-Maruyama step of simulate_dln_sde_ensemble, with
-    one sigma per row.
-
-    Rows are held noise-free first, so that the sigma > 0 rows are one
-    contiguous slice and a sigma-0 row skips the isotropic block entirely, as
-    a lone run does; s.row maps back to the caller's order.
-    """
+    one sigma per row; a sigma-0 row adds a signed zero isotropic term, which
+    leaves delta at +0.0 and exp(-c) unchanged."""
 
     stops_before_step = True
     snapshot = ("eta", "delta")
@@ -375,50 +368,40 @@ class _Sde:
         self.sqh = math.sqrt(h)
         self.chunk = max(1, DRAW_AHEAD // R)
         col = np.sum(ds.Xbar * ds.Xbar, axis=0)
-        order = sorted(range(R), key=lambda r: sigmas[r] > 0)
-        self.s = _rows(order, alpha, d, rng=np.array([rngs[r] for r in order], dtype=object),
-                       sigma=np.array([sigmas[r] for r in order], dtype=float),
+        self.s = _rows(range(R), alpha, d, rng=np.array(rngs, dtype=object),
+                       sigma=np.array(sigmas, dtype=float),
                        # per-coordinate noise variance of the shared path is
                        # 4 gamma L h (diag + sigma^2)
-                       var_fac=np.array([4.0 * gamma * h * (col + sigmas[r] * sigmas[r])
-                                         for r in order]),
+                       var_fac=np.array([4.0 * gamma * h * (col + v * v) for v in sigmas]),
                        eta=np.zeros((R, d)), delta=np.zeros((R, d)),
-                       r_acc=np.zeros((R, d)),
                        xi=None)  # drawn noise chunk, (rows, steps, n + d)
-        self.keep(slice(None))
 
-    def keep(self, mask) -> None:
-        """Drop rows, then find the slice of the noisy rows again."""
-        self.s.keep(mask)
-        self.noisy = _span(self.s.sigma > 0)
+    def r_acc(self, j) -> Vec:
+        """Row j's out-of-row-span noise: the isotropic increments sum to
+        delta, and each adds half its (I - P) part to r_acc."""
+        delta = self.s.delta[j]
+        return 0.5 * (delta - self.P @ delta)
 
     def step(self, k, beta, rbar, loss) -> None:
-        s, n, d, h, ls, sqh = self.s, self.n, self.d, self.h, self.noisy, self.sqh
-        XbarT = self.XbarT
+        s, n, h, XbarT = self.s, self.n, self.h, self.XbarT
         j = k % self.chunk
         if j == 0:
             # the chunk is a row array, so it is compacted with the rows
             count = min(self.chunk, self.steps - k)
             s.xi = None  # release the spent chunk before drawing
-            s.xi = np.empty((s.row.size, count, n + d))
+            s.xi = np.empty((s.row.size, count, n + self.d))
             for i, rng in enumerate(s.rng):
                 rng.normal(out=s.xi[i])
 
         g = 2.0 * h * matvecs(XbarT, rbar)
-        root = np.sqrt(self.gamma * loss)
-        amp = 2.0 * root * sqh
+        amp = 2.0 * np.sqrt(self.gamma * loss) * self.sqh
         xi = s.xi[:, j]
         m_x = amp[:, None] * matvecs(XbarT, xi[:, :n])
-        c = g - m_x
+        m_i = (amp * s.sigma)[:, None] * xi[:, n:]
+        c = g - m_x - m_i
         v = s.var_fac * loss[:, None]
         s.eta = s.eta - g + m_x
-        if ls is not None:
-            sigma, xi_i = s.sigma[ls], xi[ls, n:]
-            m_i = (amp[ls] * sigma)[:, None] * xi_i
-            inc = sqh * xi_i
-            s.r_acc[ls] += (sigma * root[ls])[:, None] * (inc - matvecs(self.P, inc))
-            c[ls] -= m_i
-            s.delta[ls] += m_i
+        s.delta = s.delta + m_i
         fade = np.exp(-0.5 * v)
         grow = np.exp(-c)
         s.w_p = s.w_p * (fade * grow)
@@ -452,7 +435,9 @@ def simulate_dln_sde_ensemble(ds: Dataset, alpha, sigmas, gamma: float,
     meta["checkpoints"] keeps, at every recorded step, the iterate beta
     together with the linearly re-accumulated exponents (eta from the drift
     and data-noise block, delta from the isotropic block) so the hyperbolic
-    closed form can be checked externally.
+    closed form can be checked externally. The final state's r_acc is
+    (1/2)(I - P) delta, P the projector onto the row span of X, taken once
+    when the row finishes.
 
     Each row draws its xi ahead in chunks from its own stream. A stream is
     one sequence of normals however it is chunked, so the chunks hold

@@ -32,6 +32,7 @@ from .dln_dynamics import (
     simulate_dln_sde_ensemble,
 )
 from .lsq_dynamics import (
+    OU_THIN,
     OptimizerConfig,
     simulate_coupled_over,
     simulate_ou_under,
@@ -75,8 +76,8 @@ OUTDIR_ENV = "NOISELAB_OUTDIR"
 # keeps the distance-versus-tilt verdict meaningful when the tilt vanishes
 LIMIT_DISTANCE_FLOOR = 1e-4
 
-# an ou study samples every OU_THIN-th iterate after its burn-in
-OU_THIN = 10
+# the largest eps, sigma and label_noise an ou study grades
+OU_NOISE_MAX = 1e50
 
 
 @dataclass
@@ -149,6 +150,12 @@ class ExperimentConfig:
                                      for v in self.sigmas):
             raise ValueError("mode ou has no noise to grade in a cell whose "
                              "eps^2 + sigma^2 is below 1.5e-154")
+        # nor above 1e50: the covariance is of order eps^2, sigma^2 / lambda and,
+        # over a short burn-in, label_noise^2; its relative error squares it again
+        for name, v in (("eps", self.eps), ("sigmas", max(self.sigmas)),
+                        ("label_noise", self.label_noise)):
+            if self.mode == "ou" and v > OU_NOISE_MAX:
+                raise ValueError(f"mode ou grades {name} up to {OU_NOISE_MAX:g}, not {v:g}")
         if self.seeds < 1 or self.stride < 1 or self.steps < 1:
             raise ValueError("seeds, stride, and steps must all be at least 1")
         if self.batch < 1 or self.n_traj < 1:
@@ -525,14 +532,18 @@ def _run_ou(cfg: ExperimentConfig, record: RunRecord, ds: Dataset) -> None:
     results = simulate_ou_under(ds, cfg.eps, cfg.sigmas, gamma, gamma, steps=cfg.steps,
                                 burn_in=cfg.burn_in,
                                 rngs=[RngStream(cfg.seed_base) for _ in cfg.sigmas],
-                                record_stride=cfg.stride, thin=OU_THIN)
+                                record_stride=cfg.stride)
+    theta_ls = ds.theta_ls()
+    # no mean is resolved finer than the float spacing at the least-squares
+    # point: noise below it leaves every batch mean equal and the SE at 0
+    se_floor = max(1e-300, float(np.spacing(np.linalg.norm(theta_ls))))
     for sigma, (mean, cov, traj) in zip(cfg.sigmas, results):
         tag = f"sigma{sigma:g}"
-        dev = np.abs(mean - ds.theta_ls())
-        se_units = float(np.max(dev / np.maximum(traj.meta["mean_se"], 1e-300)))
+        dev = np.abs(mean - theta_ls)
+        se_units = float(np.max(dev / np.maximum(traj.meta["mean_se"], se_floor)))
         # reference law this study is graded against; its isotropic part is
         # sigma^2 / (4 lambda) per mode, half of what the flow law carries
-        target = (Q * (0.5 * gamma * cfg.eps**2 + 0.25 * sigma * sigma / lam)) @ Q.T
+        target = (Q * (0.5 * gamma * cfg.eps * cfg.eps + 0.25 * sigma * sigma / lam)) @ Q.T
         rel_target = float(np.linalg.norm(cov - target) / np.linalg.norm(target))
         law = stationary_law_theory(ds, gamma, cfg.eps, sigma)
         rel_law = float(np.linalg.norm(cov - law) / np.linalg.norm(law))

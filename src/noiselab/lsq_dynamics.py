@@ -20,6 +20,9 @@ from .problems import Dataset
 
 KINDS = ("GD", "SGD", "NoisySGD", "DPSGD")
 
+# simulate_ou_under samples every OU_THIN-th iterate after its burn-in
+OU_THIN = 10
+
 
 @dataclass
 class LsqState:
@@ -170,8 +173,7 @@ def stationary_law_theory(ds: Dataset, gamma: float, eps: float, sigma: float) -
 
 
 def simulate_ou_under(ds: Dataset, eps: float, sigmas, gamma: float, h: float,
-                      steps: int, burn_in: int, rngs, record_stride: int = 100, *,
-                      thin: int) -> list:
+                      steps: int, burn_in: int, rngs, record_stride: int = 100) -> list:
     """Euler-Maruyama with step h for d theta = -Xbar^T(Xbar theta - Ybar) dt
     + sqrt(gamma) eps Xbar^T dW + sigma dW~, one row per (sigma, rng) pair.
 
@@ -179,7 +181,7 @@ def simulate_ou_under(ds: Dataset, eps: float, sigmas, gamma: float, h: float,
     from its own stream in blocks of 10,000 steps, so every row is bitwise
     what it would be alone. Returns one (empirical mean, empirical
     covariance, trajectory) per row. Mean and covariance are time averages
-    over post-burn-in iterates thinned by `thin`. The trajectory records
+    over every OU_THIN-th iterate from burn_in on. The trajectory records
     (t, ||theta||) every record_stride steps; its meta carries batch-means
     standard errors of the mean ("mean_se", 50 batches), the sample count
     ("n_samples") and the final iterate ("final_theta").
@@ -192,11 +194,11 @@ def simulate_ou_under(ds: Dataset, eps: float, sigmas, gamma: float, h: float,
         raise ValueError("eps and sigmas must be finite and nonnegative")
     if not 0 <= burn_in < steps:
         raise ValueError("burn_in must be nonnegative and smaller than steps")
-    if thin < 1 or record_stride < 1:
-        raise ValueError("thin and record_stride must be at least 1")
-    n_samples = (steps - burn_in + thin - 1) // thin
+    if record_stride < 1:
+        raise ValueError("record_stride must be at least 1")
+    n_samples = (steps - burn_in + OU_THIN - 1) // OU_THIN
     if n_samples < 2:  # the batch-means standard error needs two
-        raise ValueError("steps, burn_in and thin must leave at least two samples")
+        raise ValueError("steps and burn_in must leave at least two samples")
     if len(sigmas) == 0 or len(sigmas) != len(rngs):
         raise ValueError("need one stream per sigma and at least one sigma")
     A = ds.Xbar.T @ ds.Xbar
@@ -228,7 +230,7 @@ def simulate_ou_under(ds: Dataset, eps: float, sigmas, gamma: float, h: float,
 
     # the loop stops at every step where a block starts, or where the state
     # before the update is sampled or recorded, and runs plain steps between
-    stops = heapq.merge(range(0, steps, block), range(burn_in, steps, thin),
+    stops = heapq.merge(range(0, steps, block), range(burn_in, steps, OU_THIN),
                         range(0, steps, record_stride), (steps,))
     k = next(stops)
     si = 0
@@ -240,7 +242,7 @@ def simulate_ou_under(ds: Dataset, eps: float, sigmas, gamma: float, h: float,
         if k % block == 0:
             _draw_ou_noise(ds, eps, sigmas[:noisy], gamma, h, rngs[:noisy],
                            noise[:steps - k])
-        if k >= burn_in and (k - burn_in) % thin == 0:
+        if k >= burn_in and (k - burn_in) % OU_THIN == 0:
             samples[:, si] = theta
             si += 1
         if k % record_stride == 0:

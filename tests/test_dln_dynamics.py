@@ -401,6 +401,12 @@ def sde_oracle(ds, alpha, sigma, gamma, h, steps, seed, stride, early_stop=True)
                          early_stop)
 
 
+def r_acc_rel_error(got, want):
+    """Relative Euclidean error of an r_acc; 0 where both are zero."""
+    err = float(np.linalg.norm(got - want))
+    return err / float(np.linalg.norm(want)) if err else 0.0
+
+
 def assert_same_sde(traj, ref):
     assert traj.rows == ref["rows"]
     assert traj.meta["steps"] == ref["steps"]
@@ -410,8 +416,10 @@ def assert_same_sde(traj, ref):
         for key in want:
             assert np.array_equal(got[key], want[key]), key
     st = traj.meta["final_state"]
-    for key in ("w_plus", "w_minus", "r_acc"):
+    for key in ("w_plus", "w_minus"):
         assert np.array_equal(getattr(st, key), ref[key]), key
+    # r_acc is (1/2)(I - P) delta, taken once; the oracle sums it step by step
+    assert r_acc_rel_error(st.r_acc, ref["r_acc"]) <= 1e-12
     assert np.array_equal(traj.meta["eta"], ref["eta"])
     assert np.array_equal(traj.meta["delta"], ref["delta"])
     assert st.loss_integral == ref["loss_integral"]
@@ -493,14 +501,19 @@ def assert_same_run(traj, alone):
 
 
 class TestSdePerRowSigma:
-    """Rows with their own sigmas, held noise-free first, are each bitwise
-    the run simulate_dln_sde makes alone."""
+    """Rows with their own sigmas, held in the caller's order, are each
+    bitwise the run simulate_dln_sde makes alone."""
 
     @pytest.mark.parametrize("early_stop", [True, False])
     def test_rows_match_lone_runs(self, early_stop):
+        # sigma-0 rows sit between noisy rows in the caller's order
+        for sigmas in ((0.5, 0.0, 0.25, 0.0), (0.0, 0.3, 0.0, 0.5)):
+            self.check_rows_match_lone_runs(sigmas, early_stop)
+
+    def check_rows_match_lone_runs(self, sigmas, early_stop):
         ds = tiny_instance()
         g = default_step_size(ds)
-        sigmas, seeds = (0.5, 0.0, 0.25, 0.0), (0, 1, 2, 3)
+        seeds = (0, 1, 2, 3)
         out = simulate_dln_sde_ensemble(ds, 0.2, sigmas, g, g, 4000,
                                         [RngStream(s) for s in seeds],
                                         record_stride=70, early_stop=early_stop)
@@ -519,14 +532,14 @@ class TestSdePerRowSigma:
             assert all(t.meta["converged"] for t in out)
         else:
             assert runs == [4000] * len(seeds)
-        assert np.linalg.norm(out[0].meta["final_state"].r_acc) > 0
-        assert not out[1].meta["final_state"].r_acc.any()
+        for traj, sigma in zip(out, sigmas):
+            r_acc = traj.meta["final_state"].r_acc
+            assert np.linalg.norm(r_acc) > 0 if sigma > 0 else not r_acc.any()
 
     def test_every_row_reports_its_own_outcome(self):
         # at h = 10 gamma the sigma-0 run of seed 7 diverges at step 1394, and
         # later rows sooner: sigma 0.5 seed 1 at step 2, sigma 0 seed 3 at
-        # step 3, though that noise-free row is held ahead of the noisy ones;
-        # every row carries its own run's outcome
+        # step 3; every row carries its own run's outcome
         ds = tiny_instance()
         g = default_step_size(ds)
         sigmas, seeds = (0.5, 0.0, 0.0, 0.5, 0.0), (0, 8, 7, 1, 3)
@@ -546,6 +559,29 @@ class TestSdePerRowSigma:
         assert_same_run(out[1], refs[1])
         for traj, step in zip(out[2:], refs[2:]):
             assert isinstance(traj, DivergenceError) and traj.step == step
+
+    def test_r_acc_is_taken_from_delta(self):
+        # at h = 3 gamma rows 0, 1 and 4 stop early (steps 1373, 1349, 1595),
+        # row 3 runs out of steps and row 2 diverges at step 2467: each
+        # finished row's r_acc is (1/2)(I - P) delta of its own final delta,
+        # bitwise, and within 1e-12 of the summed oracle
+        ds = tiny_instance()
+        g = default_step_size(ds)
+        P = row_space_projector(ds.X)
+        sigmas, seeds = (1.0, 0.0, 4.0, 1.0, 0.0), (0, 0, 5, 2, 1)
+        out = simulate_dln_sde_ensemble(ds, 0.2, sigmas, g, 3 * g, 3000,
+                                        [RngStream(s) for s in seeds])
+        assert [isinstance(t, DivergenceError) for t in out] == [False, False, True,
+                                                                  False, False]
+        assert out[2].step == 2467
+        assert [out[j].meta["converged"] for j in (0, 1, 3, 4)] == [True, True, False, True]
+        for j in (0, 1, 3, 4):
+            traj, sigma = out[j], sigmas[j]
+            st, delta = traj.meta["final_state"], traj.meta["delta"]
+            assert np.array_equal(st.r_acc, 0.5 * (delta - P @ delta))
+            assert np.linalg.norm(st.r_acc) > 0 if sigma > 0 else not st.r_acc.any()
+            ref = sde_oracle(ds, 0.2, sigma, g, 3 * g, 3000, seeds[j], 100)
+            assert_same_sde(traj, ref)
 
     def test_loop_ends_with_the_last_row(self, monkeypatch):
         # the loop steps the ensemble once per step of its longest row, and

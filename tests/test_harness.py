@@ -644,6 +644,45 @@ class TestOutOfRangeFigures:
         assert all(v > 1e100 for k, v in scalars.items() if k.startswith("cov_rel"))
 
 
+    # eps = 1e200 overflowed eps**2 after the whole integration, and
+    # label_noise = 1e200 wrote an infinite covariance
+    @pytest.mark.parametrize("kw, field", [
+        pytest.param(dict(eps=1e200), "eps", id="eps-1e200"),
+        pytest.param(dict(eps=0.5, label_noise=1e200), "label_noise", id="label-noise-1e200"),
+        pytest.param(dict(sigmas=(0.0, 1e200)), "sigmas", id="sigma-1e200"),
+        pytest.param(dict(eps=math.nextafter(1e50, math.inf)), "eps", id="eps-above-1e50"),
+    ])
+    def test_ou_noise_too_large_to_grade_is_rejected(self, kw, field):
+        with pytest.raises(ValueError, match=f"mode ou grades {field} up to 1e"):
+            ExperimentConfig(**{**self.OU_BASE, "eps": 0.5, "sigmas": (0.5,), **kw})
+
+    # the instance of the configs above and the bundled ou instance, the
+    # latter at a short budget
+    OU_INSTANCES = {
+        "n2-d1": dict(OU_BASE, eps=0.5, sigmas=(0.5,)),
+        "bundled": dict(OU_BASE, n=50, d=5, dataset_seed=7, label_noise=0.5, eps=0.5,
+                        sigmas=(0.0, 0.3), seed_base=11, steps=2000, burn_in=1000,
+                        stride=100),
+    }
+
+    @pytest.mark.parametrize("instance", OU_INSTANCES)
+    @pytest.mark.parametrize("kw", [
+        pytest.param(dict(eps=1e50), id="eps"),
+        pytest.param(dict(sigmas=(0.0, 1e50)), id="sigma"),
+        pytest.param(dict(label_noise=1e50), id="label-noise"),
+        pytest.param(dict(eps=1e50, sigmas=(0.0, 1e50), label_noise=1e50), id="all"),
+        # noise far below the float spacing at the least-squares point
+        # leaves every batch mean equal: the standard error is 0
+        pytest.param(dict(eps=0.0, sigmas=(1.3e-77,), label_noise=1e50),
+                     id="label-noise-over-least-noise"),
+    ])
+    def test_ou_largest_accepted_noise_writes_a_finite_record(self, tmp_path, instance, kw):
+        run_experiment(ExperimentConfig(**{**self.OU_INSTANCES[instance], **kw,
+                                           "out": str(tmp_path)}))
+        scalars = finite_summary(tmp_path)["scalars"]
+        assert all(math.isfinite(v) for v in scalars.values())
+
+
 class TestCli:
     def test_commands(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -759,7 +798,7 @@ class TestBenchmarkHooks:
                                      early_stop=False)
             harness.solve_tilted(ds, PotentialParams(0.1), max_iters=3, tol=1.0)
             harness.simulate_ou_under(ds_u, 0.5, [0.0, 0.3], gamma_u, gamma_u, 40, 10,
-                                      [RngStream(0), RngStream(0)], thin=5)
+                                      [RngStream(0), RngStream(0)])
             harness.simulate_coupled_over(ds, gamma_c, [0.0, 0.5], 9, 4, RngStream(0))
             assert RunRecord.write is not write
             harness.gen_sparse_regression(6, 10, 2, RngStream(3))

@@ -22,6 +22,7 @@ from noiselab import (
     solve_lyapunov,
     stationary_law_theory,
 )
+from noiselab.lsq_dynamics import OU_THIN
 from oracles import coupled_reference, em_stationary_cov, ou_reference
 
 
@@ -258,7 +259,7 @@ class TestSimulateOuUnder:
     def test_deterministic_flow_reaches_least_squares(self):
         ds = gen_underparam_regression(30, 4, 0.2, RngStream(5))
         [(mean, cov, traj)] = simulate_ou_under(ds, 0.0, [0.0], 0.2, 0.2, steps=3000,
-                                                burn_in=2500, rngs=[RngStream(0)], thin=10)
+                                                burn_in=2500, rngs=[RngStream(0)])
         assert np.abs(mean - ds.theta_ls()).max() < 1e-6
         assert np.abs(cov).max() < 1e-8
 
@@ -269,7 +270,7 @@ class TestSimulateOuUnder:
         gamma = 0.4 / lam
         [(mean, cov, traj)] = simulate_ou_under(ds, 0.7, [0.0], gamma, gamma / 20,
                                                 steps=400_000, burn_in=40_000,
-                                                rngs=[RngStream(99)], thin=10)
+                                                rngs=[RngStream(99)])
         want = gamma * 0.49 / 2
         assert abs(cov.item() - want) < 0.1 * want
 
@@ -283,7 +284,7 @@ class TestSimulateOuUnder:
         h = gamma / 8
         eps, sigma = 0.5, 0.3
         [(mean, cov, traj)] = simulate_ou_under(ds, eps, [sigma], gamma, h, steps=600_000,
-                                                burn_in=60_000, rngs=[RngStream(7)], thin=10)
+                                                burn_in=60_000, rngs=[RngStream(7)])
         Sigma = gamma * eps**2 * A + sigma**2 * np.eye(5)
         W = em_stationary_cov(A, h, Sigma)
         assert np.linalg.norm(cov - W) / np.linalg.norm(W) < 0.10
@@ -296,30 +297,30 @@ class TestSimulateOuUnder:
         bad = 2.5 / float(np.linalg.eigvalsh(A)[-1])
         with pytest.raises(ValueError, match="unstable step size"):
             simulate_ou_under(ds, 0.5, [0.0], 0.1, bad, steps=20, burn_in=0,
-                              rngs=[RngStream(0)], thin=10)
+                              rngs=[RngStream(0)])
 
     def test_burn_in_must_leave_samples(self):
         ds = gen_underparam_regression(20, 2, 0.1, RngStream(4))
         with pytest.raises(ValueError):
             simulate_ou_under(ds, 0.5, [0.0], 0.1, 0.05, steps=100, burn_in=100,
-                              rngs=[RngStream(0)], thin=10)
+                              rngs=[RngStream(0)])
         # a negative burn-in would average a sample taken before the start
         with pytest.raises(ValueError, match="burn_in must be nonnegative"):
             simulate_ou_under(ds, 0.5, [0.0], 0.1, 0.05, steps=50, burn_in=-5,
-                              rngs=[RngStream(0)], thin=5)
+                              rngs=[RngStream(0)])
 
     def test_fewer_than_two_samples_rejected(self):
         # one sample has no batch-means standard error
         ds = gen_underparam_regression(20, 2, 0.1, RngStream(4))
         with pytest.raises(ValueError, match="at least two samples"):
             simulate_ou_under(ds, 0.5, [0.0], 0.1, 0.05, steps=15, burn_in=10,
-                              rngs=[RngStream(0)], thin=10)
+                              rngs=[RngStream(0)])
         [(_, _, traj)] = simulate_ou_under(ds, 0.5, [0.0], 0.1, 0.05, steps=21, burn_in=10,
-                                           rngs=[RngStream(0)], thin=10)
+                                           rngs=[RngStream(0)])
         assert traj.meta["n_samples"] == 2 and np.all(np.isfinite(traj.meta["mean_se"]))
 
     @pytest.mark.parametrize("change, message", [
-        (dict(thin=0), "at least 1"),
+        (dict(record_stride=-1), "at least 1"),
         (dict(record_stride=0), "at least 1"),
         (dict(gamma=0.0), "positive and finite"),
         (dict(h=math.nan), "positive and finite"),
@@ -330,7 +331,7 @@ class TestSimulateOuUnder:
     def test_bad_inputs_rejected(self, change, message):
         ds = gen_underparam_regression(20, 2, 0.1, RngStream(4))
         kw = dict(eps=0.5, sigmas=[0.0, 0.3], gamma=0.1, h=0.05, steps=100, burn_in=10,
-                  rngs=[RngStream(0), RngStream(1)], record_stride=10, thin=5)
+                  rngs=[RngStream(0), RngStream(1)], record_stride=10)
         kw.update(change)
         with pytest.raises(ValueError, match=message):
             simulate_ou_under(ds, **kw)
@@ -338,9 +339,9 @@ class TestSimulateOuUnder:
     def test_array_sigmas_match_tuple_bitwise(self):
         # a numpy array of sigmas runs exactly as the same tuple does
         ds = gen_underparam_regression(20, 2, 0.1, RngStream(4))
-        runs = [simulate_ou_under(ds, 0.5, sigmas, 0.1, 0.05, steps=100, burn_in=10,
-                                  rngs=[RngStream(0), RngStream(1)], record_stride=10,
-                                  thin=5)
+        # the burn-in is off the sampling stride of 10
+        runs = [simulate_ou_under(ds, 0.5, sigmas, 0.1, 0.05, steps=100, burn_in=13,
+                                  rngs=[RngStream(0), RngStream(1)], record_stride=10)
                 for sigmas in ((0.0, 0.5), np.array([0.0, 0.5]))]
         for (mean, cov, traj), (mean_a, cov_a, traj_a) in zip(*runs):
             assert same_bits(mean, mean_a)
@@ -354,28 +355,28 @@ class TestOuEnsembleMatchesOracle:
     """Every row of one OU ensemble is bitwise the parent's single-row loop
     (tests/oracles.py::ou_reference) run alone on the row's own stream."""
 
-    @pytest.mark.parametrize("eps, sigmas, h_div, steps, burn_in, stride, thin", [
-        pytest.param(0.5, (0.0,), 1, 3000, 1000, 100, 10, id="eps-sigma0"),
-        pytest.param(0.5, (0.3,), 1, 3000, 1000, 100, 10, id="eps-sigma"),
-        pytest.param(0.0, (0.0,), 1, 3000, 1000, 100, 10, id="noise-free"),
-        pytest.param(0.0, (0.0, 0.4), 1, 3000, 1000, 100, 10, id="noise-free-beside-noisy"),
-        pytest.param(0.5, (0.0, 0.3), 1, 23_457, 3000, 1000, 10, id="crosses-blocks"),
-        pytest.param(0.0, (0.3, 0.0), 1, 5000, 1003, 100, 7, id="burn-in-off-thin"),
-        pytest.param(0.5, (0.3, 0.0), 1, 2000, 500, 333, 10, id="stride-not-dividing"),
+    @pytest.mark.parametrize("eps, sigmas, h_div, steps, burn_in, stride", [
+        pytest.param(0.5, (0.0,), 1, 3000, 1000, 100, id="eps-sigma0"),
+        pytest.param(0.5, (0.3,), 1, 3000, 1000, 100, id="eps-sigma"),
+        pytest.param(0.0, (0.0,), 1, 3000, 1000, 100, id="noise-free"),
+        pytest.param(0.0, (0.0, 0.4), 1, 3000, 1000, 100, id="noise-free-beside-noisy"),
+        pytest.param(0.5, (0.0, 0.3), 1, 23_457, 3000, 1000, id="crosses-blocks"),
+        pytest.param(0.0, (0.3, 0.0), 1, 5000, 1003, 100, id="burn-in-off-thin"),
+        pytest.param(0.5, (0.3, 0.0), 1, 2000, 500, 333, id="stride-not-dividing"),
         # h != gamma: the data-noise amplitude sqrt(h) sqrt(gamma) eps tells them apart
-        pytest.param(0.5, (0.0, 0.3), 8, 3000, 1000, 100, 10, id="h-gamma-over-8"),
+        pytest.param(0.5, (0.0, 0.3), 8, 3000, 1000, 100, id="h-gamma-over-8"),
     ])
-    def test_rows_bitwise(self, eps, sigmas, h_div, steps, burn_in, stride, thin):
+    def test_rows_bitwise(self, eps, sigmas, h_div, steps, burn_in, stride):
         ds = gen_underparam_regression(50, 5, 0.5, RngStream(7))
         gamma = default_step_size(ds)
         h = gamma / h_div
         got = simulate_ou_under(ds, eps, sigmas, gamma, h, steps, burn_in,
                                 [RngStream(11 + i) for i in range(len(sigmas))],
-                                record_stride=stride, thin=thin)
+                                record_stride=stride)
         for i, (sigma, (mean, cov, traj)) in enumerate(zip(sigmas, got)):
             ref = ou_reference(ds.Xbar, ds.Ybar, gamma, eps, sigma, h, steps,
                                burn_in, RngStream(11 + i), record_stride=stride,
-                               thin=thin)
+                               thin=OU_THIN)
             assert same_bits(mean, ref["mean"])
             assert same_bits(cov, ref["cov"])
             assert same_bits(traj.meta["mean_se"], ref["mean_se"])
