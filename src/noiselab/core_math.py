@@ -62,6 +62,17 @@ class RngStream:
     def child(self, k: int) -> "RngStream":
         return RngStream(self.seed, self.path + (k,))
 
+    def state_key(self) -> tuple:
+        """Hashable state: the PCG64 state and the pending half. Two streams
+        with equal keys make the same draws from here on, whatever their seeds."""
+        st = self._gen.bit_generator.state["state"]
+        return st["state"], st["inc"], self._half
+
+    def take_state(self, other: "RngStream") -> None:
+        """Continue from where `other` stands: make the draws it would make next."""
+        self._gen.bit_generator.state = other._gen.bit_generator.state
+        self._half = other._half
+
     def normal(self, size=None, out=None):
         return self._gen.standard_normal(size, out=out)
 

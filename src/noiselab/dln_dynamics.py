@@ -14,6 +14,13 @@ the per-row records, the early stop, divergence detection and the dropping of
 finished rows; each model supplies only its draws and update. An ensemble
 returns one entry per row, in order: the row's Trajectory, or its
 DivergenceError if it left the finite range; a failed row never stops the others.
+
+Rows on equal streams draw once. A study runs every sigma cell on one seed
+window (common random numbers), so a seed's rows start on equal streams.
+Rows whose streams are distinct objects in equal states, with one draw plan,
+form a group that draws once and whose rows read the draws; each stream ends
+where its row's run leaves it. One stream object passed for two rows is
+never grouped: those rows draw from it in turn.
 """
 
 from __future__ import annotations
@@ -107,12 +114,18 @@ def effective_alpha(alpha0: Vec, ds: Dataset, gamma: float, sigma: float,
 _COLUMNS = ("t", "loss", "dist_to_beta_l0_sq")
 
 
-def _rows(order, alpha, d: int, **arrays) -> Rows:
+def _rows(order, alpha, d: int, rngs: list, plans: list, **arrays) -> Rows:
     """The rows of an ensemble, each started at dln_init(alpha, d), held in
-    `order` (the caller's index of each row), with the model's own arrays."""
-    start, rows = dln_init(alpha, d), len(order)
+    `order` (the caller's index of each row), with their streams and the
+    model's own arrays; s.grp numbers the draw groups (module docstring).
+    """
+    start, rows, keys = dln_init(alpha, d), len(order), {}
+    grp = [keys.setdefault((plans[r], rngs[r].state_key())
+                           if rngs.count(rngs[r]) == 1 else r, len(keys)) for r in order]
     return Rows(
         row=np.array(order),
+        rng=np.array([rngs[r] for r in order], dtype=object),
+        grp=np.array(grp),
         time=np.zeros(rows),
         w_p=np.tile(start.w_plus, (rows, 1)),
         w_m=np.tile(start.w_minus, (rows, 1)),
@@ -121,24 +134,48 @@ def _rows(order, alpha, d: int, **arrays) -> Rows:
     )
 
 
+class _Grouped:
+    """Draws once per group (see _rows): group g draws from self.leads[g],
+    the stream of its first row, and its rows read the draws at s.grp."""
+
+    def keep(self, mask) -> None:
+        """Drop rows, each row's stream first taking its group's state."""
+        self.sync()
+        self.s.keep(mask)
+        self.regroup()
+
+    def regroup(self):
+        """Renumber the groups held; returns their old numbers and first rows."""
+        s = self.s
+        kept, first, s.grp = np.unique(s.grp, return_index=True, return_inverse=True)
+        self.leads = s.rng[first]
+        return kept, first
+
+    def sync(self) -> None:
+        """Each row's stream takes its group's state, where its run alone stands."""
+        for rng, g in zip(self.s.rng, self.s.grp):
+            if rng is not self.leads[g]:
+                rng.take_state(self.leads[g])
+
+
 def _drive(ds: Dataset, model, steps: int, record_stride: int, early_stop: bool) -> list:
     """The time loop of both DLN ensembles; returns one entry per row, in the
     caller's order: its Trajectory, or, if the row failed, its DivergenceError.
 
     model.s holds the rows (see _rows). The model supplies only its draws and
     update of step k, step(k, beta, rbar, loss), in place on model.s from the
-    pre-step (rows, d) arrays; keep(mask), which drops rows, if it regroups
-    them (else the rows' own keep drops them); and r_acc(j), if its rows
-    carry one. Its stops_before_step fixes the convention: the discrete
-    model judges a row after stepping it, the SDE judges the pre-step loss
-    and stops a row unstepped; either way a row whose final loss is not
-    finite fails where it ended. The row arrays named in model.snapshot are
-    copied into meta["checkpoints"] at every record, and into meta at the end.
+    pre-step (rows, d) arrays, and r_acc(j), if its rows carry one; as a
+    _Grouped it drops rows with keep(mask), and its sync() leaves every
+    stream where the row's run stands once the loop ends. Its
+    stops_before_step fixes the convention: the discrete model judges a row
+    after stepping it, the SDE judges the pre-step loss and stops a row
+    unstepped; either way a row whose final loss is not finite fails where
+    it ended. The row arrays named in model.snapshot are copied into
+    meta["checkpoints"] at every record, and into meta at the end.
     """
     if steps < 0 or record_stride < 1:
         raise ValueError("need nonnegative steps and a record_stride of at least 1")
-    s = model.s
-    drop_rows = getattr(model, "keep", s.keep)
+    s, drop_rows = model.s, model.keep
     ref = ds.beta_star if ds.beta_star is not None else ds.theta_ls()
     out = [Trajectory(_COLUMNS) for _ in s.row]
     for traj in out:
@@ -218,10 +255,11 @@ def _drive(ds: Dataset, model, steps: int, record_stride: int, early_stop: bool)
             k += 1
         for j in range(s.row.size):
             finish(j, k, False)
+    model.sync()
     return out
 
 
-class _Discrete:
+class _Discrete(_Grouped):
     """The multiplicative update of the weight pair, on every row at once.
 
     w_{+} <- w_{+} (1 - 2 gamma a_t + gamma sigma_t Z_+), and mirrored with
@@ -252,42 +290,43 @@ class _Discrete:
         # minibatch rows unless every row is full-batch. s.row maps back to
         # the caller's order.
         order = sorted(range(len(cfgs)), key=lambda r: (not full[r], noisy[r]))
-        self.s = _rows(order, alpha, ds.d,
-                       rng=np.array([rngs[r] for r in order], dtype=object),
+        # a row's draw plan: indices unless full-batch, then Z if noisy
+        self.s = _rows(order, alpha, ds.d, rngs, list(zip(full, noisy)),
                        full=np.array([full[r] for r in order]),
                        noisy=np.array([noisy[r] for r in order]),
                        sigma=np.array([cfgs[r].sigma for r in order]))
         self.picks = np.zeros((len(cfgs), batch), dtype=np.int64)
-        # Z_+ and Z_- of a row are the two halves of one draw of 2d normals
+        # Z_+ and Z_- of a group are the two halves of one draw of 2d normals
         self.z = np.empty((len(cfgs), 2 * ds.d))
-        self.keep(slice(None))
+        self.regroup()
 
-    def keep(self, mask) -> None:
-        """Drop rows, then regroup: the slices of the full-batch, minibatch
-        and noisy rows, and each row's draws."""
+    def regroup(self):
+        """Also the slices of the full-batch, minibatch and noisy rows, and
+        each group's draws."""
+        kept, first = super().regroup()
         s = self.s
-        s.keep(mask)
         nf = int(s.full.sum())
         self.full, self.mini = slice(0, nf), slice(nf, s.row.size)
         idx = np.flatnonzero(s.noisy)  # contiguous, as the rows are ordered
         self.noisy = slice(idx[0], idx[-1] + 1) if idx.size else None
-        self.plan = list(zip(s.rng, (~s.full).tolist(), s.noisy.tolist()))
+        self.plan = list(zip(self.leads, (~s.full[first]).tolist(),
+                             s.noisy[first].tolist()))
 
     def step(self, k, beta, rbar, loss) -> None:
         s, ds, gamma, batch = self.s, self.ds, self.gamma, self.batch
         full, mini, ls, picks, z = self.full, self.mini, self.noisy, self.picks, self.z
         n, d = ds.n, ds.d
-        # per-row draws, in the order indices, Z_+, Z_-
-        for j, (rng, draws_idx, noisy) in enumerate(self.plan):
+        # per-group draws, in the order indices, Z_+, Z_-
+        for g, (rng, draws_idx, noisy) in enumerate(self.plan):
             if draws_idx:
-                picks[j] = rng.indices(n, batch)
+                picks[g] = rng.indices(n, batch)
             if noisy:
-                rng.normal(out=z[j])
+                rng.normal(out=z[g])
 
         if mini.start == mini.stop:
             a = minibatch_gradients(ds, beta, rbar)
         else:
-            a = minibatch_gradients(ds, beta[mini], rbar[mini], picks[mini])
+            a = minibatch_gradients(ds, beta[mini], rbar[mini], picks[s.grp[mini]])
             if full.stop:
                 a = np.concatenate((minibatch_gradients(ds, beta[full], rbar[full]), a))
         drift = 2.0 * gamma * a
@@ -296,8 +335,9 @@ class _Discrete:
         if ls is not None:
             sigma_t = 2.0 * s.sigma[ls] * np.sqrt(loss[ls])
             coef = (gamma * sigma_t)[:, None]
-            mult_p[ls] += coef * z[ls, :d]
-            mult_m[ls] -= coef * z[ls, d:]
+            z_ls = z[s.grp[ls]]
+            mult_p[ls] += coef * z_ls[:, :d]
+            mult_m[ls] -= coef * z_ls[:, d:]
         s.w_p = s.w_p * mult_p
         s.w_m = s.w_m * mult_m
         s.time = s.time + gamma
@@ -323,6 +363,8 @@ def run_dln_discrete_ensemble(ds: Dataset, alpha, cfgs, rngs, steps: int,
     has its DivergenceError in place of a Trajectory, naming the step whose
     update (or final loss) left the range, the error its run alone raises;
     the other rows run on.
+    Rows on equal streams with one draw plan draw once per step (module
+    docstring), and each stream ends in the state its run alone leaves.
     """
     cfgs, rngs = list(cfgs), list(rngs)
     if len(cfgs) != len(rngs):
@@ -351,7 +393,7 @@ def run_dln_discrete(ds: Dataset, alpha, cfg: OptimizerConfig, steps: int,
 DRAW_AHEAD = 1024
 
 
-class _Sde:
+class _Sde(_Grouped):
     """The geometric Euler-Maruyama step of simulate_dln_sde_ensemble, with
     one sigma per row; a sigma-0 row adds a signed zero isotropic term, which
     leaves delta at +0.0 and exp(-c) unchanged."""
@@ -368,13 +410,20 @@ class _Sde:
         self.sqh = math.sqrt(h)
         self.chunk = max(1, DRAW_AHEAD // R)
         col = np.sum(ds.Xbar * ds.Xbar, axis=0)
-        self.s = _rows(range(R), alpha, d, rng=np.array(rngs, dtype=object),
+        self.s = _rows(range(R), alpha, d, rngs, [None] * R,  # all draw alike
                        sigma=np.array(sigmas, dtype=float),
                        # per-coordinate noise variance of the shared path is
                        # 4 gamma L h (diag + sigma^2)
                        var_fac=np.array([4.0 * gamma * h * (col + v * v) for v in sigmas]),
-                       eta=np.zeros((R, d)), delta=np.zeros((R, d)),
-                       xi=None)  # drawn noise chunk, (rows, steps, n + d)
+                       eta=np.zeros((R, d)), delta=np.zeros((R, d)))
+        self.xi = None  # drawn noise chunk, (groups, steps, n + d)
+        self.regroup()
+
+    def regroup(self):
+        """Also compacts the noise chunk to the groups that remain."""
+        kept, first = super().regroup()
+        if self.xi is not None:
+            self.xi = self.xi[kept]
 
     def r_acc(self, j) -> Vec:
         """Row j's out-of-row-span noise: the isotropic increments sum to
@@ -386,18 +435,18 @@ class _Sde:
         s, n, h, XbarT = self.s, self.n, self.h, self.XbarT
         j = k % self.chunk
         if j == 0:
-            # the chunk is a row array, so it is compacted with the rows
             count = min(self.chunk, self.steps - k)
-            s.xi = None  # release the spent chunk before drawing
-            s.xi = np.empty((s.row.size, count, n + self.d))
-            for i, rng in enumerate(s.rng):
-                rng.normal(out=s.xi[i])
+            self.xi = None  # release the spent chunk before drawing
+            self.xi = np.empty((len(self.leads), count, n + self.d))
+            for i, rng in enumerate(self.leads):
+                rng.normal(out=self.xi[i])
 
         g = 2.0 * h * matvecs(XbarT, rbar)
         amp = 2.0 * np.sqrt(self.gamma * loss) * self.sqh
-        xi = s.xi[:, j]
-        m_x = amp[:, None] * matvecs(XbarT, xi[:, :n])
-        m_i = (amp * s.sigma)[:, None] * xi[:, n:]
+        xi = self.xi[:, j]
+        # each group's data-noise product once, read by its rows
+        m_x = amp[:, None] * matvecs(XbarT, xi[:, :n])[s.grp]
+        m_i = (amp * s.sigma)[:, None] * xi[s.grp, n:]
         c = g - m_x - m_i
         v = s.var_fac * loss[:, None]
         s.eta = s.eta - g + m_x
@@ -441,7 +490,8 @@ def simulate_dln_sde_ensemble(ds: Dataset, alpha, sigmas, gamma: float,
 
     Each row draws its xi ahead in chunks from its own stream. A stream is
     one sequence of normals however it is chunked, so the chunks hold
-    DRAW_AHEAD steps over all rows together, whatever the row count.
+    DRAW_AHEAD steps over all rows together, whatever the row count. Rows on
+    equal streams draw each chunk and take its Xbar^T xi once (module docstring).
 
     Each step first judges the pre-step loss: a row stops, unstepped, once it
     sits at or below 1e-12 for 100 straight steps, and fails if it is not

@@ -85,8 +85,11 @@ class ExperimentConfig:
     """Flat description of one experiment: instance, optimizer grid, budgets.
 
     kinds x sigmas spans the optimizer grid and seeds indexes the per-run
-    streams RngStream(seed_base + i). mode selects the simulation machinery,
-    the experiment id selects which summary checks gate the run.
+    streams RngStream(seed_base + i). Every (kind, sigma) cell runs the same
+    seed window, so cells are compared on common random numbers, and the DLN
+    ensembles draw once for the cell rows whose streams stand equal. mode
+    selects the simulation machinery, the experiment id selects which
+    summary checks gate the run.
     """
 
     experiment: str = "custom"

@@ -309,7 +309,8 @@ def simulate_coupled_over(ds: Dataset, gamma: float, sigmas, steps: int,
     draws them. The clean path is integrated once for all copies, and each
     returned report is bitwise what a run with that sigma alone gives.
     Trajectories start at zero and are averaged pointwise;
-    eta_t = ||theta_t - beta_t||^2. Step size is gamma.
+    eta_t = ||theta_t - beta_t||^2. Step size is gamma. A copy whose loss
+    integral is not finite at a recorded step raises, naming sigma and step.
     """
     if ds.regime != "over":
         raise ValueError("needs an overparametrized instance")
@@ -357,6 +358,9 @@ def simulate_coupled_over(ds: Dataset, gamma: float, sigmas, steps: int,
                 diff = theta - c.beta
                 c.eta.append(float(np.mean(np.einsum("ij,ij->i", diff, diff))))
                 c.li.append(float(np.mean(c.loss_int)))
+                if not math.isfinite(c.li[-1]):
+                    raise ValueError(f"the sigma {c.sigma:g} copy diverged: non-finite "
+                                     f"loss integral at step {k + 1}")
                 c.rhs.append(eta_bound_rhs(gamma, d, c.sigma, c.li[-1]))
 
     return [EtaReport(times=np.array(times), eta_mean=np.array(c.eta),

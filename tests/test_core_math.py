@@ -127,6 +127,46 @@ class TestRngStream:
         halves = RngStream(5)
         assert np.array_equal(buf, np.concatenate((halves.normal(5), halves.normal(5))))
 
+    def test_state_key_tells_streams_that_draw_alike(self):
+        a, b, c = RngStream(5), RngStream(5), RngStream(5, (1,))
+        assert a.state_key() == b.state_key() != c.state_key()
+        assert len({a.state_key(), b.state_key()}) == 1  # hashable
+        a.normal(3)
+        assert a.state_key() != b.state_key()
+        b.normal(3)
+        assert a.state_key() == b.state_key()
+
+    def test_state_key_holds_the_pending_half(self):
+        # seed 5's first two batch-1 draws from range(7) read one 64-bit
+        # word: a has drawn once and holds its upper half, b has drawn twice
+        # and holds none, so the PCG64 states agree while the keys do not
+        a, b = RngStream(5), RngStream(5)
+        a.indices(7, 1)
+        b.indices(7, 1)
+        b.indices(7, 1)
+        assert a._half is not None and b._half is None
+        assert a._gen.bit_generator.state == b._gen.bit_generator.state
+        assert a.state_key() != b.state_key()
+
+    @pytest.mark.parametrize("n, batch", [(7, 1), (40, 4), (20000, 1000)])
+    def test_take_state_continues_the_other_stream(self, n, batch):
+        # a stream that takes another's state, pending half included, makes
+        # the other's draws from there on, through both index algorithms,
+        # and keeps its own address
+        lead = RngStream(5)
+        lead.indices(7, 1)
+        lead.normal(2)
+        follower = RngStream(9, (2,))
+        follower.take_state(lead)
+        assert follower.state_key() == lead.state_key()
+        assert (follower.seed, follower.path) == (9, (2,))
+        for _ in range(3):
+            assert np.array_equal(follower.indices(n, batch), lead.indices(n, batch))
+            assert np.array_equal(follower.normal(3), lead.normal(3))
+        # the state is copied, not shared
+        follower.normal(1)
+        assert follower.state_key() != lead.state_key()
+
     def test_draws_do_not_disturb_siblings(self):
         # consuming one child stream must not shift another
         root = RngStream(9)

@@ -484,20 +484,22 @@ class TestSdeEnsemble:
 
 
 def assert_same_run(traj, alone):
-    """Two SDE trajectories are bitwise the same run."""
+    """Two trajectories of either model are bitwise the same run: records,
+    step indices, checkpoints, final state and every other meta entry."""
+
+    def equal(a, b):
+        if isinstance(a, DlnState):
+            a, b = vars(a), vars(b)
+        if isinstance(a, dict):
+            return a.keys() == b.keys() and all(equal(a[k], b[k]) for k in a)
+        if isinstance(a, list):
+            return len(a) == len(b) and all(map(equal, a, b))
+        return np.array_equal(a, b)
+
     assert traj.rows == alone.rows
-    assert traj.meta["steps"] == alone.meta["steps"]
-    assert len(traj.meta["checkpoints"]) == len(alone.meta["checkpoints"])
-    for got, want in zip(traj.meta["checkpoints"], alone.meta["checkpoints"]):
-        assert got.keys() == want.keys()
-        for key in want:
-            assert np.array_equal(got[key], want[key]), key
-    st, want = traj.meta["final_state"], alone.meta["final_state"]
-    for key in ("w_plus", "w_minus", "r_acc"):
-        assert np.array_equal(getattr(st, key), getattr(want, key)), key
-    assert (st.step, st.time, st.loss_integral) == (want.step, want.time, want.loss_integral)
-    for key in ("eta", "delta", "converged", "steps_run"):
-        assert np.array_equal(traj.meta[key], alone.meta[key]), key
+    assert traj.meta.keys() == alone.meta.keys()
+    for key, want in alone.meta.items():
+        assert equal(traj.meta[key], want), key
 
 
 class TestSdePerRowSigma:
@@ -612,6 +614,102 @@ class TestSdePerRowSigma:
             with pytest.raises(ValueError, match="sigma"):
                 simulate_dln_sde_ensemble(ds, 0.2, sigmas, 0.1, 0.01, 10,
                                           [RngStream(0), RngStream(1)])
+
+
+class TestSharedDraws:
+    """Rows on equal streams draw once, and each row is still bitwise its run
+    alone. The ensembles are built as the harness builds a study: every sigma
+    cell runs the same seeds, each row on its own RngStream(seed)."""
+
+    def test_discrete_cells_match_lone_runs(self):
+        # each seed's sigma > 0 rows make one group; sigma 0 draws indices
+        # only, so its row is a group of its own. Seed 3's first row (sigma
+        # 1) stops first, at step 3125, and its other rows at 3186, 3458 and
+        # 3875; seed 2's sigma-1.3 row diverges at step 24 while the rest of
+        # its group runs on; seed 1's sigma-0 row runs out of steps
+        ds = tiny_instance()
+        runs = grid_runs(ds, 1, kinds=("NoisySGD",), sigmas=(1.0, 0.3, 0.6, 1.3, 0.0),
+                         seeds=(3, 2, 1))
+        cfgs, rngs = [cfg for cfg, _ in runs], [RngStream(seed) for _, seed in runs]
+        model = dln_dynamics._Discrete(ds, 0.2, cfgs, [RngStream(seed) for _, seed in runs])
+        assert len(model.leads) == 6
+        out = run_dln_discrete_ensemble(ds, 0.2, cfgs, rngs, 5500, record_stride=50)
+        outcomes = {}
+        for traj, rng, (cfg, seed) in zip(out, rngs, runs):
+            alone = RngStream(seed)
+            try:
+                _, ref = run_dln_discrete(ds, 0.2, cfg, 5500, alone, record_stride=50)
+            except DivergenceError as exc:
+                assert isinstance(traj, DivergenceError) and traj.step == exc.step
+                outcomes[cfg.sigma, seed] = ("diverged", exc.step)
+            else:
+                assert_same_run(traj, ref)
+                outcomes[cfg.sigma, seed] = (traj.meta["converged"], traj.meta["steps_run"])
+            # the stream ends where the run alone leaves it
+            assert rng.state_key() == alone.state_key()
+        assert [outcomes[sigma, 3] for sigma in (1.0, 1.3, 0.6, 0.3)] == [
+            (True, 3125), (True, 3186), (True, 3458), (True, 3875)]
+        assert outcomes[1.3, 2] == ("diverged", 24)
+        assert outcomes[0.0, 1] == (False, 5500)
+
+    def test_sde_cells_match_lone_runs(self):
+        # every SDE row draws alike, so each seed's rows make one group. Seed
+        # 7's first row (sigma 1) stops first, at step 974, inside a draw
+        # chunk, its others at 1521 and 1617, and its sigma-4 row runs out of
+        # steps; seed 5's sigma-4 row diverges at step 2467
+        ds = tiny_instance()
+        g = default_step_size(ds)
+        cells, seeds, steps = (1.0, 0.5, 0.0, 4.0), (7, 5), 3000
+        runs = [(sigma, seed) for sigma in cells for seed in seeds]
+        rngs = [RngStream(seed) for _, seed in runs]
+        out = simulate_dln_sde_ensemble(ds, 0.2, [sigma for sigma, _ in runs], g, 3 * g,
+                                        steps, rngs, record_stride=70)
+        chunk = DRAW_AHEAD // len(runs)
+        outcomes = {}
+        for traj, rng, (sigma, seed) in zip(out, rngs, runs):
+            try:
+                ref = simulate_dln_sde(ds, 0.2, sigma, g, 3 * g, steps, RngStream(seed),
+                                       record_stride=70)
+            except DivergenceError as exc:
+                assert isinstance(traj, DivergenceError) and traj.step == exc.step
+                ended = exc.step
+                outcomes[sigma, seed] = ("diverged", ended)
+            else:
+                assert_same_run(traj, ref)
+                ended = traj.meta["steps_run"]
+                outcomes[sigma, seed] = (traj.meta["converged"], ended)
+            # the stream ends past the chunks drawn before its row ended, as
+            # a row drawing its own chunks leaves it
+            drawn = RngStream(seed)
+            drawn.normal((min(-(-ended // chunk) * chunk, steps), ds.n + ds.d))
+            assert rng.state_key() == drawn.state_key()
+        assert [outcomes[sigma, 7] for sigma in cells] == [
+            (True, 974), (True, 1521), (True, 1617), (False, 3000)]
+        assert 974 % chunk
+        assert outcomes[4.0, 5] == ("diverged", 2467)
+
+    @pytest.mark.parametrize("model", ["discrete", "sde"])
+    def test_equal_streams_give_equal_rows_and_one_stream_serves_in_turn(self, model):
+        ds = tiny_instance()
+        g = default_step_size(ds)
+
+        def ensemble(rngs):
+            if model == "sde":
+                return simulate_dln_sde_ensemble(ds, 0.2, [0.5, 0.5], g, g, 1500, rngs,
+                                                 early_stop=False)
+            cfg = OptimizerConfig(kind="NoisySGD", gamma=g, sigma=0.5, batch=1)
+            return run_dln_discrete_ensemble(ds, 0.2, [cfg, cfg], rngs, 1500,
+                                             early_stop=False)
+
+        rngs = [RngStream(5), RngStream(5)]
+        a, b = ensemble(rngs)
+        assert_same_run(a, b)
+        # both rows run to the end of the loop, and both streams end there
+        assert rngs[0].state_key() == rngs[1].state_key() != RngStream(5).state_key()
+        r = RngStream(5)
+        a, b = ensemble([r, r])
+        # one object held by two rows is never grouped: they draw in turn
+        assert a.rows != b.rows
 
 
 @pytest.fixture(scope="module")

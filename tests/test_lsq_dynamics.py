@@ -475,6 +475,19 @@ class TestCoupledOver:
             for key in ("times", "eta_mean", "loss_integral_mean", "bound_rhs"):
                 assert same_bits(getattr(rep, key), getattr(rep_a, key)), key
 
+    def test_diverging_copy_names_its_sigma_and_step(self):
+        # the sigma-30 copy's loss integral first leaves the finite range at
+        # step 242; a record grid of stride 10 first sees it at step 250
+        ds = gen_sparse_regression(10, 20, 3, RngStream(53))
+        gamma = 1.0 / np.trace(ds.Xbar.T @ ds.Xbar)
+        with np.errstate(over="ignore", invalid="ignore"):
+            reps = simulate_coupled_over(ds, gamma, [0.0, 30.0], 241, 3, RngStream(3))
+            assert np.isfinite(reps[1].loss_integral_mean).all()
+            for stride, step in ((1, 242), (10, 250)):
+                with pytest.raises(ValueError, match=f"sigma 30 copy .* at step {step}$"):
+                    simulate_coupled_over(ds, gamma, [0.0, 30.0], 400, 3, RngStream(3),
+                                          record_stride=stride)
+
     def test_underparam_rejected(self):
         ds = gen_underparam_regression(20, 3, 0.1, RngStream(6))
         with pytest.raises(ValueError):
