@@ -205,9 +205,9 @@ def matvecs(M: np.ndarray, V: Mat) -> Mat:
     return np.matmul(M, V[:, :, None])[:, :, 0]
 
 
-def dots(V: Mat) -> Vec:
-    """Entry i is V[i] @ V[i]."""
-    return np.matmul(V[:, None, :], V[:, :, None])[:, 0, 0]
+def dots(V: Mat, W: Mat) -> Vec:
+    """Entry i is V[i] @ W[i]; W may be one row, shared by every row of V."""
+    return np.matmul(V[:, None, :], W[:, :, None])[:, 0, 0]
 
 
 class Rows:

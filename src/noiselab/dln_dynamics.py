@@ -235,7 +235,7 @@ def _drive(ds: Dataset, model, steps: int, record_stride: int, early_stop: bool)
         while k < steps and s.row.size:
             beta = s.w_p * s.w_p - s.w_m * s.w_m
             rbar = matvecs(Xbar, beta) - Ybar
-            loss = 0.5 * dots(rbar)
+            loss = 0.5 * dots(rbar, rbar)
             ok = np.isfinite(loss)
             keep = settle(ok, k, k, loss) if before else None
             if k % record_stride == 0:
@@ -488,10 +488,13 @@ def simulate_dln_sde_ensemble(ds: Dataset, alpha, sigmas, gamma: float,
     (1/2)(I - P) delta, P the projector onto the row span of X, taken once
     when the row finishes.
 
-    Each row draws its xi ahead in chunks from its own stream. A stream is
-    one sequence of normals however it is chunked, so the chunks hold
-    DRAW_AHEAD steps over all rows together, whatever the row count. Rows on
-    equal streams draw each chunk and take its Xbar^T xi once (module docstring).
+    Each row draws its xi ahead from its own stream, in chunks of
+    DRAW_AHEAD // rows steps (at least one). A stream is one sequence of
+    normals however it is chunked, so what a row reads does not depend on the
+    row count, but where its stream ends does: a row that finishes leaves up
+    to one chunk drawn and never read. No study reuses a stream after an
+    ensemble. Rows on equal streams draw each chunk and take its Xbar^T xi
+    once (module docstring).
 
     Each step first judges the pre-step loss: a row stops, unstepped, once it
     sits at or below 1e-12 for 100 straight steps, and fails if it is not

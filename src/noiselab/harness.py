@@ -144,8 +144,8 @@ class ExperimentConfig:
             raise ValueError("need 0 <= s <= d")
         if self.mode == "ou" and self.n <= self.d:
             raise ValueError("mode ou needs an underparametrized instance, n > d")
-        if self.mode == "coupling" and self.d < self.n:
-            raise ValueError("mode coupling needs an overparametrized instance, d >= n")
+        if self.mode in ("coupling", "sde") and self.d < self.n:
+            raise ValueError(f"mode {self.mode} needs an overparametrized instance, d >= n")
         # without noise the stationary law is a point mass: nothing to grade;
         # its relative error squares its entries, of order eps^2 + sigma^2, and
         # below 1.5e-154, the root of the smallest normal float, they underflow

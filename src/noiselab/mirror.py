@@ -1,6 +1,6 @@
 """Hyperbolic-entropy potential: values, derivatives, Bregman geometry, and the
 constrained limit problem, min phi_alpha(beta) - <tilt, beta> subject to
-X beta = Y, solved by mirror descent in the dual space. A limit problem is its
+X beta = Y, solved by damped Newton on its dual. A limit problem is its
 dataset, scale and tilt, passed to the solvers as they are."""
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_math import Mat, Rows, Vec, dots, matvecs, row_space_projector
-from .problems import Dataset, default_step_size
+from .problems import Dataset
 
 
 @dataclass
@@ -102,164 +102,104 @@ class ConvergenceError(RuntimeError):
         self.kkt_residual = kkt_residual
 
 
-def _loss_and_grad(Xbar: Mat, XbarT: Mat, Ybar: Vec, beta: Mat):
-    """Loss and gradient of every row of beta, one gemv or dot call per row."""
+def _loss_and_grad(Xbar: Mat, Ybar: Vec, beta: Mat):
+    """Loss and dual gradient Xbar beta - Ybar of every row of beta, one BLAS call per row."""
     r = matvecs(Xbar, beta) - Ybar
-    return 0.5 * dots(r), matvecs(XbarT, r)
+    return 0.5 * dots(r, r), r
 
 
-# a restart's floor loss that has not dropped for this many evaluations counts
-# as a stall
-STALL_WINDOW = 50_000
-
-
-def solve_tilted_ensemble(ds: Dataset, alphas, tilts, max_iters: int = 1_000_000,
+def solve_tilted_ensemble(ds: Dataset, alphas, tilts, max_iters: int = 100,
                           tol: float = 1e-12) -> list:
-    """Solve many tilted problems on one dataset as the rows of one (rows, d) dual iterate.
+    """Solve many tilted problems on one dataset by damped Newton on their duals.
 
     Row i minimizes phi_alphas[i](beta) - <tilts[i], beta> subject to
-    X beta = Y (a tilt of None is zero) by mirror descent in the dual:
-    u <- u - eta grad L(beta(u)), beta(u) = grad phi^{-1}(u), from u0 = tilt.
-    Then u - tilt stays in the row span of X and the KKT residual
-    ||(I - P)(grad phi(beta) - tilt)|| is zero up to roundoff at every iterate;
-    the iteration only has to drive the loss to tol. The step size is the
-    dataset default, shrunk when large alpha would make the dual map too steep
-    (beta changes by about 8 max(alpha)^2 per unit of dual motion), and halved
-    with a restart from the tilt whenever the loss grows 1e6-fold past the
-    restart's first loss or its floor stalls for STALL_WINDOW evaluations. A
-    point where beta(u) is not finite is not counted as an evaluation and
-    restarts the row; if it is the start point itself, which every restart
-    returns to, the row fails at once. For the bundled instances the
-    safeguards never trigger.
+    X beta = Y (a tilt of None is zero). Its dual in nu, an n-vector, is
+    D(nu) = sum_j (a_j^2 / 2) cosh(4 u_j) - <Ybar, nu> with u = tilt + Xbar^T nu,
+    of gradient Xbar beta(u) - Ybar, beta(u) = 2 a^2 sinh(4u), and Hessian
+    Xbar diag(8 a^2 cosh 4u) Xbar^T, positive definite when Xbar has full row
+    rank (else a ValueError). From nu = 0 each Newton step halves from 1 until
+    D falls by a quarter of its linear prediction (Armijo), and a row stops once
+    its loss (1/2)||Xbar beta - Ybar||^2 is at most tol. u - tilt stays in the
+    row span of X, so the KKT residual ||(I - P)(grad phi(beta) - tilt)|| is
+    zero up to roundoff throughout.
 
-    Each row keeps its own step size, restarts and best iterate, and its
-    products run one gemv or dot per row, so it is bitwise what solving the
-    problem alone gives; max_iters bounds every row's evaluations. Returns one
-    entry per row, in order: the limit point beta, or a ConvergenceError (with
-    the best iterate, its loss and KKT residual) for a row that ran out of
-    budget, cannot start, or converged with a KKT residual above 1e-6.
+    Returns one entry per row, in order: the limit point beta, or a
+    ConvergenceError with the row's last iterate, its loss and KKT residual,
+    when the start point beta(tilt) is not finite, a step lowers neither D nor
+    the loss (the loss's roundoff floor lies above tol), max_iters Newton steps
+    do not reach tol, or the KKT residual at convergence exceeds 1e-6. Each row
+    does its own line search, one BLAS call per product and one LAPACK solve
+    per Newton system, so it is bitwise what solving it alone gives.
     """
     d = ds.d
     alphas = list(alphas)
-    tilts = [np.zeros(d) if t is None else np.asarray(t, dtype=float)
-             for t in tilts]
+    tilts = [np.zeros(d) if t is None else np.asarray(t, dtype=float) for t in tilts]
     if len(tilts) != len(alphas) or any(t.shape != (d,) for t in tilts):
         raise ValueError("need one tilt of dimension d per alpha")
+    rank = np.linalg.matrix_rank(ds.Xbar)
+    if rank < ds.n:
+        raise ValueError(f"Xbar has rank {rank} < n = {ds.n}: the dual is not strictly convex")
     a = np.array([alpha.broadcast(d) for alpha in alphas])
     if not alphas:
         return []
     Xbar, XbarT, Ybar = ds.Xbar, ds.Xbar.T, ds.Ybar
-    gamma = default_step_size(ds)
     kkt_map = np.eye(d) - row_space_projector(ds.X)
     R = len(alphas)
-    s = Rows(
-        row=np.arange(R),
-        two_a2=2.0 * a**2,
-        tilt=np.array(tilts),
-        eta=np.array([[gamma / max(1.0, 8.0 * float(np.max(ai) ** 2))] for ai in a]),
-        u=np.array(tilts),
-        fresh=np.ones(R, dtype=bool),  # no evaluation since the last (re)start
-        loss0=np.zeros(R),  # first loss of the current restart
-        floor=np.full(R, np.inf),  # lowest loss of the current restart
-        floor_at=np.zeros(R, dtype=int),  # evaluation count when it was set
-        best_loss=np.full(R, np.inf),
-        best_beta=np.zeros((R, d)),
-    )
     out = [None] * R
-    spent = 0  # evaluations per row: every round evaluates all rows or none
-    any_fresh = True
-
-    def kkt_of(i: int, beta: Vec) -> float:
-        alpha = alphas[s.row[i]]
-        return float(np.linalg.norm(kkt_map @ (phi_grad(beta, alpha) - s.tilt[i])))
-
-    def give_up(i: int, message: str) -> None:
-        best_loss = float(s.best_loss[i])
-        if best_loss < np.inf:
-            beta = s.best_beta[i].copy()
-        else:
-            beta = phi_grad_inverse(s.tilt[i], alphas[s.row[i]])
-        out[s.row[i]] = ConvergenceError(message, beta, best_loss, kkt_of(i, beta))
-
-    def restart(mask) -> None:
-        nonlocal any_fresh
-        s.eta = np.where(mask[:, None], 0.5 * s.eta, s.eta)
-        s.u = np.where(mask[:, None], s.tilt, s.u)
-        s.fresh = s.fresh | mask
-        s.floor = np.where(mask, np.inf, s.floor)
-        s.floor_at = np.where(mask, spent, s.floor_at)
-        any_fresh = True
-
-    # rows whose iterate overflows compute with non-finite values until restarted
+    # a^2 or cosh past the float range makes a start point or a trial D infinite
     with np.errstate(over="ignore", invalid="ignore"):
+        s = Rows(row=np.arange(R), a2=a**2, tilt=np.array(tilts), u=np.array(tilts),
+                 loss=np.full(R, np.inf), lowered=np.ones(R, dtype=bool))
+        steps = 0
         while s.row.size:
-            if spent >= max_iters:
-                for i in range(s.row.size):
-                    give_up(i, f"no iterate reached loss {tol:.1e} within {max_iters} "
-                               f"evaluations (best {s.best_loss[i]:.3e})")
-                break
-            beta = s.two_a2 * np.sinh(4.0 * s.u)
-            loss, grad = _loss_and_grad(Xbar, XbarT, Ybar, beta)
-            # A row below its best loss is finite, not diverging (its restart's
-            # first loss is at least its best) and, above tol, not converged.
-            calm = ((loss > tol) & (loss < s.best_loss)).all()
-            if not calm:
-                bad = ~np.isfinite(beta).all(axis=1)
-                if bad.any():
-                    # This round counts for no row: the bad rows restart, or
-                    # fail when already at their start point, and the others
-                    # evaluate the same iterate again next round.
-                    stuck = bad & s.fresh
-                    for i in np.flatnonzero(stuck):
-                        give_up(i, "the start point grad phi^-1(tilt) is not finite")
-                    restart(bad & ~stuck)
-                    s.keep(~stuck)
-                    continue
-            spent += 1
-            if any_fresh:
-                s.loss0 = np.where(s.fresh, loss, s.loss0)
-                s.fresh = np.zeros(s.row.size, dtype=bool)
-                any_fresh = False
-            if calm:
-                # every row at its best is also below its restart's floor
-                s.best_loss, s.best_beta, s.floor = loss, beta, loss
-                s.floor_at.fill(spent)
-            else:
-                better = loss < s.best_loss
-                s.best_beta = np.where(better[:, None], beta, s.best_beta)
-                s.best_loss = np.where(better, loss, s.best_loss)
-                lower = loss < s.floor
-                s.floor = np.where(lower, loss, s.floor)
-                s.floor_at = np.where(lower, spent, s.floor_at)
-            s.u = s.u - s.eta * grad
-            if calm and spent < STALL_WINDOW:
-                continue
-            done = loss <= tol
-            for i in np.flatnonzero(done):
-                kkt = kkt_of(i, beta[i])
-                if kkt > 1e-6:
-                    out[s.row[i]] = ConvergenceError(
-                        f"loss converged but KKT residual {kkt:.3e} exceeds 1e-6",
-                        beta[i].copy(), float(loss[i]), kkt)
+            s.beta = 2.0 * s.a2 * np.sinh(4.0 * s.u)
+            loss, s.r = _loss_and_grad(Xbar, Ybar, s.beta)
+            # accepted steps have finite D, so only a start point is non-finite
+            bad = ~np.isfinite(s.beta).all(axis=1)
+            stalled = ~s.lowered & (loss >= s.loss)
+            s.loss = np.where(bad, np.inf, loss)
+            ended = bad | (loss <= tol) | stalled | (steps >= max_iters)
+            for i in np.flatnonzero(ended):
+                beta, loss_i = s.beta[i].copy(), float(s.loss[i])
+                kkt = float(np.linalg.norm(kkt_map @ (phi_grad(beta, alphas[s.row[i]])
+                                                      - s.tilt[i])))
+                if bad[i]:
+                    why = "the start point grad phi^-1(tilt) is not finite"
+                elif loss_i <= tol:
+                    why = (f"loss converged but KKT residual {kkt:.3e} exceeds 1e-6"
+                           if kkt > 1e-6 else None)
+                elif stalled[i]:
+                    why = f"the loss stalls at its roundoff floor {loss_i:.3e}, above tol {tol:.1e}"
                 else:
-                    out[s.row[i]] = beta[i].copy()
-            diverged = loss > 1e6 * np.maximum(s.loss0, 1e-300)
-            stalled = s.floor_at <= spent - STALL_WINDOW
-            restart((diverged | stalled) & ~done)
-            if done.any():
-                s.keep(~done)
+                    why = f"loss {loss_i:.3e} after {max_iters} Newton steps, above tol {tol:.1e}"
+                out[s.row[i]] = ConvergenceError(why, beta, loss_i, kkt) if why else beta
+            s.keep(~ended)
+            cosh = np.cosh(4.0 * s.u)
+            # one Newton system at a time, so no (rows, n, d) stack is held
+            step = np.reshape([-np.linalg.solve((Xbar * w) @ XbarT, r)
+                               for w, r in zip(8.0 * s.a2 * cosh, s.r)], s.r.shape)
+            du, slope, y_step = matvecs(XbarT, step), dots(s.r, step), dots(step, Ybar[None])
+            t = np.ones(s.row.size)
+            # a row with no decrease after 60 halvings stays put
+            for _ in range(60):
+                u = s.u + t[:, None] * du
+                ok = (dots(0.5 * s.a2, np.cosh(4.0 * u) - cosh) - t * y_step
+                      <= 0.25 * t * slope)
+                if ok.all():
+                    break
+                t = np.where(ok, t, 0.5 * t)
+            # D fell if the step passed and its predicted fall -slope beats D's roundoff
+            s.lowered = ok & (-slope > np.finfo(float).eps * dots(0.5 * s.a2, cosh))
+            s.u = np.where(ok[:, None], u, s.u)
+            steps += 1
     return out
 
 
 def solve_tilted(ds: Dataset, alpha: PotentialParams, tilt: Vec | None = None,
-                 max_iters: int = 1_000_000, tol: float = 1e-12) -> Vec:
+                 max_iters: int = 100, tol: float = 1e-12) -> Vec:
     """Minimize phi_alpha(beta) - <tilt, beta> subject to X beta = Y (a tilt
-    of None is zero), as a one-row solve_tilted_ensemble.
-
-    Returns the limit point; raises the row's ConvergenceError when the
-    iteration cannot start, runs out of budget, or converges with a KKT
-    residual above 1e-6.
-    """
+    of None is zero) as a one-row solve_tilted_ensemble: the limit point, or
+    the row's ConvergenceError raised."""
     beta = solve_tilted_ensemble(ds, [alpha], [tilt], max_iters, tol)[0]
     if isinstance(beta, ConvergenceError):
         raise beta

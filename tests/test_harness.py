@@ -34,7 +34,7 @@ from noiselab import (
     run_experiment,
     trend_check,
 )
-from noiselab import harness
+from noiselab import harness, mirror
 from noiselab.cli import main
 from noiselab.core_math import Trajectory
 from noiselab.harness import (
@@ -194,6 +194,8 @@ class TestConfig:
         pytest.param("mode = ou\nn = 5\nd = 5\n", "n > d", id="ou-not-under"),
         pytest.param("mode = coupling\nn = 20\nd = 10\n", "d >= n",
                      id="coupling-not-over"),
+        pytest.param("experiment = limit_distance\nmode = sde\nn = 20\nd = 10\n", "d >= n",
+                     id="sde-not-over"),
         pytest.param("mode = ou\nn = 50\nd = 5\neps = 0\nsigmas = 0, 0.3\n",
                      "no noise", id="ou-zero-noise-cell"),
         pytest.param("mode = ou\nn = 50\nd = 5\nsteps = 1000\nburn_in = 1000\n",
@@ -783,7 +785,7 @@ class TestBenchmarkHooks:
         names = ("run_dln_discrete", "simulate_dln_sde", "solve_tilted", "_align", "aggregate",
                  "simulate_ou_under", "simulate_coupled_over", "gen_sparse_regression")
         before = {name: getattr(harness, name) for name in names}
-        write = RunRecord.write
+        write, loss_and_grad = RunRecord.write, mirror._loss_and_grad
         ds = gen_sparse_regression(6, 10, 2, RngStream(3))
         gamma = default_step_size(ds)
         ds_u = gen_underparam_regression(20, 3, 0.5, RngStream(4))
@@ -791,6 +793,7 @@ class TestBenchmarkHooks:
         gamma_c = 1.0 / float(np.trace(ds.Xbar.T @ ds.Xbar))
         with Tracer().installed() as tracer:
             assert all(getattr(harness, name) is not fn for name, fn in before.items())
+            assert mirror._loss_and_grad is not loss_and_grad
             harness.run_dln_discrete(ds, 0.1,
                                      OptimizerConfig(kind="GD", gamma=gamma), 5,
                                      RngStream(0), early_stop=False)
@@ -808,6 +811,7 @@ class TestBenchmarkHooks:
                               aggregates={"loss": traj}, scalars={"gamma": gamma}).write()
         assert all(getattr(harness, name) is fn for name, fn in before.items())
         assert RunRecord.write is write
+        assert mirror._loss_and_grad is loss_and_grad
         assert len(paths) == 2
         assert tracer.counts["write_bytes"] == sum(os.path.getsize(p) for p in paths)
         assert "problems.dataset" in tracer.totals()
