@@ -8,6 +8,7 @@ import os
 import sys
 
 from .harness import (
+    STUDIES,
     apply_overrides,
     bundled_config,
     parse_config,
@@ -15,13 +16,8 @@ from .harness import (
     run_experiment,
 )
 
-_BUNDLES = {
-    "bias-order": "bias_order",
-    "limit-distance": "limit_distance",
-    "alpha-sweep": "alpha_sweep",
-    "ou": "ou_stationary",
-    "coupling": "coupling_bound",
-}
+# reproduce name -> experiment id
+_BUNDLES = {name: experiment for experiment, (name, _) in STUDIES.items()}
 
 
 def _add_overrides(sp) -> None:
@@ -83,7 +79,7 @@ def main(argv=None) -> int:
         cfg = apply_overrides(cfg, seed=args.seed, sigma=args.sigma,
                               alpha=args.alpha, steps=args.steps)
         recs = [run_experiment(cfg)]
-    elif args.name == "alpha-sweep":  # the command left is reproduce
+    elif _BUNDLES[args.name] == "alpha_sweep":  # the command left is reproduce
         recs = run_alpha_sweep(out=args.out, seed=args.seed, sigma=args.sigma,
                                alpha=args.alpha, steps=args.steps)
     else:
@@ -97,5 +93,15 @@ def main(argv=None) -> int:
     return 0 if all(r.passed() for r in recs) else 1
 
 
+def entry(argv=None) -> int:
+    """main as a command: a rejected config, an unreadable file or a failed run
+    ends in one stderr line and exit 3 (1 is a failed check, 2 a usage error)."""
+    try:
+        return main(argv)
+    except (ValueError, OSError, RuntimeError) as exc:
+        print(f"noiselab: {exc}", file=sys.stderr)
+        return 3
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -1,5 +1,7 @@
 """Experiment orchestration: bundled studies, multi-seed aggregation, file output.
 
+The bundled studies are the rows of STUDIES. A run keeps its checks only when
+its experiment is one of them, so a custom run grades nothing.
 Every experiment is pure given its config, so reruns are byte-identical. The
 runs of a DLN study are integrated together as the rows of one ensemble: all
 cells of a discrete study, or the whole (sigma, seed) grid of the limit
@@ -53,12 +55,6 @@ from .problems import (
     gen_underparam_regression,
 )
 
-# the one mode whose checks each study writes; a custom run writes none and
-# runs in any mode
-STUDY_MODES = {"bias_order": "discrete", "limit_distance": "sde",
-               "alpha_sweep": "discrete", "ou_stationary": "ou",
-               "coupling_bound": "coupling"}
-EXPERIMENTS = (*STUDY_MODES, "custom")
 # the optimizer kinds each mode integrates; any other kind would fail mid-run
 # or run another kind's dynamics under its label
 MODE_KINDS = {
@@ -68,6 +64,29 @@ MODE_KINDS = {
     "coupling": ("NoisySGD",),
 }
 SIGMA_GRID = (0.0, 0.125, 0.25, 0.5, 1.0)
+# the bundled studies: experiment id -> (the name `noiselab reproduce` takes,
+# the config fields); a study runs in its own mode, a custom run in any
+STUDIES = {
+    "bias_order": ("bias-order", dict(
+        n=40, d=100, s=5, dataset_seed=3, kinds=("GD", "SGD", "NoisySGD"), sigmas=(0.5,),
+        alpha0=0.1, batch=1, mode="discrete", seeds=5, seed_base=5000, steps=200_000,
+        stride=100)),
+    "limit_distance": ("limit-distance", dict(
+        n=40, d=100, s=5, dataset_seed=33, kinds=("NoisySGD",), sigmas=SIGMA_GRID,
+        alpha0=0.1, mode="sde", seeds=10, seed_base=28_000, steps=200_000, stride=100)),
+    "alpha_sweep": ("alpha-sweep", dict(
+        n=40, d=100, s=5, dataset_seed=33, kinds=("NoisySGD",), sigmas=SIGMA_GRID,
+        alpha0=0.1, batch=1, mode="discrete", seeds=5, seed_base=28_000, steps=200_000,
+        stride=100)),
+    "ou_stationary": ("ou", dict(
+        n=50, d=5, dataset_seed=7, label_noise=0.5, sigmas=(0.0, 0.3), eps=0.5, mode="ou",
+        seeds=1, seed_base=11, steps=1_100_000, burn_in=100_000, stride=1000)),
+    "coupling_bound": ("coupling", dict(
+        n=10, d=20, s=3, dataset_seed=53, sigmas=(0.0, 0.5), mode="coupling", seeds=1,
+        seed_base=3, steps=400, n_traj=200, stride=1)),
+}
+STUDY_MODES = {name: fields["mode"] for name, (_, fields) in STUDIES.items()}
+EXPERIMENTS = (*STUDIES, "custom")
 ALPHA_SWEEP = (0.1, 0.01)
 OUTDIR_ENV = "NOISELAB_OUTDIR"
 
@@ -232,37 +251,10 @@ def apply_overrides(cfg: ExperimentConfig, seed=None, sigma=None, alpha=None,
 
 
 def bundled_config(name: str, out: str = "") -> ExperimentConfig:
-    """Default configs behind the reproduce subcommands, one per study."""
-    if name == "bias_order":
-        return ExperimentConfig(experiment="bias_order", n=40, d=100, s=5,
-                                dataset_seed=3, kinds=("GD", "SGD", "NoisySGD"),
-                                sigmas=(0.5,), alpha0=0.1, batch=1, mode="discrete",
-                                seeds=5, seed_base=5000, steps=200_000, stride=100,
-                                out=out)
-    if name == "limit_distance":
-        return ExperimentConfig(experiment="limit_distance", n=40, d=100, s=5,
-                                dataset_seed=33, kinds=("NoisySGD",),
-                                sigmas=SIGMA_GRID, alpha0=0.1, mode="sde",
-                                seeds=10, seed_base=28_000, steps=200_000,
-                                stride=100, out=out)
-    if name == "alpha_sweep":
-        return ExperimentConfig(experiment="alpha_sweep", n=40, d=100, s=5,
-                                dataset_seed=33, kinds=("NoisySGD",),
-                                sigmas=SIGMA_GRID, alpha0=0.1, batch=1,
-                                mode="discrete", seeds=5, seed_base=28_000,
-                                steps=200_000, stride=100, out=out)
-    if name == "ou_stationary":
-        return ExperimentConfig(experiment="ou_stationary", n=50, d=5,
-                                dataset_seed=7, label_noise=0.5, sigmas=(0.0, 0.3),
-                                eps=0.5, mode="ou", seeds=1, seed_base=11,
-                                steps=1_100_000, burn_in=100_000, stride=1000,
-                                out=out)
-    if name == "coupling_bound":
-        return ExperimentConfig(experiment="coupling_bound", n=10, d=20, s=3,
-                                dataset_seed=53, sigmas=(0.0, 0.5), mode="coupling",
-                                seeds=1, seed_base=3, steps=400, n_traj=200,
-                                stride=1, out=out)
-    raise ValueError(f"no bundled config named {name!r}")
+    """Default config of the bundled study with experiment id name."""
+    if name not in STUDIES:
+        raise ValueError(f"no bundled config named {name!r}")
+    return ExperimentConfig(experiment=name, out=out, **STUDIES[name][1])
 
 
 @dataclass
@@ -599,6 +591,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
         _run_ou(cfg, record, ds)
     else:
         _run_coupling(cfg, record, ds)
+    if cfg.experiment not in STUDIES:  # a custom run grades nothing
+        record.checks.clear()
     record.write()
     return record
 

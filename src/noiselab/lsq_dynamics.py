@@ -208,22 +208,16 @@ def simulate_ou_under(ds: Dataset, eps: float, sigmas, gamma: float, h: float,
         raise ValueError("unstable step size: spectral radius of I - h A is >= 1")
 
     d = ds.d
-    # rows with noise first, so that each step adds one block to a leading
-    # slice; a noise-free row adds nothing (adding 0.0 would turn -0.0 into 0.0)
-    has_noise = [eps > 0 or sigma > 0 for sigma in sigmas]
-    order = sorted(range(len(sigmas)), key=lambda i: not has_noise[i])
-    sigmas = [sigmas[i] for i in order]
-    rngs = [rngs[i] for i in order]
-    noisy = sum(has_noise)
     rows = len(sigmas)
     b = np.tile(b, (rows, 1))  # same values; a same-shape subtract is cheaper
+    # every row steps alike: adding a noise-free row's zeros changes no bit, as
+    # a row started at +0.0 never holds -0.0 (x - y is -0.0 only for x = -0.0)
     theta = np.zeros((rows, d))
     upd3 = np.empty((rows, d, 1))
     upd = upd3[:, :, 0]
     theta3 = theta[:, :, None]
-    theta_noisy = theta[:noisy]
     block = 10_000
-    noise = np.empty((min(block, steps), noisy, d))
+    noise = np.empty((min(block, steps), rows, d))
 
     samples = np.empty((rows, n_samples, d))
     trajs = [Trajectory(("t", "theta_norm")) for _ in sigmas]
@@ -240,8 +234,7 @@ def simulate_ou_under(ds: Dataset, eps: float, sigmas, gamma: float, h: float,
         if k_next == k:
             continue
         if k % block == 0:
-            _draw_ou_noise(ds, eps, sigmas[:noisy], gamma, h, rngs[:noisy],
-                           noise[:steps - k])
+            _draw_ou_noise(ds, eps, sigmas, gamma, h, rngs, noise[:steps - k])
         if k >= burn_in and (k - burn_in) % OU_THIN == 0:
             samples[:, si] = theta
             si += 1
@@ -255,10 +248,10 @@ def simulate_ou_under(ds: Dataset, eps: float, sigmas, gamma: float, h: float,
             subtract(upd, b, out=upd)
             multiply(upd, h, out=upd)
             subtract(theta, upd, out=theta)
-            add(theta_noisy, step_noise, out=theta_noisy)
+            add(theta, step_noise, out=theta)
         k = k_next
 
-    results = [None] * rows
+    results = []
     for i, traj in enumerate(trajs):
         rs = samples[i]
         mean = rs.mean(axis=0)
@@ -271,14 +264,15 @@ def simulate_ou_under(ds: Dataset, eps: float, sigmas, gamma: float, h: float,
         traj.meta["mean_se"] = batch_means.std(axis=0, ddof=1) / math.sqrt(n_batches)
         traj.meta["n_samples"] = si
         traj.meta["final_theta"] = theta[i].copy()
-        results[order[i]] = (mean, cov, traj)
+        results.append((mean, cov, traj))
     return results
 
 
 def _draw_ou_noise(ds: Dataset, eps: float, sigmas, gamma: float, h: float, rngs,
                    out: np.ndarray) -> None:
-    """Fill the (count, rows, d) block out with the noisy rows' increments,
-    each row drawn from its own stream: data noise first, then isotropic."""
+    """Fill the (count, rows, d) block out with the rows' increments, each row
+    drawn from its own stream: data noise first, then isotropic. A noise-free
+    row gets zeros and draws nothing."""
     count = out.shape[0]
     for i, (sigma, rng) in enumerate(zip(sigmas, rngs)):
         if eps > 0:
@@ -286,8 +280,10 @@ def _draw_ou_noise(ds: Dataset, eps: float, sigmas, gamma: float, h: float, rngs
             noise *= math.sqrt(h) * math.sqrt(gamma) * eps
             if sigma > 0:
                 noise += (math.sqrt(h) * sigma) * rng.normal((count, ds.d))
-        else:
+        elif sigma > 0:
             noise = (math.sqrt(h) * sigma) * rng.normal((count, ds.d))
+        else:
+            noise = 0.0
         out[:, i] = noise
 
 
@@ -338,30 +334,33 @@ def simulate_coupled_over(ds: Dataset, gamma: float, sigmas, steps: int,
             sigma=sigma, beta=beta, r_b=r_b, l_b=l_b, loss_int=np.zeros(n_traj),
             eta=[0.0], li=[0.0], rhs=[0.0]))
 
-    for k in range(steps):
-        xi = shared.normal((n_traj, n)) @ ds.Xbar
-        if noisy:
-            iso = isotropic.normal((n_traj, d))
-        for c in copies:
-            c.loss_int += h * c.l_b
-            beta = c.beta - h * (c.r_b @ ds.Xbar) + sq * np.sqrt(c.l_b)[:, None] * xi
-            if c.sigma > 0:
-                beta = beta + (sq * c.sigma) * np.sqrt(c.l_b)[:, None] * iso
-            c.beta = beta
-            c.r_b, c.l_b = _residual_loss(ds, beta)
-        theta = theta - h * (r_t @ ds.Xbar) + sq * np.sqrt(l_t)[:, None] * xi
-        r_t, l_t = _residual_loss(ds, theta)
-
-        if (k + 1) % record_stride == 0 or k + 1 == steps:
-            times.append((k + 1) * h)
+    # a diverging copy overflows steps before a recorded step sees it; the
+    # ValueError naming it is then its one report, with no numpy warning first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            xi = shared.normal((n_traj, n)) @ ds.Xbar
+            if noisy:
+                iso = isotropic.normal((n_traj, d))
             for c in copies:
-                diff = theta - c.beta
-                c.eta.append(float(np.mean(np.einsum("ij,ij->i", diff, diff))))
-                c.li.append(float(np.mean(c.loss_int)))
-                if not math.isfinite(c.li[-1]):
-                    raise ValueError(f"the sigma {c.sigma:g} copy diverged: non-finite "
-                                     f"loss integral at step {k + 1}")
-                c.rhs.append(eta_bound_rhs(gamma, d, c.sigma, c.li[-1]))
+                c.loss_int += h * c.l_b
+                beta = c.beta - h * (c.r_b @ ds.Xbar) + sq * np.sqrt(c.l_b)[:, None] * xi
+                if c.sigma > 0:
+                    beta = beta + (sq * c.sigma) * np.sqrt(c.l_b)[:, None] * iso
+                c.beta = beta
+                c.r_b, c.l_b = _residual_loss(ds, beta)
+            theta = theta - h * (r_t @ ds.Xbar) + sq * np.sqrt(l_t)[:, None] * xi
+            r_t, l_t = _residual_loss(ds, theta)
+
+            if (k + 1) % record_stride == 0 or k + 1 == steps:
+                times.append((k + 1) * h)
+                for c in copies:
+                    diff = theta - c.beta
+                    c.eta.append(float(np.mean(np.einsum("ij,ij->i", diff, diff))))
+                    c.li.append(float(np.mean(c.loss_int)))
+                    if not math.isfinite(c.li[-1]):
+                        raise ValueError(f"the sigma {c.sigma:g} copy diverged: non-finite "
+                                         f"loss integral at step {k + 1}")
+                    c.rhs.append(eta_bound_rhs(gamma, d, c.sigma, c.li[-1]))
 
     return [EtaReport(times=np.array(times), eta_mean=np.array(c.eta),
                       loss_integral_mean=np.array(c.li), bound_rhs=np.array(c.rhs))

@@ -4,7 +4,9 @@ import bisect
 import json
 import math
 import os
+import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,11 +37,12 @@ from noiselab import (
     trend_check,
 )
 from noiselab import harness, mirror
-from noiselab.cli import main
+from noiselab.cli import build_parser, main
 from noiselab.core_math import Trajectory
 from noiselab.harness import (
     MODE_KINDS,
     OUTDIR_ENV,
+    STUDIES,
     STUDY_MODES,
     RunRecord,
     _align,
@@ -135,10 +138,15 @@ class TestTrendCheck:
 
 class TestConfig:
     def test_bundles_construct(self):
-        for name in ("bias_order", "limit_distance", "alpha_sweep",
-                     "ou_stationary", "coupling_bound"):
-            cfg = bundled_config(name)
-            assert cfg.experiment == name
+        for experiment, (_, study) in STUDIES.items():
+            cfg = bundled_config(experiment)
+            assert cfg.experiment == experiment
+            assert cfg.mode == STUDY_MODES[experiment] == study["mode"]
+        # the names `reproduce` takes are the table's five
+        command = next(a for a in build_parser()._actions if a.dest == "command")
+        name = next(a for a in command.choices["reproduce"]._actions if a.dest == "name")
+        assert set(name.choices) == {rp for rp, _ in STUDIES.values()}
+        assert len(name.choices) == len(STUDIES) == 5
 
     def test_unknown_bundle_rejected(self):
         with pytest.raises(ValueError):
@@ -299,7 +307,7 @@ def test_config_is_rejected_or_runs(tmp_path, odd, data):
     except RuntimeError as exc:
         assert "no convergence within" in str(exc)
         return
-    assert rec.checks or cfg.experiment == "custom"
+    assert bool(rec.checks) == (cfg.experiment in STUDIES)
 
 
 class TestConfigFile:
@@ -762,6 +770,23 @@ class TestCli:
             assert analyzed == run_report
             assert line in analyzed
 
+    @pytest.mark.parametrize("mode, instance", [
+        ("ou", "n = 20\nd = 3\nsteps = 2000\nstride = 500\n"),
+        ("sde", "n = 6\nd = 10\ns = 2\n"),
+        ("coupling", "n = 6\nd = 10\ns = 2\nsteps = 50\nn_traj = 5\nstride = 10\n"),
+    ], ids=("ou", "sde", "coupling"))
+    def test_custom_run_grades_nothing(self, tmp_path, capsys, mode, instance):
+        # the checks a study writes in this mode are not a custom run's
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text(f"experiment = custom\nmode = {mode}\nsigmas = 0, 0.3\n"
+                           f"seeds = 1\nseed_base = 1\n{instance}out = {tmp_path / 'c'}\n")
+        assert main(["run", str(cfgfile)]) == 0
+        summary = json.loads((tmp_path / "c" / "summary.json").read_text())
+        assert summary["checks"] == {} and summary["passed"] is True
+        assert summary["scalars"]
+        _, report = capsys.readouterr().out.split("\n", 1)
+        assert report.startswith("{")  # no check lines before the scalars
+
     def test_env_outdir(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(OUTDIR_ENV, str(tmp_path / "envout"))
         monkeypatch.chdir(tmp_path)
@@ -772,6 +797,58 @@ class TestCli:
             "steps = 50\nn_traj = 5\nstride = 10\n")
         assert main(["run", str(cfgfile)]) == 0
         assert (tmp_path / "envout" / "summary.json").exists()
+
+
+def _command(tmp_path, *args):
+    """python -m noiselab as a process, with the package's sources on its path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "noiselab", *args], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+                          text=True, timeout=120)
+
+
+class TestCommand:
+    """The command's exit codes: 0 every check passed, 1 a check failed, 2 a
+    usage error, 3 a config rejected or a run that fails, in one stderr line."""
+
+    def test_passing_run_reports_on_stdout(self, tmp_path):
+        (tmp_path / "c.cfg").write_text(
+            "experiment = coupling_bound\nmode = coupling\nn = 6\nd = 10\ns = 2\n"
+            "sigmas = 0, 0.3\nsteps = 50\nn_traj = 5\nstride = 10\nout = c\n")
+        proc = _command(tmp_path, "run", "c.cfg")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("experiment: coupling_bound  out: c\n")
+        assert "[ok  ] deviation_within_bound_sigma0.3" in proc.stdout
+        assert json.loads(proc.stdout[proc.stdout.index("{"):])["gamma"] > 0
+
+    def test_failed_check_exits_1(self, tmp_path):
+        (tmp_path / "ou.cfg").write_text(
+            "experiment = ou_stationary\nmode = ou\nn = 20\nd = 4\n"
+            "dataset_seed = 5\nsigmas = 0\neps = 0.5\nseeds = 1\nseed_base = 2\n"
+            "steps = 20000\nburn_in = 2000\nstride = 1000\nout = ou\n")
+        proc = _command(tmp_path, "run", "ou.cfg")
+        assert (proc.returncode, proc.stderr) == (1, "")
+        assert "[FAIL] cov_within_15pct_sigma0" in proc.stdout
+
+    def test_usage_error_exits_2(self, tmp_path):
+        proc = _command(tmp_path, "reproduce", "grand-tour")
+        assert proc.returncode == 2 and "invalid choice" in proc.stderr
+
+    @pytest.mark.parametrize("case", ["rejected", "diverging"])
+    def test_failure_is_one_stderr_line(self, tmp_path, case):
+        if case == "rejected":
+            text = "experiment = bias_order\nkinds = SGD, NoisySGD\n"
+            line = "noiselab: bias_order compares GD, SGD and NoisySGD at one sigma\n"
+        else:
+            # the bundled coupling study with a sigma-30 copy, which diverges
+            text = config_text(replace(bundled_config("coupling_bound", out="c"),
+                                       sigmas=(0.0, 30.0)))
+            line = ("noiselab: the sigma 30 copy diverged: non-finite loss integral "
+                    "at step 238\n")
+        (tmp_path / "c.cfg").write_text(text)
+        proc = _command(tmp_path, "run", "c.cfg")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", line)
 
 
 class TestBenchmarkHooks:

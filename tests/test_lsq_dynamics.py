@@ -1,6 +1,7 @@
 """Discrete optimizers and SDE integrators on the least-squares objective."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -477,10 +478,12 @@ class TestCoupledOver:
 
     def test_diverging_copy_names_its_sigma_and_step(self):
         # the sigma-30 copy's loss integral first leaves the finite range at
-        # step 242; a record grid of stride 10 first sees it at step 250
+        # step 242; a record grid of stride 10 first sees it at step 250. The
+        # ValueError is the only report: warnings are errors here
         ds = gen_sparse_regression(10, 20, 3, RngStream(53))
         gamma = 1.0 / np.trace(ds.Xbar.T @ ds.Xbar)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             reps = simulate_coupled_over(ds, gamma, [0.0, 30.0], 241, 3, RngStream(3))
             assert np.isfinite(reps[1].loss_integral_mean).all()
             for stride, step in ((1, 242), (10, 250)):
