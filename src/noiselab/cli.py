@@ -70,6 +70,11 @@ def main(argv=None) -> int:
             path = os.path.join(path, "summary.json")
         with open(path) as fh:
             summary = json.load(fh)
+        if not isinstance(summary, dict):
+            raise ValueError(f"{path} holds no JSON object")
+        missing = [key for key in ("checks", "scalars", "passed") if key not in summary]
+        if missing:
+            raise ValueError(f"{path} lacks {', '.join(missing)}")
         _report(summary["checks"], summary["scalars"])
         return 0 if summary["passed"] else 1
 

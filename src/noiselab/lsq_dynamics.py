@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import groupby, pairwise
 from types import SimpleNamespace
 
 import numpy as np
@@ -177,14 +178,26 @@ def simulate_ou_under(ds: Dataset, eps: float, sigmas, gamma: float, h: float,
     """Euler-Maruyama with step h for d theta = -Xbar^T(Xbar theta - Ybar) dt
     + sqrt(gamma) eps Xbar^T dW + sigma dW~, one row per (sigma, rng) pair.
 
-    All rows step together as one (rows, d) state. Each row draws its noise
-    from its own stream in blocks of 10,000 steps, so every row is bitwise
-    what it would be alone. Returns one (empirical mean, empirical
-    covariance, trajectory) per row. Mean and covariance are time averages
-    over every OU_THIN-th iterate from burn_in on. The trajectory records
-    (t, ||theta||) every record_stride steps; its meta carries batch-means
-    standard errors of the mean ("mean_se", 50 batches), the sample count
-    ("n_samples") and the final iterate ("final_theta").
+    Each row draws its noise xi from its own stream in blocks of 10,000 steps,
+    the same draws in the same order whatever the row count. Returns one
+    (empirical mean, empirical covariance, trajectory) per row. Mean and
+    covariance are time averages over every OU_THIN-th iterate from burn_in
+    on. The trajectory records (t, ||theta||) every record_stride steps; its
+    meta carries batch-means standard errors of the mean ("mean_se", 50
+    batches), the sample count ("n_samples") and the final iterate
+    ("final_theta").
+
+    The Euler step theta <- theta T + h b + xi, with T = I - h A, is linear,
+    so the chain jumps from stop to stop instead of taking one Python step
+    per Euler step: theta_{k+g} = theta_k T^g + sum_{j<g} (h b + xi_{k+j})
+    T^(g-1-j). Stops are block starts, sampled and recorded steps, steps,
+    and every OU_THIN-th step before burn_in, so no jump is longer than
+    OU_THIN. T^0..T^OU_THIN and the stacked powers [T^(OU_THIN-1); ...; T^0]
+    take (2 OU_THIN + 1) d^2 floats besides the noise block. Within a block,
+    the noise sums of a run of equal jumps are one matmul per row, and each
+    jump is one (1, d) @ (d, d) product per row, so every row is bitwise
+    what it would be alone. The jumps differ from stepping one step at a
+    time only by roundoff.
     """
     if ds.regime != "under":
         raise ValueError("needs an underparametrized instance")
@@ -209,47 +222,41 @@ def simulate_ou_under(ds: Dataset, eps: float, sigmas, gamma: float, h: float,
 
     d = ds.d
     rows = len(sigmas)
-    b = np.tile(b, (rows, 1))  # same values; a same-shape subtract is cheaper
-    # every row steps alike: adding a noise-free row's zeros changes no bit, as
-    # a row started at +0.0 never holds -0.0 (x - y is -0.0 only for x = -0.0)
-    theta = np.zeros((rows, d))
-    upd3 = np.empty((rows, d, 1))
-    upd = upd3[:, :, 0]
-    theta3 = theta[:, :, None]
+    T = np.eye(d) - h * A
+    powers = [np.eye(d)]
+    for _ in range(OU_THIN):
+        powers.append(powers[-1] @ T)
+    # [T^(OU_THIN-1); ...; T^0]: its last g blocks carry g steps' kicks
+    stacked = np.concatenate(powers[OU_THIN - 1::-1])
+    drift = [np.tile(h * b, g) @ stacked[(OU_THIN - g) * d:] for g in range(OU_THIN + 1)]
+    # (rows, 1, d): one (1, d) @ (d, d) product per row, the one a row alone
+    # makes; a (rows, d) @ (d, d) product would round rows differently
+    theta = np.zeros((rows, 1, d))
     block = 10_000
-    noise = np.empty((min(block, steps), rows, d))
+    noise = np.empty((rows, min(block, steps), d))
 
     samples = np.empty((rows, n_samples, d))
     trajs = [Trajectory(("t", "theta_norm")) for _ in sigmas]
 
-    # the loop stops at every step where a block starts, or where the state
-    # before the update is sampled or recorded, and runs plain steps between
-    stops = heapq.merge(range(0, steps, block), range(burn_in, steps, OU_THIN),
-                        range(0, steps, record_stride), (steps,))
-    k = next(stops)
+    stops = (k for k, _ in groupby(heapq.merge(
+        range(0, steps, block), range(0, burn_in, OU_THIN), range(burn_in, steps, OU_THIN),
+        range(0, steps, record_stride), (steps,))))
     si = 0
-    # local names: the inner loop runs once per step
-    matmul, subtract, multiply, add = np.matmul, np.subtract, np.multiply, np.add
-    for k_next in stops:
-        if k_next == k:
-            continue
-        if k % block == 0:
-            _draw_ou_noise(ds, eps, sigmas, gamma, h, rngs, noise[:steps - k])
-        if k >= burn_in and (k - burn_in) % OU_THIN == 0:
-            samples[:, si] = theta
-            si += 1
-        if k % record_stride == 0:
-            for i, traj in enumerate(trajs):
-                traj.append(k * h, float(np.linalg.norm(theta[i])))
-        j0 = k % block
-        for step_noise in noise[j0:j0 + k_next - k]:
-            # theta <- theta - h * (A theta - b) + noise, one gemv per row
-            matmul(A, theta3, out=upd3)
-            subtract(upd, b, out=upd)
-            multiply(upd, h, out=upd)
-            subtract(theta, upd, out=theta)
-            add(theta, step_noise, out=theta)
-        k = k_next
+    for (_, g), jumps in groupby(pairwise(stops), lambda kk: (kk[0] // block, kk[1] - kk[0])):
+        ks = [k for k, _ in jumps]
+        j0 = ks[0] % block
+        if j0 == 0:
+            _draw_ou_noise(ds, eps, sigmas, gamma, h, rngs, noise[:, :steps - ks[0]])
+        segments = noise[:, j0:j0 + len(ks) * g].reshape(rows, len(ks), g * d)
+        kicks = segments @ stacked[(OU_THIN - g) * d:] + drift[g]
+        for k, kick in zip(ks, kicks.transpose(1, 0, 2)[:, :, None]):
+            if k >= burn_in and (k - burn_in) % OU_THIN == 0:
+                samples[:, si] = theta[:, 0]
+                si += 1
+            if k % record_stride == 0:
+                for i, traj in enumerate(trajs):
+                    traj.append(k * h, float(np.linalg.norm(theta[i])))
+            theta = theta @ powers[g] + kick
 
     results = []
     for i, traj in enumerate(trajs):
@@ -263,17 +270,17 @@ def simulate_ou_under(ds: Dataset, eps: float, sigmas, gamma: float, h: float,
                                 for a, c in zip(bounds[:-1], bounds[1:])])
         traj.meta["mean_se"] = batch_means.std(axis=0, ddof=1) / math.sqrt(n_batches)
         traj.meta["n_samples"] = si
-        traj.meta["final_theta"] = theta[i].copy()
+        traj.meta["final_theta"] = theta[i, 0].copy()
         results.append((mean, cov, traj))
     return results
 
 
 def _draw_ou_noise(ds: Dataset, eps: float, sigmas, gamma: float, h: float, rngs,
                    out: np.ndarray) -> None:
-    """Fill the (count, rows, d) block out with the rows' increments, each row
+    """Fill the (rows, count, d) block out with the rows' increments, each row
     drawn from its own stream: data noise first, then isotropic. A noise-free
     row gets zeros and draws nothing."""
-    count = out.shape[0]
+    count = out.shape[1]
     for i, (sigma, rng) in enumerate(zip(sigmas, rngs)):
         if eps > 0:
             noise = rng.normal((count, ds.n)) @ ds.Xbar
@@ -284,7 +291,7 @@ def _draw_ou_noise(ds: Dataset, eps: float, sigmas, gamma: float, h: float, rngs
             noise = (math.sqrt(h) * sigma) * rng.normal((count, ds.d))
         else:
             noise = 0.0
-        out[:, i] = noise
+        out[i] = noise
 
 
 def eta_bound_rhs(gamma: float, d: int, sigma: float, loss_integral: float) -> float:

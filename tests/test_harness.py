@@ -850,6 +850,15 @@ class TestCommand:
         proc = _command(tmp_path, "run", "c.cfg")
         assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", line)
 
+    @pytest.mark.parametrize("text, line", [
+        ("{}", "noiselab: bad.json lacks checks, scalars, passed\n"),
+        ("[1]", "noiselab: bad.json holds no JSON object\n"),
+    ], ids=["empty-object", "not-an-object"])
+    def test_analyze_names_a_malformed_summary(self, tmp_path, text, line):
+        (tmp_path / "bad.json").write_text(text)
+        proc = _command(tmp_path, "analyze", "bad.json")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", line)
+
 
 class TestBenchmarkHooks:
     def test_tracer_wraps_and_restores(self, tmp_path):

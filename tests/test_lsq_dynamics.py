@@ -352,39 +352,97 @@ class TestSimulateOuUnder:
             assert same_bits(traj.meta["final_theta"], traj_a.meta["final_theta"])
 
 
-class TestOuEnsembleMatchesOracle:
-    """Every row of one OU ensemble is bitwise the parent's single-row loop
-    (tests/oracles.py::ou_reference) run alone on the row's own stream."""
+def ou_roundoff(ds, gamma, eps, sigma, h, steps, rng):
+    """Largest distance, by roundoff alone, between two runs of the OU Euler
+    chain on rng's draws: ou_reference's step by step, and simulate_ou_under's
+    jumps of g <= G = OU_THIN steps, theta T^g + sum_j (h b + xi_j) T^(g-1-j).
 
-    @pytest.mark.parametrize("eps, sigmas, h_div, steps, burn_in, stride", [
-        pytest.param(0.5, (0.0,), 1, 3000, 1000, 100, id="eps-sigma0"),
-        pytest.param(0.5, (0.3,), 1, 3000, 1000, 100, id="eps-sigma"),
-        pytest.param(0.0, (0.0,), 1, 3000, 1000, 100, id="noise-free"),
-        pytest.param(0.0, (0.0, 0.4), 1, 3000, 1000, 100, id="noise-free-beside-noisy"),
-        pytest.param(0.5, (0.0, 0.3), 1, 23_457, 3000, 1000, id="crosses-blocks"),
-        pytest.param(0.0, (0.3, 0.0), 1, 5000, 1003, 100, id="burn-in-off-thin"),
-        pytest.param(0.5, (0.3, 0.0), 1, 2000, 500, 333, id="stride-not-dividing"),
+    With u = 2^-53, rho = ||T|| < 1, B = h ||b||, Xi the largest step noise
+    norm (redrawn here as ou_reference draws it) and S = (B + Xi) / (1 - rho)
+    a bound on the state, one update of either run rounds with a local error
+    of at most 10 G^2 d^2 u (S + Xi + B): a computed T^g is within
+    7 G d^2 u of T^g, and the products and sums add d, g d and 2 roundings.
+    T shrinks each local error by rho per step, so a run stays within
+    local / (1 - rho) of the exact chain, and the two runs within twice that.
+    """
+    A = ds.Xbar.T @ ds.Xbar
+    lam = np.linalg.eigvalsh(A)
+    rho = max(abs(1.0 - h * lam[0]), abs(1.0 - h * lam[-1]))
+    B = h * np.linalg.norm(ds.Xbar.T @ ds.Ybar)
+    xi = 0.0
+    for start in range(0, steps, 10_000):
+        count = min(10_000, steps - start)
+        noise = np.zeros((count, ds.d))
+        if eps > 0:
+            noise += np.sqrt(h) * np.sqrt(gamma) * eps * (rng.normal((count, ds.n)) @ ds.Xbar)
+        if sigma > 0:
+            noise += np.sqrt(h) * sigma * rng.normal((count, ds.d))
+        xi = max(xi, float(np.linalg.norm(noise, axis=1).max()))
+    u, G = 2.0**-53, OU_THIN
+    S = (B + xi) / (1.0 - rho)
+    return 20.0 * G * G * ds.d**2 * u * (S + xi + B) / (1.0 - rho), S
+
+
+class TestOuEnsembleMatchesOracle:
+    """Every row of one OU ensemble is bitwise the same call with that row
+    alone, and within roundoff of the step-by-step single-row loop
+    (tests/oracles.py::ou_reference) run on the row's own stream."""
+
+    @pytest.mark.parametrize("d, eps, sigmas, h_div, steps, burn_in, stride", [
+        pytest.param(5, 0.5, (0.0,), 1, 3000, 1000, 100, id="eps-sigma0"),
+        pytest.param(5, 0.5, (0.3,), 1, 3000, 1000, 100, id="eps-sigma"),
+        pytest.param(5, 0.0, (0.0,), 1, 3000, 1000, 100, id="noise-free"),
+        pytest.param(5, 0.0, (0.0, 0.4), 1, 3000, 1000, 100, id="noise-free-beside-noisy"),
+        pytest.param(5, 0.5, (0.0, 0.3), 1, 23_457, 3000, 1000, id="crosses-blocks"),
+        pytest.param(5, 0.0, (0.3, 0.0), 1, 5000, 1003, 100, id="burn-in-off-thin"),
+        pytest.param(5, 0.5, (0.3, 0.0), 1, 2000, 500, 333, id="stride-not-dividing"),
         # h != gamma: the data-noise amplitude sqrt(h) sqrt(gamma) eps tells them apart
-        pytest.param(0.5, (0.0, 0.3), 8, 3000, 1000, 100, id="h-gamma-over-8"),
+        pytest.param(5, 0.5, (0.0, 0.3), 8, 3000, 1000, 100, id="h-gamma-over-8"),
+        pytest.param(1, 0.5, (0.3,), 1, 3000, 1000, 100, id="d1-one-row"),
+        # every step a stop: jumps of one step
+        pytest.param(5, 0.5, (0.0, 0.3), 1, 3000, 1000, 1, id="record-stride-1"),
+        pytest.param(5, 0.5, (0.3, 0.0), 1, 3000, 0, 100, id="burn-in-0"),
+        # a last noise block of one step, and three rows
+        pytest.param(5, 0.5, (0.0, 0.3, 0.5), 1, 10_001, 1000, 100, id="steps-10001"),
     ])
-    def test_rows_bitwise(self, eps, sigmas, h_div, steps, burn_in, stride):
-        ds = gen_underparam_regression(50, 5, 0.5, RngStream(7))
+    def test_rows_bitwise(self, d, eps, sigmas, h_div, steps, burn_in, stride):
+        ds = gen_underparam_regression(50, d, 0.5, RngStream(7))
         gamma = default_step_size(ds)
         h = gamma / h_div
-        got = simulate_ou_under(ds, eps, sigmas, gamma, h, steps, burn_in,
-                                [RngStream(11 + i) for i in range(len(sigmas))],
+        rngs = [RngStream(11 + i) for i in range(len(sigmas))]
+        got = simulate_ou_under(ds, eps, sigmas, gamma, h, steps, burn_in, rngs,
                                 record_stride=stride)
+        u = 2.0**-53
         for i, (sigma, (mean, cov, traj)) in enumerate(zip(sigmas, got)):
+            [(mean_1, cov_1, traj_1)] = simulate_ou_under(
+                ds, eps, [sigma], gamma, h, steps, burn_in, [RngStream(11 + i)],
+                record_stride=stride)
+            assert same_bits(mean, mean_1)
+            assert same_bits(cov, cov_1)
+            assert same_bits(traj.meta["mean_se"], traj_1.meta["mean_se"])
+            assert same_bits(traj.meta["final_theta"], traj_1.meta["final_theta"])
+            assert same_bits(traj.rows, traj_1.rows)
+
+            ref_rng = RngStream(11 + i)
             ref = ou_reference(ds.Xbar, ds.Ybar, gamma, eps, sigma, h, steps,
-                               burn_in, RngStream(11 + i), record_stride=stride,
-                               thin=OU_THIN)
-            assert same_bits(mean, ref["mean"])
-            assert same_bits(cov, ref["cov"])
-            assert same_bits(traj.meta["mean_se"], ref["mean_se"])
-            assert same_bits(traj.meta["final_theta"], ref["final_theta"])
-            assert traj.meta["n_samples"] == ref["n_samples"]
+                               burn_in, ref_rng, record_stride=stride, thin=OU_THIN)
+            # the draws are the reference's: each stream ends where it does
+            assert rngs[i].state_key() == ref_rng.state_key()
+            delta, S = ou_roundoff(ds, gamma, eps, sigma, h, steps, RngStream(11 + i))
+            N = ref["n_samples"]
+            assert traj.meta["n_samples"] == N
+            # sums over N samples (means) and N products (covariance) add
+            # their own roundoff to the states' distance delta
+            tol_mean = delta + 2 * N * u * S
+            assert np.abs(mean - ref["mean"]).max() <= tol_mean
+            assert np.abs(cov - ref["cov"]).max() <= 8 * S * tol_mean + 8 * N * u * S * S
+            assert np.abs(traj.meta["mean_se"] - ref["mean_se"]).max() <= 4 * tol_mean
+            assert np.linalg.norm(traj.meta["final_theta"] - ref["final_theta"]) <= delta
             assert traj.columns == ("t", "theta_norm")
-            assert same_bits(traj.rows, [(t, norm) for t, _, norm in ref["rows"]])
+            want = np.array([(t, norm) for t, _, norm in ref["rows"]])
+            rows = np.asarray(traj.rows)
+            assert same_bits(rows[:, 0], want[:, 0])
+            assert np.abs(rows[:, 1] - want[:, 1]).max() <= delta + 2 * d * u * S
 
 
 class TestCoupledMatchesOracle:
