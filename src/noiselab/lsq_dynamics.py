@@ -16,7 +16,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .core_math import Mat, RngStream, Trajectory, Vec, matvecs
+from .core_math import PINV_CUTOFF, Mat, RngStream, Trajectory, Vec, matvecs
 from .problems import Dataset
 
 KINDS = ("GD", "SGD", "NoisySGD", "DPSGD")
@@ -179,7 +179,8 @@ def simulate_ou_under(ds: Dataset, eps: float, sigmas, gamma: float, h: float,
     + sqrt(gamma) eps Xbar^T dW + sigma dW~, one row per (sigma, rng) pair.
 
     Each row draws its noise xi from its own stream in blocks of 10,000 steps,
-    the same draws in the same order whatever the row count. Returns one
+    the same draws in the same order whatever the row count; the data noise
+    is d normals times R from Xbar = QR, since R^T R = A. Returns one
     (empirical mean, empirical covariance, trajectory) per row. Mean and
     covariance are time averages over every OU_THIN-th iterate from burn_in
     on. The trajectory records (t, ||theta||) every record_stride steps; its
@@ -223,6 +224,7 @@ def simulate_ou_under(ds: Dataset, eps: float, sigmas, gamma: float, h: float,
     d = ds.d
     rows = len(sigmas)
     T = np.eye(d) - h * A
+    R = np.linalg.qr(ds.Xbar, mode="r")
     powers = [np.eye(d)]
     for _ in range(OU_THIN):
         powers.append(powers[-1] @ T)
@@ -246,7 +248,7 @@ def simulate_ou_under(ds: Dataset, eps: float, sigmas, gamma: float, h: float,
         ks = [k for k, _ in jumps]
         j0 = ks[0] % block
         if j0 == 0:
-            _draw_ou_noise(ds, eps, sigmas, gamma, h, rngs, noise[:, :steps - ks[0]])
+            _draw_ou_noise(R, eps, sigmas, gamma, h, rngs, noise[:, :steps - ks[0]])
         segments = noise[:, j0:j0 + len(ks) * g].reshape(rows, len(ks), g * d)
         kicks = segments @ stacked[(OU_THIN - g) * d:] + drift[g]
         for k, kick in zip(ks, kicks.transpose(1, 0, 2)[:, :, None]):
@@ -275,20 +277,20 @@ def simulate_ou_under(ds: Dataset, eps: float, sigmas, gamma: float, h: float,
     return results
 
 
-def _draw_ou_noise(ds: Dataset, eps: float, sigmas, gamma: float, h: float, rngs,
+def _draw_ou_noise(R: Mat, eps: float, sigmas, gamma: float, h: float, rngs,
                    out: np.ndarray) -> None:
     """Fill the (rows, count, d) block out with the rows' increments, each row
-    drawn from its own stream: data noise first, then isotropic. A noise-free
-    row gets zeros and draws nothing."""
-    count = out.shape[1]
+    drawn from its own stream: data noise (d normals times R) first, then
+    isotropic. A noise-free row gets zeros and draws nothing."""
+    count, d = out.shape[1], R.shape[0]
     for i, (sigma, rng) in enumerate(zip(sigmas, rngs)):
         if eps > 0:
-            noise = rng.normal((count, ds.n)) @ ds.Xbar
+            noise = rng.normal((count, d)) @ R
             noise *= math.sqrt(h) * math.sqrt(gamma) * eps
             if sigma > 0:
-                noise += (math.sqrt(h) * sigma) * rng.normal((count, ds.d))
+                noise += (math.sqrt(h) * sigma) * rng.normal((count, d))
         elif sigma > 0:
-            noise = (math.sqrt(h) * sigma) * rng.normal((count, ds.d))
+            noise = (math.sqrt(h) * sigma) * rng.normal((count, d))
         else:
             noise = 0.0
         out[i] = noise
@@ -306,14 +308,24 @@ def simulate_coupled_over(ds: Dataset, gamma: float, sigmas, steps: int,
     """Jointly integrate the clean SDE and one noisy copy per sigma.
 
     Every copy shares the clean path's Brownian increments of the data-noise
-    term sqrt(gamma L(.)) Xbar^T dB, drawn from rng.child(2); a copy with
-    sigma > 0 adds sqrt(gamma L(beta)) sigma dB~, whose increments all noisy
-    copies share, drawn from rng.child(1) as a run with that sigma alone
-    draws them. The clean path is integrated once for all copies, and each
+    term sqrt(gamma L(.)) Xbar^T dB, drawn from rng.child(2) as (n_traj, n)
+    normals z; a copy with sigma > 0 adds sqrt(gamma L(beta)) sigma dB~, whose
+    (n_traj, d) increments iota all noisy copies share, drawn from
+    rng.child(1) as a run with that sigma alone draws them. Trajectories start
+    at zero and are averaged pointwise; eta_t = ||theta_t - beta_t||^2. Step
+    size is gamma. A copy whose loss integral is not finite at a recorded step
+    raises, naming sigma and step.
+
+    The paths step in Xbar's singular basis, Xbar = U diag(S) V^T: a path is
+    its residual rho = U^T (Xbar theta - Ybar), an (n, n_traj) array, whose
+    step is rho (1 - h S^2) + sqrt(h gamma L) S^2 U^T z with L = ||rho||^2 / 2.
+    A noisy copy adds sigma sqrt(h gamma L) S V_par^T iota to rho and
+    sigma sqrt(h gamma L) V_perp^T iota to its part w off Xbar's row span, so
+    eta = ||(rho_clean - rho_copy) / S_par||^2 + ||w||^2. V_par keeps the
+    directions whose singular value is above PINV_CUTOFF S_max; the others
+    join V_perp, so a rank-deficient Xbar stays exact. The clean path is
+    integrated once for all copies, a sigma-0 copy as its own path, and each
     returned report is bitwise what a run with that sigma alone gives.
-    Trajectories start at zero and are averaged pointwise;
-    eta_t = ||theta_t - beta_t||^2. Step size is gamma. A copy whose loss
-    integral is not finite at a recorded step raises, naming sigma and step.
     """
     if ds.regime != "over":
         raise ValueError("needs an overparametrized instance")
@@ -326,55 +338,54 @@ def simulate_coupled_over(ds: Dataset, gamma: float, sigmas, steps: int,
         raise ValueError("need at least one sigma, all finite and nonnegative")
 
     h = gamma
-    d, n = ds.d, ds.n
     sq = math.sqrt(h * gamma)
     shared, isotropic = rng.child(2), rng.child(1)
     noisy = any(sigma > 0 for sigma in sigmas)
-    theta = np.zeros((n_traj, d))
-    r_t, l_t = _residual_loss(ds, theta)
+    U, S, Vt = np.linalg.svd(ds.Xbar)
+    k = int(np.sum(S > PINV_CUTOFF * S[0]))
+    decay = (1.0 - h * S * S)[:, None]
+    data_map = (S * S)[:, None] * U.T
+    # one product gives S V_par^T iota (rows :k) and V_perp^T iota (rows k:)
+    iso_map = np.concatenate((S[:k, None] * Vt[:k], Vt[k:]))
+    start = np.repeat(-(U.T @ ds.Ybar)[:, None], n_traj, axis=1)
     times = [0.0]
-    copies = []
-    for sigma in sigmas:
-        beta = np.zeros((n_traj, d))
-        r_b, l_b = _residual_loss(ds, beta)
-        copies.append(SimpleNamespace(
-            sigma=sigma, beta=beta, r_b=r_b, l_b=l_b, loss_int=np.zeros(n_traj),
-            eta=[0.0], li=[0.0], rhs=[0.0]))
+    # the clean path first, then the copies, each with its own sigma
+    paths = [SimpleNamespace(sigma=sigma, rho=start.copy(), w=np.zeros((ds.d - k, n_traj)),
+                             loss_int=np.zeros(n_traj), eta=[0.0], li=[0.0], rhs=[0.0])
+             for sigma in (0.0, *sigmas)]
+    clean, *copies = paths
+    kick, iso, tmp = np.empty((ds.n, n_traj)), np.empty((ds.d, n_traj)), np.empty((ds.d, n_traj))
 
     # a diverging copy overflows steps before a recorded step sees it; the
     # ValueError naming it is then its one report, with no numpy warning first
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            xi = shared.normal((n_traj, n)) @ ds.Xbar
+        for step in range(1, steps + 1):
+            np.matmul(data_map, shared.normal((n_traj, ds.n)).T, out=kick)
             if noisy:
-                iso = isotropic.normal((n_traj, d))
-            for c in copies:
-                c.loss_int += h * c.l_b
-                beta = c.beta - h * (c.r_b @ ds.Xbar) + sq * np.sqrt(c.l_b)[:, None] * xi
+                np.matmul(iso_map, isotropic.normal((n_traj, ds.d)).T, out=iso)
+            for c in paths:
+                loss = 0.5 * np.einsum("ij,ij->j", c.rho, c.rho)
+                amp = sq * np.sqrt(loss)
+                c.loss_int += h * loss
+                c.rho *= decay
+                c.rho += np.multiply(amp, kick, out=tmp[:ds.n])
                 if c.sigma > 0:
-                    beta = beta + (sq * c.sigma) * np.sqrt(c.l_b)[:, None] * iso
-                c.beta = beta
-                c.r_b, c.l_b = _residual_loss(ds, beta)
-            theta = theta - h * (r_t @ ds.Xbar) + sq * np.sqrt(l_t)[:, None] * xi
-            r_t, l_t = _residual_loss(ds, theta)
+                    np.multiply(c.sigma * amp, iso, out=tmp)
+                    c.rho[:k] += tmp[:k]
+                    c.w += tmp[k:]
 
-            if (k + 1) % record_stride == 0 or k + 1 == steps:
-                times.append((k + 1) * h)
+            if step % record_stride == 0 or step == steps:
+                times.append(step * h)
                 for c in copies:
-                    diff = theta - c.beta
-                    c.eta.append(float(np.mean(np.einsum("ij,ij->i", diff, diff))))
+                    diff = np.divide(clean.rho[:k] - c.rho[:k], S[:k, None], out=tmp[:k])
+                    eta = np.einsum("ij,ij->j", diff, diff) + np.einsum("ij,ij->j", c.w, c.w)
+                    c.eta.append(float(np.mean(eta)))
                     c.li.append(float(np.mean(c.loss_int)))
                     if not math.isfinite(c.li[-1]):
                         raise ValueError(f"the sigma {c.sigma:g} copy diverged: non-finite "
-                                         f"loss integral at step {k + 1}")
-                    c.rhs.append(eta_bound_rhs(gamma, d, c.sigma, c.li[-1]))
+                                         f"loss integral at step {step}")
+                    c.rhs.append(eta_bound_rhs(gamma, ds.d, c.sigma, c.li[-1]))
 
     return [EtaReport(times=np.array(times), eta_mean=np.array(c.eta),
                       loss_integral_mean=np.array(c.li), bound_rhs=np.array(c.rhs))
             for c in copies]
-
-
-def _residual_loss(ds: Dataset, batch: Mat):
-    """Residuals Xbar b - Ybar of each row b of batch, and their losses."""
-    r = batch @ ds.Xbar.T - ds.Ybar
-    return r, 0.5 * np.einsum("ij,ij->i", r, r)

@@ -180,11 +180,12 @@ def solve_tilted_ensemble(ds: Dataset, alphas, tilts, max_iters: int = 100,
                                for w, r in zip(8.0 * s.a2 * cosh, s.r)], s.r.shape)
             du, slope, y_step = matvecs(XbarT, step), dots(s.r, step), dots(step, Ybar[None])
             t = np.ones(s.row.size)
-            # a row with no decrease after 60 halvings stays put
+            # a row with no decrease after 60 halvings stays put; D's fall as
+            # 2 sinh 2(u + u0) sinh 2(u - u0) keeps digits cosh 4u - cosh 4u0 loses
             for _ in range(60):
                 u = s.u + t[:, None] * du
-                ok = (dots(0.5 * s.a2, np.cosh(4.0 * u) - cosh) - t * y_step
-                      <= 0.25 * t * slope)
+                fall = np.sinh(2.0 * (u + s.u)) * np.sinh(2.0 * (u - s.u))
+                ok = dots(s.a2, fall) - t * y_step <= 0.25 * t * slope
                 if ok.all():
                     break
                 t = np.where(ok, t, 0.5 * t)

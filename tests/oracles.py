@@ -380,16 +380,18 @@ def ou_reference(Xbar, Ybar, gamma, eps, sigma, h, steps, burn_in, rng,
 
     This is the single-run loop that the package integrated before its
     ensemble integrator existed, kept as the sequential reference: noise is
-    drawn from rng.normal in blocks of 10,000 steps (data noise, then
-    isotropic noise; absent terms draw nothing), the pre-update state is
-    sampled every `thin` steps from `burn_in` on and recorded every
-    `record_stride` steps. Returns a dict with the mean, covariance,
-    batch-means standard errors, sample count, final state and the recorded
-    rows (t, loss, ||theta||).
+    drawn from rng.normal in blocks of 10,000 steps (data noise, d normals
+    times the triangular QR factor R of Xbar, so that its covariance is
+    R^T R = Xbar^T Xbar; then isotropic noise; absent terms draw nothing),
+    the pre-update state is sampled every `thin` steps from `burn_in` on and
+    recorded every `record_stride` steps. Returns a dict with the mean,
+    covariance, batch-means standard errors, sample count, final state and
+    the recorded rows (t, loss, ||theta||).
     """
-    n, d = Xbar.shape
+    d = Xbar.shape[1]
     A = Xbar.T @ Xbar
     b = Xbar.T @ Ybar
+    R = np.linalg.qr(Xbar, mode="r")
     amp_x = np.sqrt(h) * np.sqrt(gamma) * eps
     amp_i = np.sqrt(h) * sigma
     theta = np.zeros(d)
@@ -402,7 +404,7 @@ def ou_reference(Xbar, Ybar, gamma, eps, sigma, h, steps, burn_in, rng,
     for start in range(0, steps, block):
         count = min(block, steps - start)
         if eps > 0:
-            noise = amp_x * (rng.normal((count, n)) @ Xbar)
+            noise = amp_x * (rng.normal((count, d)) @ R)
             if sigma > 0:
                 noise += amp_i * rng.normal((count, d))
         elif sigma > 0:

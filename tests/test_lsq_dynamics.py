@@ -23,6 +23,7 @@ from noiselab import (
     solve_lyapunov,
     stationary_law_theory,
 )
+from noiselab.core_math import PINV_CUTOFF
 from noiselab.lsq_dynamics import OU_THIN
 from oracles import coupled_reference, em_stationary_cov, ou_reference
 
@@ -292,6 +293,20 @@ class TestSimulateOuUnder:
         se = traj.meta["mean_se"]
         assert np.all(np.abs(mean - ds.theta_ls()) <= 4.0 * se + 1e-12)
 
+    @pytest.mark.parametrize("n, d", [(50, 5), (50, 1), (7, 6), (400, 30)])
+    def test_data_noise_factor_squares_to_the_gram(self, n, d):
+        # the data noise is d normals times R from Xbar = QR (the factor that
+        # ou_reference uses too), of law N(0, R^T R) = N(0, Xbar^T Xbar).
+        # Householder QR is exact for an Xbar moved by at most n d u ||Xbar||_F
+        # in Frobenius norm, which moves R^T R by at most twice that times
+        # ||Xbar||_F; forming R^T R and Xbar^T Xbar adds n u ||Xbar||_F^2 each
+        ds = gen_underparam_regression(n, d, 0.5, RngStream(7))
+        R = np.linalg.qr(ds.Xbar, mode="r")
+        F2 = float(np.sum(ds.Xbar * ds.Xbar))
+        assert R.shape == (d, d) and np.array_equal(R, np.triu(R))
+        gap = np.linalg.norm(R.T @ R - ds.Xbar.T @ ds.Xbar)
+        assert gap <= (2 * n * d + 2 * n) * 2.0**-53 * F2
+
     def test_unstable_step_rejected(self):
         ds = gen_underparam_regression(40, 4, 0.2, RngStream(3))
         A = ds.Xbar.T @ ds.Xbar
@@ -369,12 +384,13 @@ def ou_roundoff(ds, gamma, eps, sigma, h, steps, rng):
     lam = np.linalg.eigvalsh(A)
     rho = max(abs(1.0 - h * lam[0]), abs(1.0 - h * lam[-1]))
     B = h * np.linalg.norm(ds.Xbar.T @ ds.Ybar)
+    R = np.linalg.qr(ds.Xbar, mode="r")
     xi = 0.0
     for start in range(0, steps, 10_000):
         count = min(10_000, steps - start)
         noise = np.zeros((count, ds.d))
         if eps > 0:
-            noise += np.sqrt(h) * np.sqrt(gamma) * eps * (rng.normal((count, ds.n)) @ ds.Xbar)
+            noise += np.sqrt(h) * np.sqrt(gamma) * eps * (rng.normal((count, ds.d)) @ R)
         if sigma > 0:
             noise += np.sqrt(h) * sigma * rng.normal((count, ds.d))
         xi = max(xi, float(np.linalg.norm(noise, axis=1).max()))
@@ -445,28 +461,168 @@ class TestOuEnsembleMatchesOracle:
             assert np.abs(rows[:, 1] - want[:, 1]).max() <= delta + 2 * d * u * S
 
 
-class TestCoupledMatchesOracle:
-    """Each sigma's report of one pass is bitwise the parent's per-sigma loop
-    (tests/oracles.py::coupled_reference) run alone."""
+def coupled_roundoff(ds, gamma, sigma, steps, n_traj, rng, record_stride=1):
+    """Per-record bounds, to first order in u = 2^-53, on how far apart two
+    runs of the coupled chains on rng's draws report: coupled_reference's
+    steps of theta in R^d, and simulate_coupled_over's steps of the residual
+    rho = U^T (Xbar theta - Ybar), Xbar = U diag(S) V^T. Returns the bounds on
+    eta_mean, loss_integral_mean and bound_rhs, one per recorded time.
 
-    @pytest.mark.parametrize("sigmas, steps, n_traj, stride", [
-        pytest.param((0.0, 0.5), 60, 4, 1, id="zero-and-noisy"),
-        pytest.param((0.3,), 50, 3, 1, id="one-noisy"),
-        pytest.param((0.5, 0.0, 0.25), 40, 5, 1, id="three-sigmas"),
-        pytest.param((0.0, 0.4), 50, 6, 7, id="stride-not-dividing"),
-        pytest.param((0.0, 0.5), 30, 1, 1, id="one-trajectory"),
+    Write a path x (the clean theta, or the copy beta) in the basis V, split
+    into the k directions whose singular value is kept and the rest; c =
+    sqrt(h gamma), L = ||rho||^2 / 2 and rhohat = rho / ||rho||. The step
+    x <- x - h Xbar^T r + c sqrt(L) (Xbar^T z + sigma iota) has the Jacobian
+
+        J = [[I - h S^2 + (c / sqrt 2) a (S rhohat)^T, 0],
+             [(c / sqrt 2) sigma V_perp^T iota (S rhohat)^T, I]],
+
+    a = S U^T z + sigma V_par^T iota (sigma is 0 on the clean path), taken
+    here along a float run of the chain on the same draws. A local error
+    delta_j made by step j reaches step K through Phi = J_{K-1} ... J_{j+1},
+    so a run stays within E_K = sum_j ||Phi||_F delta_j of the exact chain.
+
+    Every quantity a step computes is a sum of at most m = n + d products,
+    off by at most m u times the sum of their sizes, itself at most sqrt(m)
+    times the product of their norms; the SVD's factors are exact for an
+    Xbar moved by at most m u S_max, plus S_drop, the largest singular value
+    taken as zero. With u' = u + S_drop / S_max, f = 1 + c S_max (S_max ||z||
+    + sigma ||iota||), the factor by which a step enlarges an error in its
+    residual, and kappa = S_max / S_min over the kept values, one step of
+    either run errs by at most
+
+        delta = 4 m^1.5 u' f (||x|| + (||Ybar|| + kappa ||rho||) / S_max),
+
+    the kappa term being errors in the residual basis read in theta's units;
+    the start rho = -U^T Ybar errs by that with f = 1 and x = 0. The two runs
+    then lie within D = 2 E. A report adds its own roundoff: theta - beta
+    is off by Delta = D_clean + D_copy + 4 u (kappa (||rho_clean|| +
+    ||rho_copy||) / S_max + ||theta|| + ||beta||), so eta by 2 ||theta - beta||
+    Delta + Delta^2 + 2 m u eta; the residual by D S_max + 2 m^1.5 u'
+    (S_max ||x|| + ||Ybar|| + ||rho||), so L by ||rho|| times that plus its
+    square over 2 and 2 m u L; the loss integral by h times the sum of the L
+    bounds plus 2 K u times itself after K additions; each mean over
+    trajectories by 2 n_traj u times its value; bound_rhs = gamma d sigma^2
+    times the loss integral by that factor times its bound plus 6 u bound_rhs.
+    """
+    Xbar, Ybar = ds.Xbar, ds.Ybar
+    n, d = Xbar.shape
+    h, c, u, m = gamma, np.sqrt(gamma * gamma), 2.0**-53, n + d
+    U, S, Vt = np.linalg.svd(Xbar)
+    k = int(np.sum(S > PINV_CUTOFF * S[0]))
+    s_max, kappa = S[0], S[0] / S[k - 1]
+    u_eff = u + (S[k] if k < n else 0.0) / s_max
+    y = np.linalg.norm(Ybar)
+    shared, own = rng.child(2), rng.child(1)
+    eye = np.broadcast_to(np.eye(d), (n_traj, 1, d, d))
+
+    def norms(x):
+        return np.linalg.norm(x, axis=1)
+
+    def jacobian(r, za, iota, sig):
+        # rows are trajectories; za = S U^T z in the kept directions
+        rho = r @ U
+        srho = (S[:k] * rho[:, :k] / norms(rho)[:, None])[:, None, :]
+        J = np.zeros((n_traj, d, d))
+        J[:, :k, :k] = np.diag(1.0 - h * S[:k] ** 2) + (
+            c / np.sqrt(2) * (za + sig * (iota @ Vt[:k].T))[:, :, None] * srho)
+        J[:, k:, :k] = c / np.sqrt(2) * sig * (iota @ Vt[k:].T)[:, :, None] * srho
+        J[:, k:, k:] = np.eye(d - k)
+        return J
+
+    def local(x, r, f):
+        return 4 * m**1.5 * u_eff * f * (norms(x) + (y + kappa * norms(r)) / s_max)
+
+    def apart(p):
+        # D: how far apart the two runs' path p may lie at the current step
+        fro = np.sqrt(np.einsum("tcij,tcij->tc", props[p], props[p]))
+        return 2 * np.sum(fro * weights[p], axis=1)
+
+    paths = {"clean": 0.0, "copy": sigma}
+    x = {p: np.zeros((n_traj, d)) for p in paths}
+    # per path, the propagators (n_traj, errors, d, d) of the local errors so
+    # far and the errors' bounds (n_traj, errors)
+    props = {p: eye.copy() for p in paths}
+    weights = {p: local(x[p], np.zeros((n_traj, n)) - Ybar, 1.0)[:, None] for p in paths}
+    loss_int, li_err = np.zeros(n_traj), np.zeros(n_traj)
+    tol_eta, tol_li, tol_rhs = [0.0], [0.0], [0.0]
+    for step in range(1, steps + 1):
+        z = shared.normal((n_traj, n))
+        iota = own.normal((n_traj, d)) if sigma > 0 else np.zeros((n_traj, d))
+        f = 1 + c * s_max * (s_max * norms(z) + sigma * norms(iota))
+        za = S[:k] * (z @ U)[:, :k]
+        # the copy's loss before the step enters the loss integral
+        rb = norms(x["copy"] @ Xbar.T - Ybar)
+        dr = apart("copy") * s_max + 2 * m**1.5 * u_eff * (s_max * norms(x["copy"]) + y + rb)
+        li_err += h * (rb * dr + 0.5 * dr * dr + m * u * rb * rb)
+        loss_int += h * 0.5 * rb * rb
+        for p, sig in paths.items():
+            r = x[p] @ Xbar.T - Ybar
+            props[p] = np.concatenate((jacobian(r, za, iota, sig)[:, None] @ props[p], eye), axis=1)
+            weights[p] = np.concatenate((weights[p], local(x[p], r, f)[:, None]), axis=1)
+            amp = c * np.sqrt(0.5 * norms(r) ** 2)[:, None]
+            x[p] = x[p] - h * (r @ Xbar) + amp * (z @ Xbar + sig * iota)
+        if step % record_stride == 0 or step == steps:
+            rho = {p: norms(x[p] @ Xbar.T - Ybar) for p in paths}
+            gap = norms(x["clean"] - x["copy"])
+            delta = apart("clean") + apart("copy") + 4 * u * (
+                kappa * (rho["clean"] + rho["copy"]) / s_max + norms(x["clean"]) + norms(x["copy"]))
+            eta_err = 2 * gap * delta + delta**2 + 2 * m * u * gap**2
+            tol_eta.append(float(np.mean(eta_err) + 2 * n_traj * u * np.mean(gap**2)))
+            li_tol = float(np.mean(li_err + 2 * step * u * loss_int)
+                           + 2 * n_traj * u * np.mean(loss_int))
+            tol_li.append(li_tol)
+            rhs = gamma * d * sigma * sigma * float(np.mean(loss_int))
+            tol_rhs.append(gamma * d * sigma * sigma * li_tol + 6 * u * rhs)
+    return np.array(tol_eta), np.array(tol_li), np.array(tol_rhs)
+
+
+def rank_deficient(factor):
+    # the first sample again, times factor: Xbar has rank n - 1, and its
+    # smallest singular value is about 1e-16 (factor 1) or exactly 0 (factor 0)
+    ds = gen_sparse_regression(10, 20, 3, RngStream(53))
+    return Dataset(X=np.vstack([ds.X, factor * ds.X[:1]]),
+                   Y=np.append(ds.Y, factor * ds.Y[0]), beta_star=ds.beta_star)
+
+
+class TestCoupledMatchesOracle:
+    """Each sigma's report of one pass is bitwise its one-sigma call, and
+    within coupled_roundoff's bound of the parent's per-sigma loop in R^d
+    (tests/oracles.py::coupled_reference) run alone; a sigma-0 copy and the
+    time-0 row report exact zeros."""
+
+    @pytest.mark.parametrize("data, sigmas, steps, n_traj, stride", [
+        pytest.param("10x20", (0.0, 0.5), 60, 4, 1, id="zero-and-noisy"),
+        pytest.param("10x20", (0.3,), 50, 3, 1, id="one-noisy"),
+        pytest.param("10x20", (0.5, 0.0, 0.25), 40, 5, 1, id="three-sigmas"),
+        pytest.param("10x20", (0.0, 0.4), 50, 6, 7, id="stride-not-dividing"),
+        pytest.param("10x20", (0.0, 0.5), 30, 1, 1, id="one-trajectory"),
+        pytest.param("duplicate", (0.0, 0.5), 50, 4, 1, id="rank-deficient"),
+        pytest.param("zero-sample", (0.0, 0.5), 50, 4, 1, id="zero-singular-value"),
+        pytest.param("10x10", (0.0, 0.5), 50, 4, 1, id="d-equals-n"),
     ])
-    def test_reports_bitwise(self, sigmas, steps, n_traj, stride):
-        ds = gen_sparse_regression(10, 20, 3, RngStream(53))
+    def test_reports_bitwise(self, data, sigmas, steps, n_traj, stride):
+        ds = {"10x20": lambda: gen_sparse_regression(10, 20, 3, RngStream(53)),
+              "duplicate": lambda: rank_deficient(1.0),
+              "zero-sample": lambda: rank_deficient(0.0),
+              "10x10": lambda: gen_sparse_regression(10, 10, 3, RngStream(53))}[data]()
         gamma = 1.0 / np.trace(ds.Xbar.T @ ds.Xbar)
         reps = simulate_coupled_over(ds, gamma, sigmas, steps, n_traj, RngStream(3),
                                      record_stride=stride)
         assert len(reps) == len(sigmas)
         for sigma, rep in zip(sigmas, reps):
+            [alone] = simulate_coupled_over(ds, gamma, [sigma], steps, n_traj, RngStream(3),
+                                            record_stride=stride)
             ref = coupled_reference(ds.Xbar, ds.Ybar, gamma, sigma, steps, n_traj,
                                     RngStream(3), record_stride=stride)
-            for key in ("times", "eta_mean", "loss_integral_mean", "bound_rhs"):
-                assert same_bits(getattr(rep, key), ref[key]), key
+            tols = coupled_roundoff(ds, gamma, sigma, steps, n_traj, RngStream(3),
+                                    record_stride=stride)
+            assert same_bits(rep.times, ref["times"])
+            for key, tol in zip(("eta_mean", "loss_integral_mean", "bound_rhs"), tols):
+                assert same_bits(getattr(rep, key), getattr(alone, key)), key
+                assert getattr(rep, key)[0] == 0.0, key
+                assert np.all(np.abs(getattr(rep, key) - ref[key]) <= tol), key
+            if sigma == 0:
+                assert not rep.eta_mean.any() and not rep.bound_rhs.any()
 
 
 class TestCoupledOver:

@@ -306,6 +306,24 @@ class TestSolveTiltedEnsemble:
         assert 1e-40 < err.value.loss < 1e-28
         assert f"{err.value.loss:.3e}" in str(err.value)
 
+    def test_armijo_fall_keeps_its_digits_at_default_tol(self):
+        # D's fall taken as cosh 4u - cosh 4u0 cancels to roundoff at large
+        # alpha, and this problem used to fail at loss 9.072e-12 with a false
+        # "roundoff floor"; as a product of sinh factors it converges
+        ds = gen_sparse_regression(40, 100, 5, RngStream(100))
+        beta = solve_tilted(ds, PotentialParams(10.0))
+        r = ds.Xbar @ beta - ds.Ybar
+        assert 0.5 * float(r @ r) < 1e-28
+
+    def test_no_false_roundoff_floor_above_1e_27(self):
+        # 17 of these 60 problems used to stop on a false roundoff floor at
+        # tol 1e-27; none reaches its true floor (about 1e-31) above tol
+        alphas = [PotentialParams(a) for a in (1e-3, 1e-2, 0.1, 1.0, 10.0, 50.0)]
+        for seed in range(100, 110):
+            ds = gen_sparse_regression(40, 100, 5, RngStream(seed))
+            for got in solve_tilted_ensemble(ds, alphas, [None] * 6, tol=1e-27):
+                assert not isinstance(got, ConvergenceError), (seed, str(got))
+
     def test_rank_deficient_design_rejected(self):
         ds = gen_sparse_regression(10, 20, 3, RngStream(1))
         dup = Dataset(X=np.vstack([ds.X, ds.X[:1]]), Y=np.append(ds.Y, ds.Y[0]),
