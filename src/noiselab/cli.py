@@ -72,9 +72,13 @@ def main(argv=None) -> int:
             summary = json.load(fh)
         if not isinstance(summary, dict):
             raise ValueError(f"{path} holds no JSON object")
-        missing = [key for key in ("checks", "scalars", "passed") if key not in summary]
+        fields = {"checks": dict, "scalars": dict, "passed": bool}
+        missing = [key for key in fields if key not in summary]
         if missing:
             raise ValueError(f"{path} lacks {', '.join(missing)}")
+        wrong = [key for key, kind in fields.items() if not isinstance(summary[key], kind)]
+        if wrong:
+            raise ValueError(f"{path} has the wrong type for {', '.join(wrong)}")
         _report(summary["checks"], summary["scalars"])
         return 0 if summary["passed"] else 1
 

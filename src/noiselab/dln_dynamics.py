@@ -9,18 +9,21 @@ hyperbolic closed form of the iterate hold along the trajectory. The loss is
 the normalized empirical risk L(beta) = (1/2n) sum_i (<beta, x_i> - y_i)^2.
 
 Both models step many runs at once as the rows of one (rows, d) weight pair,
-each row started at w_+ = w_- = alpha, through one time loop, _drive. It owns
-the per-row records, the early stop, divergence detection and the dropping of
-finished rows; each model supplies only its draws and update. An ensemble
-returns one entry per row, in order: the row's Trajectory, or its
-DivergenceError if it left the finite range; a failed row never stops the others.
+held in the caller's order, each row started at w_+ = w_- = alpha, through
+one time loop, _drive. It owns the per-row records, the early stop,
+divergence detection and the dropping of finished rows, and it makes every
+draw of a step before the update, once per draw group (_Grouped.draw); each
+model supplies only its draw plan and its update. An ensemble returns one
+entry per row, in order: the row's Trajectory, or its DivergenceError if it
+left the finite range; a failed row never stops the others.
 
 Rows on equal streams draw once. A study runs every sigma cell on one seed
 window (common random numbers), so a seed's rows start on equal streams.
-Rows whose streams are distinct objects in equal states, with one draw plan,
-form a group that draws once and whose rows read the draws; each stream ends
-where its row's run leaves it. One stream object passed for two rows is
-never grouped: those rows draw from it in turn.
+Rows whose streams are distinct objects in equal states, with one draw plan
+(batch indices or not, normals or not), form a group that draws once per
+step and whose rows read the draws; each stream ends where its row's run
+alone leaves it. One stream object passed for two rows is never grouped:
+those rows draw from it in turn.
 """
 
 from __future__ import annotations
@@ -114,18 +117,22 @@ def effective_alpha(alpha0: Vec, ds: Dataset, gamma: float, sigma: float,
 _COLUMNS = ("t", "loss", "dist_to_beta_l0_sq")
 
 
-def _rows(order, alpha, d: int, rngs: list, plans: list, **arrays) -> Rows:
-    """The rows of an ensemble, each started at dln_init(alpha, d), held in
-    `order` (the caller's index of each row), with their streams and the
-    model's own arrays; s.grp numbers the draw groups (module docstring).
+def _rows(alpha, d: int, rngs: list, idx: list, noisy: list, **arrays) -> Rows:
+    """The rows of an ensemble, in the caller's order, each started at
+    dln_init(alpha, d), with their streams, their draw plans (idx: draws batch
+    indices, noisy: draws normals) and the model's own arrays; s.grp numbers
+    the draw groups (module docstring).
     """
-    start, rows, keys = dln_init(alpha, d), len(order), {}
-    grp = [keys.setdefault((plans[r], rngs[r].state_key())
-                           if rngs.count(rngs[r]) == 1 else r, len(keys)) for r in order]
+    start, rows, keys = dln_init(alpha, d), len(rngs), {}
+    grp = [keys.setdefault((idx[r], noisy[r], rng.state_key())
+                           if rngs.count(rng) == 1 else r, len(keys))
+           for r, rng in enumerate(rngs)]
     return Rows(
-        row=np.array(order),
-        rng=np.array([rngs[r] for r in order], dtype=object),
+        row=np.arange(rows),
+        rng=np.array(rngs, dtype=object),
         grp=np.array(grp),
+        idx=np.array(idx, dtype=bool),
+        noisy=np.array(noisy, dtype=bool),
         time=np.zeros(rows),
         w_p=np.tile(start.w_plus, (rows, 1)),
         w_m=np.tile(start.w_minus, (rows, 1)),
@@ -135,8 +142,10 @@ def _rows(order, alpha, d: int, rngs: list, plans: list, **arrays) -> Rows:
 
 
 class _Grouped:
-    """Draws once per group (see _rows): group g draws from self.leads[g],
-    the stream of its first row, and its rows read the draws at s.grp."""
+    """Draws once per group (see _rows): group g draws from the stream of its
+    first row, and its rows read the draws at s.grp. The model holds n and
+    batch, if its rows draw indices, and the draw buffers picks,
+    (rows, batch), and z, (rows, normals per draw), which start as zeros."""
 
     def keep(self, mask) -> None:
         """Drop rows, each row's stream first taking its group's state."""
@@ -144,29 +153,39 @@ class _Grouped:
         self.s.keep(mask)
         self.regroup()
 
-    def regroup(self):
-        """Renumber the groups held; returns their old numbers and first rows."""
+    def regroup(self) -> None:
+        """Renumber the groups held, and set each one's (stream, idx, noisy)."""
         s = self.s
-        kept, first, s.grp = np.unique(s.grp, return_index=True, return_inverse=True)
-        self.leads = s.rng[first]
-        return kept, first
+        _, first, s.grp = np.unique(s.grp, return_index=True, return_inverse=True)
+        self.plan = list(zip(s.rng[first], s.idx[first].tolist(), s.noisy[first].tolist()))
+
+    def draw(self) -> None:
+        """The draws of one step: each group draws batch indices into
+        picks[g] if its plan has them, then normals into z[g] if it is noisy."""
+        for g, (rng, idx, noisy) in enumerate(self.plan):
+            if idx:
+                self.picks[g] = rng.indices(self.n, self.batch)
+            if noisy:
+                rng.normal(out=self.z[g])
 
     def sync(self) -> None:
         """Each row's stream takes its group's state, where its run alone stands."""
         for rng, g in zip(self.s.rng, self.s.grp):
-            if rng is not self.leads[g]:
-                rng.take_state(self.leads[g])
+            lead = self.plan[g][0]
+            if rng is not lead:
+                rng.take_state(lead)
 
 
 def _drive(ds: Dataset, model, steps: int, record_stride: int, early_stop: bool) -> list:
     """The time loop of both DLN ensembles; returns one entry per row, in the
     caller's order: its Trajectory, or, if the row failed, its DivergenceError.
 
-    model.s holds the rows (see _rows). The model supplies only its draws and
-    update of step k, step(k, beta, rbar, loss), in place on model.s from the
-    pre-step (rows, d) arrays, and r_acc(j), if its rows carry one; as a
-    _Grouped it drops rows with keep(mask), and its sync() leaves every
-    stream where the row's run stands once the loop ends. Its
+    model.s holds the rows (see _rows). The model supplies only its draw
+    plan and its update of step k, step(k, beta, rbar, loss), in place on
+    model.s from the pre-step (rows, d) arrays and the draws that draw()
+    made just before, and r_acc(j), if its rows carry one; as a _Grouped it
+    drops rows with keep(mask), and its sync() leaves every stream where the
+    row's run stands once the loop ends. Its
     stops_before_step fixes the convention: the discrete model judges a row
     after stepping it, the SDE judges the pre-step loss and stops a row
     unstepped; either way a row whose final loss is not finite fails where
@@ -246,6 +265,7 @@ def _drive(ds: Dataset, model, steps: int, record_stride: int, early_stop: bool)
                 if not s.row.size:
                     break
                 beta, rbar, loss = beta[keep], rbar[keep], loss[keep]
+            model.draw()
             model.step(k, beta, rbar, loss)
             if not before:
                 ok &= np.isfinite(s.w_p).all(1) & np.isfinite(s.w_m).all(1)
@@ -282,64 +302,33 @@ class _Discrete(_Grouped):
                 raise ValueError("ensemble rows must share gamma and batch")
         if batch > ds.n:
             raise ValueError("batch exceeds dataset size")
-        self.ds, self.gamma, self.batch = ds, gamma, batch
+        self.ds, self.gamma, self.n, self.batch = ds, gamma, ds.n, batch
         noisy = [cfg.kind == "NoisySGD" and cfg.sigma > 0 for cfg in cfgs]
-        full = [cfg.full_batch(ds.n) for cfg in cfgs]
-        # Rows are held full-batch first, then noise-free before noisy, so
-        # that each branch is a contiguous slice of the arrays: noisy rows are
-        # minibatch rows unless every row is full-batch. s.row maps back to
-        # the caller's order.
-        order = sorted(range(len(cfgs)), key=lambda r: (not full[r], noisy[r]))
-        # a row's draw plan: indices unless full-batch, then Z if noisy
-        self.s = _rows(order, alpha, ds.d, rngs, list(zip(full, noisy)),
-                       full=np.array([full[r] for r in order]),
-                       noisy=np.array([noisy[r] for r in order]),
-                       sigma=np.array([cfgs[r].sigma for r in order]))
+        # a noise-free row is held with sigma 0: its Z term is a signed zero
+        self.s = _rows(alpha, ds.d, rngs, [not cfg.full_batch(ds.n) for cfg in cfgs], noisy,
+                       sigma=np.array([cfg.sigma if z else 0.0 for cfg, z in zip(cfgs, noisy)]))
         self.picks = np.zeros((len(cfgs), batch), dtype=np.int64)
         # Z_+ and Z_- of a group are the two halves of one draw of 2d normals
-        self.z = np.empty((len(cfgs), 2 * ds.d))
+        self.z = np.zeros((len(cfgs), 2 * ds.d))
         self.regroup()
 
-    def regroup(self):
-        """Also the slices of the full-batch, minibatch and noisy rows, and
-        each group's draws."""
-        kept, first = super().regroup()
-        s = self.s
-        nf = int(s.full.sum())
-        self.full, self.mini = slice(0, nf), slice(nf, s.row.size)
-        idx = np.flatnonzero(s.noisy)  # contiguous, as the rows are ordered
-        self.noisy = slice(idx[0], idx[-1] + 1) if idx.size else None
-        self.plan = list(zip(self.leads, (~s.full[first]).tolist(),
-                             s.noisy[first].tolist()))
-
     def step(self, k, beta, rbar, loss) -> None:
-        s, ds, gamma, batch = self.s, self.ds, self.gamma, self.batch
-        full, mini, ls, picks, z = self.full, self.mini, self.noisy, self.picks, self.z
-        n, d = ds.n, ds.d
-        # per-group draws, in the order indices, Z_+, Z_-
-        for g, (rng, draws_idx, noisy) in enumerate(self.plan):
-            if draws_idx:
-                picks[g] = rng.indices(n, batch)
-            if noisy:
-                rng.normal(out=z[g])
-
-        if mini.start == mini.stop:
+        s, ds, gamma, idx, d = self.s, self.ds, self.gamma, self.s.idx, self.ds.d
+        mini = np.count_nonzero(idx)
+        if mini == idx.size:
+            a = minibatch_gradients(ds, beta, rbar, self.picks[s.grp])
+        elif not mini:
             a = minibatch_gradients(ds, beta, rbar)
-        else:
-            a = minibatch_gradients(ds, beta[mini], rbar[mini], picks[s.grp[mini]])
-            if full.stop:
-                a = np.concatenate((minibatch_gradients(ds, beta[full], rbar[full]), a))
+        else:  # full-batch rows take the full gradient, the others their picks
+            a, full = np.empty_like(beta), ~idx
+            a[full] = minibatch_gradients(ds, beta[full], rbar[full])
+            a[idx] = minibatch_gradients(ds, beta[idx], rbar[idx], self.picks[s.grp[idx]])
         drift = 2.0 * gamma * a
-        mult_p = 1.0 - drift
-        mult_m = 1.0 + drift
-        if ls is not None:
-            sigma_t = 2.0 * s.sigma[ls] * np.sqrt(loss[ls])
-            coef = (gamma * sigma_t)[:, None]
-            z_ls = z[s.grp[ls]]
-            mult_p[ls] += coef * z_ls[:, :d]
-            mult_m[ls] -= coef * z_ls[:, d:]
-        s.w_p = s.w_p * mult_p
-        s.w_m = s.w_m * mult_m
+        sigma_t = 2.0 * s.sigma * np.sqrt(loss)
+        coef = (gamma * sigma_t)[:, None]
+        z = self.z[s.grp]
+        s.w_p = s.w_p * (1.0 - drift + coef * z[:, :d])
+        s.w_m = s.w_m * (1.0 + drift - coef * z[:, d:])
         s.time = s.time + gamma
         s.li = s.li + gamma * loss
 
@@ -388,11 +377,6 @@ def run_dln_discrete(ds: Dataset, alpha, cfg: OptimizerConfig, steps: int,
     return traj.meta["final_state"], traj
 
 
-# SDE noise draw-ahead: the rows hold at most DRAW_AHEAD steps of
-# N(0, I_{n+d}) vectors at once, over all rows together.
-DRAW_AHEAD = 1024
-
-
 class _Sde(_Grouped):
     """The geometric Euler-Maruyama step of simulate_dln_sde_ensemble, with
     one sigma per row; a sigma-0 row adds a signed zero isotropic term, which
@@ -402,28 +386,22 @@ class _Sde(_Grouped):
     snapshot = ("eta", "delta")
 
     def __init__(self, ds: Dataset, alpha, sigmas: list, gamma: float, h: float,
-                 steps: int, rngs: list):
+                 rngs: list):
         R, d = len(rngs), ds.d
-        self.gamma, self.h, self.steps = gamma, h, steps
+        self.gamma, self.h = gamma, h
         self.n, self.d, self.XbarT = ds.n, d, ds.Xbar.T
         self.P = row_space_projector(ds.X)
         self.sqh = math.sqrt(h)
-        self.chunk = max(1, DRAW_AHEAD // R)
         col = np.sum(ds.Xbar * ds.Xbar, axis=0)
-        self.s = _rows(range(R), alpha, d, rngs, [None] * R,  # all draw alike
+        # every row draws one xi ~ N(0, I_{n+d}) per step, and no indices
+        self.s = _rows(alpha, d, rngs, [False] * R, [True] * R,
                        sigma=np.array(sigmas, dtype=float),
                        # per-coordinate noise variance of the shared path is
                        # 4 gamma L h (diag + sigma^2)
                        var_fac=np.array([4.0 * gamma * h * (col + v * v) for v in sigmas]),
                        eta=np.zeros((R, d)), delta=np.zeros((R, d)))
-        self.xi = None  # drawn noise chunk, (groups, steps, n + d)
+        self.z = np.zeros((R, ds.n + d))
         self.regroup()
-
-    def regroup(self):
-        """Also compacts the noise chunk to the groups that remain."""
-        kept, first = super().regroup()
-        if self.xi is not None:
-            self.xi = self.xi[kept]
 
     def r_acc(self, j) -> Vec:
         """Row j's out-of-row-span noise: the isotropic increments sum to
@@ -433,17 +411,9 @@ class _Sde(_Grouped):
 
     def step(self, k, beta, rbar, loss) -> None:
         s, n, h, XbarT = self.s, self.n, self.h, self.XbarT
-        j = k % self.chunk
-        if j == 0:
-            count = min(self.chunk, self.steps - k)
-            self.xi = None  # release the spent chunk before drawing
-            self.xi = np.empty((len(self.leads), count, n + self.d))
-            for i, rng in enumerate(self.leads):
-                rng.normal(out=self.xi[i])
-
         g = 2.0 * h * matvecs(XbarT, rbar)
         amp = 2.0 * np.sqrt(self.gamma * loss) * self.sqh
-        xi = self.xi[:, j]
+        xi = self.z[:len(self.plan)]  # each group's xi of this step
         # each group's data-noise product once, read by its rows
         m_x = amp[:, None] * matvecs(XbarT, xi[:, :n])[s.grp]
         m_i = (amp * s.sigma)[:, None] * xi[s.grp, n:]
@@ -488,13 +458,9 @@ def simulate_dln_sde_ensemble(ds: Dataset, alpha, sigmas, gamma: float,
     (1/2)(I - P) delta, P the projector onto the row span of X, taken once
     when the row finishes.
 
-    Each row draws its xi ahead from its own stream, in chunks of
-    DRAW_AHEAD // rows steps (at least one). A stream is one sequence of
-    normals however it is chunked, so what a row reads does not depend on the
-    row count, but where its stream ends does: a row that finishes leaves up
-    to one chunk drawn and never read. No study reuses a stream after an
-    ensemble. Rows on equal streams draw each chunk and take its Xbar^T xi
-    once (module docstring).
+    Each row draws one xi per step from its own stream, so its stream ends
+    where its run alone leaves it, steps_run draws in. Rows on equal streams
+    draw each xi and take its Xbar^T xi once (module docstring).
 
     Each step first judges the pre-step loss: a row stops, unstepped, once it
     sits at or below 1e-12 for 100 straight steps, and fails if it is not
@@ -510,7 +476,7 @@ def simulate_dln_sde_ensemble(ds: Dataset, alpha, sigmas, gamma: float,
                          "and nonnegative steps")
     if not rngs:
         return []
-    model = _Sde(ds, alpha, sigmas, gamma, h, steps, rngs)
+    model = _Sde(ds, alpha, sigmas, gamma, h, rngs)
     return _drive(ds, model, steps, record_stride, early_stop)
 
 

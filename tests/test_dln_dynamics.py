@@ -24,7 +24,6 @@ from noiselab import (
     simulate_dln_sde_ensemble,
 )
 from noiselab import dln_dynamics
-from noiselab.dln_dynamics import DRAW_AHEAD
 from oracles import QUARTER_ASINH_ONE, Diverged, discrete_step_reference, sde_reference
 
 
@@ -324,17 +323,23 @@ VECTOR_ALPHA = np.linspace(0.1, 0.25, 10)
 class TestDiscreteEnsemble:
     # budgets chosen so that, with early stop, rows stop at several different
     # steps while at least one row runs out of steps; stride "stop" is the
-    # steps_run of a stopped row, so that row stops exactly on the record grid
-    @pytest.mark.parametrize("batch,steps,stride,alpha", [
-        pytest.param(1, 5500, 50, 0.2, id="1-5500"),
-        pytest.param(4, 3160, 50, 0.2, id="4-3160"),
-        pytest.param(1, 5500, "stop", 0.2, id="1-5500-stop"),
-        pytest.param(4, 3160, "stop", 0.2, id="4-3160-stop"),
-        pytest.param(1, 5500, 50, VECTOR_ALPHA, id="1-5500-vector-alpha")])
+    # steps_run of a stopped row, so that row stops exactly on the record grid.
+    # The "mixed-order" grid puts the GD rows between minibatch rows and the
+    # noise-free rows after noisy ones, in the caller's order.
+    @pytest.mark.parametrize("batch,steps,stride,alpha,grid", [
+        pytest.param(1, 5500, 50, 0.2, {}, id="1-5500"),
+        pytest.param(4, 3160, 50, 0.2, {}, id="4-3160"),
+        pytest.param(1, 5500, "stop", 0.2, {}, id="1-5500-stop"),
+        pytest.param(4, 3160, "stop", 0.2, {}, id="4-3160-stop"),
+        pytest.param(1, 5500, 50, VECTOR_ALPHA, {}, id="1-5500-vector-alpha"),
+        pytest.param(4, 3160, 50, 0.2,
+                     dict(kinds=("NoisySGD", "GD", "SGD"), sigmas=(0.3, 0.0)),
+                     id="4-3160-mixed-order")])
     @pytest.mark.parametrize("early_stop", [False, True])
-    def test_rows_match_sequential_steps(self, batch, steps, stride, alpha, early_stop):
+    def test_rows_match_sequential_steps(self, batch, steps, stride, alpha, grid,
+                                         early_stop):
         ds = tiny_instance()
-        runs = grid_runs(ds, batch)
+        runs = grid_runs(ds, batch, **grid)
         if stride == "stop":
             first = run_grid(ds, alpha, runs, steps, record_stride=50)
             stride = next(t.meta["steps_run"] for t in first if t.meta["converged"])
@@ -428,9 +433,8 @@ def assert_same_sde(traj, ref):
 
 
 class TestSdeEnsemble:
-    # four rows draw their noise in chunks of 256 steps, where a single run
-    # drew blocks of 4096; the runs converge after about 3300 to 3700 steps
-    # stride "stop" is the steps_run of row 0: its early stop, or else the
+    # the runs converge after about 3300 to 3700 steps; stride "stop" is
+    # the steps_run of row 0: its early stop, or else the
     # whole budget of 4000 steps, falls on the record grid
     @pytest.mark.parametrize("sigma,stride", [
         pytest.param(0.0, 70, id="0.0"), pytest.param(0.5, 70, id="0.5"),
@@ -516,21 +520,23 @@ class TestSdePerRowSigma:
         ds = tiny_instance()
         g = default_step_size(ds)
         seeds = (0, 1, 2, 3)
-        out = simulate_dln_sde_ensemble(ds, 0.2, sigmas, g, g, 4000,
-                                        [RngStream(s) for s in seeds],
+        rngs = [RngStream(s) for s in seeds]
+        out = simulate_dln_sde_ensemble(ds, 0.2, sigmas, g, g, 4000, rngs,
                                         record_stride=70, early_stop=early_stop)
         assert len(out) == len(seeds)
-        for traj, sigma, seed in zip(out, sigmas, seeds):
-            assert_same_run(traj, simulate_dln_sde(ds, 0.2, sigma, g, g, 4000,
-                                                   RngStream(seed), record_stride=70,
+        for traj, rng, sigma, seed in zip(out, rngs, sigmas, seeds):
+            alone = RngStream(seed)
+            assert_same_run(traj, simulate_dln_sde(ds, 0.2, sigma, g, g, 4000, alone,
+                                                   record_stride=70,
                                                    early_stop=early_stop))
+            # the stream ends where the run alone leaves it: one xi per step
+            drawn = RngStream(seed)
+            drawn.normal((traj.meta["steps_run"], ds.n + ds.d))
+            assert rng.state_key() == alone.state_key() == drawn.state_key()
         runs = [t.meta["steps_run"] for t in out]
         if early_stop:
-            # rows stop at different steps, some inside a draw chunk, while
-            # the others go on drawing from the compacted chunk
-            chunk = DRAW_AHEAD // len(seeds)
+            # rows stop at different steps while the others go on drawing
             assert len(set(runs)) == len(seeds)
-            assert any(r % chunk and r < max(runs) for r in runs)
             assert all(t.meta["converged"] for t in out)
         else:
             assert runs == [4000] * len(seeds)
@@ -632,7 +638,7 @@ class TestSharedDraws:
                          seeds=(3, 2, 1))
         cfgs, rngs = [cfg for cfg, _ in runs], [RngStream(seed) for _, seed in runs]
         model = dln_dynamics._Discrete(ds, 0.2, cfgs, [RngStream(seed) for _, seed in runs])
-        assert len(model.leads) == 6
+        assert len(model.plan) == 6
         out = run_dln_discrete_ensemble(ds, 0.2, cfgs, rngs, 5500, record_stride=50)
         outcomes = {}
         for traj, rng, (cfg, seed) in zip(out, rngs, runs):
@@ -654,9 +660,9 @@ class TestSharedDraws:
 
     def test_sde_cells_match_lone_runs(self):
         # every SDE row draws alike, so each seed's rows make one group. Seed
-        # 7's first row (sigma 1) stops first, at step 974, inside a draw
-        # chunk, its others at 1521 and 1617, and its sigma-4 row runs out of
-        # steps; seed 5's sigma-4 row diverges at step 2467
+        # 7's first row (sigma 1) stops first, at step 974, its others at
+        # 1521 and 1617, and its sigma-4 row runs out of steps; seed 5's
+        # sigma-4 row diverges at step 2467
         ds = tiny_instance()
         g = default_step_size(ds)
         cells, seeds, steps = (1.0, 0.5, 0.0, 4.0), (7, 5), 3000
@@ -664,11 +670,11 @@ class TestSharedDraws:
         rngs = [RngStream(seed) for _, seed in runs]
         out = simulate_dln_sde_ensemble(ds, 0.2, [sigma for sigma, _ in runs], g, 3 * g,
                                         steps, rngs, record_stride=70)
-        chunk = DRAW_AHEAD // len(runs)
         outcomes = {}
         for traj, rng, (sigma, seed) in zip(out, rngs, runs):
+            alone = RngStream(seed)
             try:
-                ref = simulate_dln_sde(ds, 0.2, sigma, g, 3 * g, steps, RngStream(seed),
+                ref = simulate_dln_sde(ds, 0.2, sigma, g, 3 * g, steps, alone,
                                        record_stride=70)
             except DivergenceError as exc:
                 assert isinstance(traj, DivergenceError) and traj.step == exc.step
@@ -678,14 +684,13 @@ class TestSharedDraws:
                 assert_same_run(traj, ref)
                 ended = traj.meta["steps_run"]
                 outcomes[sigma, seed] = (traj.meta["converged"], ended)
-            # the stream ends past the chunks drawn before its row ended, as
-            # a row drawing its own chunks leaves it
+            # the stream ends where the run alone leaves it: one xi for each
+            # step the row took before it stopped or failed
             drawn = RngStream(seed)
-            drawn.normal((min(-(-ended // chunk) * chunk, steps), ds.n + ds.d))
-            assert rng.state_key() == drawn.state_key()
+            drawn.normal((ended, ds.n + ds.d))
+            assert rng.state_key() == alone.state_key() == drawn.state_key()
         assert [outcomes[sigma, 7] for sigma in cells] == [
             (True, 974), (True, 1521), (True, 1617), (False, 3000)]
-        assert 974 % chunk
         assert outcomes[4.0, 5] == ("diverged", 2467)
 
     @pytest.mark.parametrize("model", ["discrete", "sde"])

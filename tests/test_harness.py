@@ -853,7 +853,14 @@ class TestCommand:
     @pytest.mark.parametrize("text, line", [
         ("{}", "noiselab: bad.json lacks checks, scalars, passed\n"),
         ("[1]", "noiselab: bad.json holds no JSON object\n"),
-    ], ids=["empty-object", "not-an-object"])
+        ('{"checks": 5, "scalars": {}, "passed": true}',
+         "noiselab: bad.json has the wrong type for checks\n"),
+        ('{"checks": ["a"], "scalars": [], "passed": true}',
+         "noiselab: bad.json has the wrong type for checks, scalars\n"),
+        ('{"checks": {}, "scalars": {}, "passed": "no"}',
+         "noiselab: bad.json has the wrong type for passed\n"),
+    ], ids=["empty-object", "not-an-object", "checks-a-number", "checks-a-list",
+            "passed-a-string"])
     def test_analyze_names_a_malformed_summary(self, tmp_path, text, line):
         (tmp_path / "bad.json").write_text(text)
         proc = _command(tmp_path, "analyze", "bad.json")

@@ -81,3 +81,33 @@ def test_only_core_math_reads_the_raw_generator(path):
         assert uses  # else the check reads nothing
     else:
         assert uses == []
+
+
+# Both DLN models draw in one place, once per draw group and step, so that a
+# grouped row reads what its run alone would draw and every stream ends where
+# that run leaves it.
+STREAM_DRAWS = {"normal", "indices"}
+
+
+def draw_sites(path: Path) -> list:
+    """(enclosing class and function, line) of each .normal( or .indices(
+    call in `path`."""
+    sites = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = (*scope, node.name)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in STREAM_DRAWS):
+            sites.append((".".join(scope), node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), ())
+    return sites
+
+
+def test_dln_streams_draw_only_in_grouped_draw():
+    sites = draw_sites(SRC / "dln_dynamics.py")
+    assert sites  # else the check reads nothing
+    assert [f"line {line}: {scope}" for scope, line in sites if scope != "_Grouped.draw"] == []
